@@ -97,32 +97,50 @@ def load_config(path: str, overrides=()) -> dict:
     return cfg
 
 
-def _build_field(fcfg):
+def _num(cfg, section, key, kind):
+    """cfg[section][key] converted by kind (int or float), or E_CONFIG."""
+    raw = cfg[section][key]
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{section}.{key} = {raw!r} is not a valid {kind.__name__}") from exc
+
+
+def _build_field(cfg):
+    fcfg = cfg["field"]
     if fcfg["type"] == "example":
-        field = build_example_field(int(fcfg["q"]), sort_by_norm=bool(fcfg["sort_by_norm"]))
+        field = build_example_field(_num(cfg, "field", "q", int),
+                                    sort_by_norm=bool(fcfg["sort_by_norm"]))
     elif fcfg["type"] == "sine-table":
         if fcfg["coeffs"] is None or fcfg["kappa0_const"] is None:
             raise ConfigurationError("sine-table field needs kappa0_const and coeffs")
-        field = build_sine_table_field(float(fcfg["kappa0_const"]), fcfg["coeffs"],
-                                       kappa0_xy=float(fcfg["kappa0_xy"]),
-                                       summability_p=float(fcfg["summability_p"]))
+        try:
+            field = build_sine_table_field(
+                _num(cfg, "field", "kappa0_const", float), fcfg["coeffs"],
+                kappa0_xy=_num(cfg, "field", "kappa0_xy", float),
+                summability_p=_num(cfg, "field", "summability_p", float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"field.coeffs is not a table of numbers: {exc}") from exc
     else:
         raise ConfigurationError(f"unknown field type {fcfg['type']!r}")
-    z = fcfg["z"]
-    return field, (len(field) if z is None else int(z))
+    return field, (len(field) if fcfg["z"] is None else _num(cfg, "field", "z", int))
 
 
 def resolve_threads(cfg, cli_threads=None) -> int:
     if cli_threads is not None:
         return int(cli_threads)
     if cfg["estimator"]["threads"] is not None:
-        return int(cfg["estimator"]["threads"])
+        return _num(cfg, "estimator", "threads", int)
     env = os.environ.get("FRACUQ_THREADS")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError as exc:
+        raise ConfigurationError(f"FRACUQ_THREADS = {env!r} is not a valid int") from exc
 
 
 def build_run_config(cfg: dict, threads=None) -> RunConfig:
-    field, z = _build_field(cfg["field"])
+    field, z = _build_field(cfg)
     if cfg["model"]["functional"] != "average":
         raise ConfigurationError(f"unknown functional {cfg['model']['functional']!r}")
     space = cfg["space"]
@@ -131,7 +149,7 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
     if space["mesh_path"] is not None:
         mesh = load_mesh(space["mesh_path"])
     else:
-        n_div = int(space["n_div"])
+        n_div = _num(cfg, "space", "n_div", int)
     qmc = cfg["qmc"]
     rule = None
     if qmc["genvec"] is not None:
@@ -139,16 +157,18 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
     est = cfg["estimator"]
     gamma = cfg["time"]["gamma"]
     return RunConfig(
-        alpha=float(cfg["model"]["alpha"]),
-        T=float(cfg["model"]["T"]),
-        n_steps=int(cfg["time"]["n_steps"]),
-        gamma=None if gamma is None else float(gamma),
+        alpha=_num(cfg, "model", "alpha", float),
+        T=_num(cfg, "model", "T", float),
+        n_steps=_num(cfg, "time", "n_steps", int),
+        gamma=None if gamma is None else _num(cfg, "time", "gamma", float),
         field=field, z=z,
         n_div=n_div, mesh=mesh,
-        b=int(qmc["b"]), m=int(qmc["m"]), beta=int(qmc["beta"]),
+        b=_num(cfg, "qmc", "b", int), m=_num(cfg, "qmc", "m", int),
+        beta=_num(cfg, "qmc", "beta", int),
         rule=rule, shift=str(qmc["shift"]),
         method=str(est["method"]), fast_history=bool(est["fast_history"]),
-        fast_eps=float(est["fast_eps"]), cg_tol=float(est["cg_tol"]),
+        fast_eps=_num(cfg, "estimator", "fast_eps", float),
+        cg_tol=_num(cfg, "estimator", "cg_tol", float),
         threads=resolve_threads(cfg, threads))
 
 
@@ -265,7 +285,10 @@ def cmd_solve(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _echo_resolved(cfg, out_dir, run.threads)
     if args.y:
-        y = np.array([float(v) for v in args.y.split(",")])
+        try:
+            y = np.array([float(v) for v in args.y.split(",")])
+        except ValueError as exc:
+            raise UsageError("--y expects a comma-separated list of numbers") from exc
         if y.size > run.z:
             raise ConfigurationError(f"--y has {y.size} entries but z = {run.z}")
         if np.any(np.abs(y) > 0.5):
@@ -380,7 +403,7 @@ def cmd_check(args) -> int:
     out_dir = args.out or cfg["output"]["dir"]
     _echo_resolved(cfg, out_dir, run.threads)
     mesh = run.space_mesh()
-    seed = int(cfg["estimator"]["seed"])
+    seed = _num(cfg, "estimator", "seed", int)
     print(f"alpha = {run.alpha}")
     print(f"T = {run.T}")
     print(f"gamma = {run.gamma}")

@@ -61,9 +61,10 @@ def example_initial_gradient(x1, x2):
 def default_qmc_weights(field: SineRandomField, z: int) -> np.ndarray:
     """Coordinate weights b_j = sqrt(2) ||psi_j|| / kappa_ref for the CBC search.
 
-    The reference diffusivity is the declared lower bound when positive;
-    otherwise the minimum of the mean field kappa0 over the square is used
-    (the example field's worst-case bound is slightly negative).
+    The reference diffusivity is the declared lower bound when positive (the
+    example field's is 0.178 at q = 10); for a user field whose worst-case
+    bound is not positive, the minimum of the mean field kappa0 over the
+    square is used instead.
     """
     kmin = field.declared_bounds[0]
     if kmin <= 0.0:
@@ -234,29 +235,50 @@ def sample_points(config: RunConfig) -> np.ndarray:
     return config.qmc_rule().centered_points(shift=config.shift)[:, : config.z]
 
 
+_CHUNK_MAX = 8
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """Fixed ranges of consecutive samples stepped together.
+
+    min(8, max(1, n // 2)) samples each (the last range may be shorter), so
+    two workers always find work and the ranges never depend on the thread
+    count.
+    """
+    size = min(_CHUNK_MAX, max(1, n // 2))
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
+
+
 def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
                         threads: int) -> np.ndarray:
     """L(u_h(t_n, y_j)) for every sample, shape (N, n_steps + 1).
 
-    Results land in a preallocated slot per sample index, so the later
-    reduction order is independent of the thread count.
+    Samples are stepped in the fixed chunks of :func:`_chunks`, each writing
+    its own preallocated rows, so the results and the later reduction order
+    are independent of the thread count.  A chunk that raises fails all its
+    samples; a sample with a non-finite value fails on its own.
     """
     n = points.shape[0]
     out = np.empty((n, solver.tmesh.n_steps + 1))
     failures = []
 
-    def work(j):
+    def work(chunk):
+        a, b = chunk
         try:
-            out[j] = solver.functional_series(points[j])
+            out[a:b] = solver.functional_series(points[a:b])
         except FracUQError as exc:
-            failures.append((j, exc))
+            failures.extend((j, exc) for j in range(a, b))
+            return
+        for j in a + np.flatnonzero(~np.all(np.isfinite(out[a:b]), axis=1)):
+            failures.append((int(j), SolverError("non-finite solution values")))
 
+    chunks = _chunks(n)
     if threads <= 1:
-        for j in range(n):
-            work(j)
+        for chunk in chunks:
+            work(chunk)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n)))
+            list(pool.map(work, chunks))
     if failures:
         failures.sort(key=lambda pair: pair[0])
         detail = "; ".join(f"sample {j}: {exc}" for j, exc in failures[:5])
@@ -302,9 +324,10 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
         raise ConfigurationError("N_ref must exceed every entry of N_list")
     solver = build_solver(config)
     tmesh = solver.tmesh
-    series = {}
     gammas = config.cbc_weights()
-    for n in sorted(set(N_list + [N_ref])):
+    sizes = sorted(set(N_list + [N_ref]))
+    point_sets = []
+    for n in sizes:
         m = round(math.log(n) / math.log(config.b))
         if config.b ** m != n:
             raise ConfigurationError(f"N={n} is not a power of the base b={config.b}")
@@ -312,9 +335,12 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
             rule = config.rule
         else:
             rule = cbc_rule(config.b, m, config.beta, config.z, gammas)
-        points = rule.centered_points(shift=config.shift)[:, : config.z]
-        values = _functional_samples(solver, points, config.threads)
-        series[n] = _reduce_series(values)[0]
+        point_sets.append(rule.centered_points(shift=config.shift)[:, : config.z])
+    # every point set in one pass, so the chunks keep all workers busy
+    values = _functional_samples(solver, np.concatenate(point_sets), config.threads)
+    bounds = np.cumsum([0] + sizes)
+    series = {n: _reduce_series(values[a:b])[0]
+              for n, a, b in zip(sizes, bounds[:-1], bounds[1:])}
     ref = series[N_ref]
     rows = []
     prev = None

@@ -152,6 +152,8 @@ def load_mesh(path) -> TriMesh:
             tris[i] = [int(next(it)), int(next(it)), int(next(it))]
     except StopIteration as exc:
         raise ValidationError(f"{path}: truncated mesh file") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric token in mesh file ({exc})") from exc
     interior = np.full(nv, -1, dtype=np.int64)
     interior[~bdy] = np.arange(np.count_nonzero(~bdy))
     v = verts[tris]
@@ -163,24 +165,52 @@ def load_mesh(path) -> TriMesh:
     return mesh
 
 
-def _assemble(mesh: TriMesh, local: np.ndarray, trimmed: bool) -> sp.csr_matrix:
-    """Scatter per-element 3x3 blocks; `local` has shape (nt, 3, 3)."""
+def _pattern(mesh: TriMesh, trimmed: bool = True):
+    """CSC sparsity shared by every assembled matrix, and where entries land.
+
+    Entry (a, b) of element t's 3x3 block, taken in row-major (t, a, b)
+    order and restricted to ``keep`` (both vertices are dofs), is added to
+    ``data[slot]``.  Returns (indptr, indices, slot, keep).
+    """
     tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    data = local.ravel()
-    if trimmed:
-        r = mesh.interior_index[rows]
-        c = mesh.interior_index[cols]
-        keep = (r >= 0) & (c >= 0)
-        mat = sp.coo_matrix((data[keep], (r[keep], c[keep])),
-                            shape=(mesh.n_dofs, mesh.n_dofs))
+    index = mesh.interior_index if trimmed else np.arange(mesh.n_vertices)
+    rows = index[np.repeat(tri, 3, axis=1).ravel()]
+    cols = index[np.tile(tri, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_dofs if trimmed else mesh.n_vertices
+    # column-major keys sort into CSC order: by column, then by row
+    key, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+    indptr = np.searchsorted(key // n, np.arange(n + 1))
+    return indptr, key % n, slot, keep
+
+
+def _assemble(mesh: TriMesh, local: np.ndarray, trimmed: bool) -> sp.csc_matrix:
+    """Scatter per-element 3x3 blocks; `local` has shape (nt, 3, 3)."""
+    indptr, indices, slot, keep = _pattern(mesh, trimmed)
+    data = np.bincount(slot, weights=local.ravel()[keep], minlength=indices.size)
+    n = indptr.size - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _dof_scatter(mesh: TriMesh, weights: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sparse map from per-element vertex values, flattened (t, i), to dofs.
+
+    ``Q @ v`` adds v[3t + i] into the dof of vertex i of element t, element
+    by element; with ``weights`` of shape (nt, 3, 3) the column 3t + q
+    instead feeds all three vertices i of element t, scaled by
+    weights[t, q, i].
+    """
+    nt = mesh.n_triangles
+    dof = mesh.interior_index[mesh.triangles]              # (nt, 3)
+    if weights is None:
+        rows, cols, vals = dof.ravel(), np.arange(3 * nt), np.ones(3 * nt)
     else:
-        mat = sp.coo_matrix((data, (rows, cols)),
-                            shape=(mesh.n_vertices, mesh.n_vertices))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    return out
+        rows = np.broadcast_to(dof[:, None, :], (nt, 3, 3)).ravel()
+        cols = np.repeat(np.arange(3 * nt), 3)
+        vals = weights.ravel()
+    keep = rows >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(mesh.n_dofs, 3 * nt))
 
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
@@ -188,7 +218,7 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
                         [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble_mass(mesh: TriMesh, trimmed: bool = True) -> sp.csr_matrix:
+def assemble_mass(mesh: TriMesh, trimmed: bool = True) -> sp.csc_matrix:
     """Exact P1 mass matrix (element block area/12 * [[2,1,1],[1,2,1],[1,1,2]])."""
     area, _ = _element_geometry(mesh)
     local = area[:, None, None] * _MASS_LOCAL[None]
@@ -196,75 +226,100 @@ def assemble_mass(mesh: TriMesh, trimmed: bool = True) -> sp.csr_matrix:
 
 
 class StiffnessAssembler:
-    """Stiffness matrices D(y) for a fixed (mesh, field) pair.
+    """Stiffness matrices D(y) and Ritz right-hand sides for a fixed (mesh, field).
 
     The diffusivity enters each element through its 3-point Gauss average,
     which is affine in y, so per-element basis averages are precomputed and
-    each sample only combines them.
+    each sample only combines them.  Every D(y) shares the CSC pattern
+    ``indptr``/``indices`` of :func:`assemble_mass`; :meth:`matrix_data`
+    gives its data for a block of parameter vectors at once.  The Ritz
+    right-hand side is affine in y as well; passing ``grad_g`` precomputes
+    its two parts from the same basis values.
     """
 
-    def __init__(self, mesh: TriMesh, field):
+    def __init__(self, mesh: TriMesh, field, grad_g=None):
         self.mesh = mesh
         self.field = field
         area, grads = _element_geometry(mesh)
         self.area = area
+        self.grads = grads
         # geometric element stiffness: area * grad_i . grad_j, shape (nt, 3, 3)
         self.k_geom = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
-        mid = _edge_midpoints(mesh)  # (nt, 3, 2)
+        nt = mesh.n_triangles
+        self.indptr, self.indices, slot, keep = _pattern(mesh)
+        # D(y).data = spread @ (element averages of kappa)
+        element = np.repeat(np.arange(nt), 9)[keep]
+        self._spread = sp.csr_matrix((self.k_geom.ravel()[keep], (slot, element)),
+                                     shape=(self.indices.size, nt))
+        kq0, psi = self._midpoint_values()
+        self.kbar0 = kq0.reshape(nt, 3).mean(axis=1)
+        self.psibar = psi.reshape(psi.shape[0], nt, 3).mean(axis=2)
+        self._ritz = {}
+        if grad_g is not None:
+            self._ritz[grad_g] = self._ritz_parts(grad_g, kq0, psi)
+
+    def _midpoint_values(self):
+        """kappa0 and the basis functions at the edge midpoints, flattened (t, q)."""
+        mid = _edge_midpoints(self.mesh)
         x1 = mid[:, :, 0].ravel()
         x2 = mid[:, :, 1].ravel()
-        nt = mesh.n_triangles
-        self.kbar0 = field.kappa0(x1, x2).reshape(nt, 3).mean(axis=1)
-        z = len(field)
-        if z:
-            psi = field.basis_values(x1, x2)  # (z, nt*3)
-            self.psibar = psi.reshape(z, nt, 3).mean(axis=2)
-        else:
-            self.psibar = np.zeros((0, nt))
+        psi = self.field.basis_values(x1, x2) if len(self.field) else np.zeros((0, x1.size))
+        return self.field.kappa0(x1, x2), psi
 
     def element_kappa(self, y) -> np.ndarray:
+        """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
         y = np.asarray(y, dtype=float)
-        if y.size > self.psibar.shape[0]:
+        if y.shape[-1] > self.psibar.shape[0]:
             raise ConfigurationError(
-                f"parameter vector length {y.size} exceeds basis size {self.psibar.shape[0]}")
-        kbar = self.kbar0.copy()
-        if y.size:
-            kbar += y @ self.psibar[: y.size]
-        return kbar
+                f"parameter vector length {y.shape[-1]} exceeds basis size {self.psibar.shape[0]}")
+        return self.kbar0 + y @ self.psibar[: y.shape[-1]]
 
-    def matrix(self, y, trimmed: bool = True, require_positive: bool = False) -> sp.csr_matrix:
+    def matrix_data(self, y) -> np.ndarray:
+        """CSC data of D(y) on the shared pattern, shape (k, nnz) for k rows of y."""
+        return (self._spread @ np.atleast_2d(self.element_kappa(y)).T).T
+
+    def matrix(self, y, trimmed: bool = True, require_positive: bool = False) -> sp.csc_matrix:
         """Assemble D(y).
 
         With ``require_positive`` the element-averaged diffusivity must be
-        strictly positive.  The default is lenient: the built-in example
-        field dips slightly negative for extreme parameter vectors (e.g.
-        y_j = -1/2 for all j), yet the resulting time-stepping systems stay
-        nonsingular and are handled by the direct solver.
+        strictly positive.  The default is lenient and assembles whatever
+        the field gives; the built-in example field never needs it, since
+        its declared lower bound (0.178 at q = 10) is positive.
         """
         kbar = self.element_kappa(y)
         if require_positive and np.any(kbar <= 0):
             raise ConfigurationError("diffusivity is nonpositive on some element")
-        local = kbar[:, None, None] * self.k_geom
-        return _assemble(self.mesh, local, trimmed)
+        return _assemble(self.mesh, kbar[:, None, None] * self.k_geom, trimmed)
+
+    def _ritz_parts(self, grad_g, kq0, psi):
+        """(r0, R) with <kappa(y) grad g, grad phi_p> = r0 + y @ R.
+
+        Each element integral is area/3 * sum_q kappa(q) grad_g(q) . grad
+        phi_i over the edge midpoints q, so kappa's values there enter
+        linearly through one weighted scatter.
+        """
+        mid = _edge_midpoints(self.mesh)
+        gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
+        gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
+                       np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
+        weights = np.einsum("tqd,tid->tqi", gg, self.grads) * (self.area / 3.0)[:, None, None]
+        scatter = _dof_scatter(self.mesh, weights)
+        return scatter @ kq0, (scatter @ psi.T).T
 
     def ritz_rhs(self, y, grad_g) -> np.ndarray:
-        """Right-hand side <kappa grad g, grad phi_p> with the same quadrature."""
-        mesh = self.mesh
-        mid = _edge_midpoints(mesh)
-        x1 = mid[:, :, 0].ravel()
-        x2 = mid[:, :, 1].ravel()
-        gx, gy = grad_g(x1, x2)
-        nt = mesh.n_triangles
-        gg = np.stack([np.asarray(gx).reshape(nt, 3),
-                       np.asarray(gy).reshape(nt, 3)], axis=-1)  # (nt, 3, 2)
-        kq = self.field.kappa(x1, x2, y).reshape(nt, 3)
-        _, grads = _element_geometry(mesh)
-        # integral over K: area/3 * sum_q kappa(q) grad_g(q) . grad_phi_i
-        contrib = np.einsum("tq,tqd,tid->ti", kq, gg, grads) * (self.area / 3.0)[:, None]
-        rhs = np.zeros(mesh.n_dofs)
-        dof = mesh.interior_index[mesh.triangles]
-        np.add.at(rhs, dof[dof >= 0], contrib[dof >= 0])
-        return rhs
+        """Right-hand side <kappa grad g, grad phi_p> with the same quadrature.
+
+        Shape (d,) for one parameter vector, (k, d) for k rows.
+        """
+        parts = self._ritz.get(grad_g)
+        if parts is None:
+            parts = self._ritz.setdefault(grad_g, self._ritz_parts(grad_g, *self._midpoint_values()))
+        r0, R = parts
+        y = np.asarray(y, dtype=float)
+        if y.shape[-1] > R.shape[0]:
+            raise ConfigurationError(
+                f"parameter vector length {y.shape[-1]} exceeds basis size {R.shape[0]}")
+        return r0 + y @ R[: y.shape[-1]]
 
 
 def assemble_stiffness(mesh: TriMesh, field, y, trimmed: bool = True,
@@ -274,53 +329,41 @@ def assemble_stiffness(mesh: TriMesh, field, y, trimmed: bool = True,
         y, trimmed=trimmed, require_positive=require_positive)
 
 
-def load_vector(mesh: TriMesh, f, t_a: float, t_b: float) -> np.ndarray:
+def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
     """<f-bar, phi_p> for the time-average of f over (t_a, t_b).
 
     The time average uses 2-point Gauss (exact through cubics in t); space
     uses the degree-2 edge-midpoint rule.  f is f(x1, x2, t) vectorised in
-    the spatial arguments, or a plain constant.
+    the spatial arguments, or a plain constant.  Arrays of interval ends
+    give one row per interval from a single pass over the mesh.
     """
-    if not t_a < t_b:
+    t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float),
+                                   np.asarray(t_b, dtype=float))
+    if not np.all(t_a < t_b):
         raise ConfigurationError("load_vector requires t_a < t_b")
     area, _ = _element_geometry(mesh)
     mid = _edge_midpoints(mesh)
     x1 = mid[:, :, 0].ravel()
     x2 = mid[:, :, 1].ravel()
     if callable(f):
-        half = 0.5 * (t_b - t_a)
-        c = 0.5 * (t_a + t_b)
-        s = half / math.sqrt(3.0)
-        fbar = 0.5 * (np.asarray(f(x1, x2, c - s), dtype=float)
-                      + np.asarray(f(x1, x2, c + s), dtype=float))
-        fbar = np.broadcast_to(fbar, x1.shape)
+        fbar = []
+        for a, b in zip(t_a.ravel(), t_b.ravel()):
+            half = 0.5 * (b - a)
+            c = 0.5 * (a + b)
+            s = half / math.sqrt(3.0)
+            fbar.append(np.broadcast_to(0.5 * (np.asarray(f(x1, x2, c - s), dtype=float)
+                                               + np.asarray(f(x1, x2, c + s), dtype=float)),
+                                        x1.shape))
+        fbar = np.array(fbar)
     else:
-        fbar = np.full(x1.shape, float(f))
+        fbar = np.full((1, x1.size), float(f))
     nt = mesh.n_triangles
-    fq = fbar.reshape(nt, 3)
     # entry i gets area/3 * sum_q f(q) phi_i(q)
-    contrib = (fq @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
-    rhs = np.zeros(mesh.n_dofs)
-    dof = mesh.interior_index[mesh.triangles]
-    np.add.at(rhs, dof[dof >= 0], contrib[dof >= 0])
-    return rhs
-
-
-def _load_vector_untrimmed(mesh: TriMesh, f, t_a: float, t_b: float) -> np.ndarray:
-    """All-vertex variant of load_vector, used by tests (partition of unity)."""
-    area, _ = _element_geometry(mesh)
-    mid = _edge_midpoints(mesh)
-    x1 = mid[:, :, 0].ravel()
-    x2 = mid[:, :, 1].ravel()
-    if callable(f):
-        fbar = np.broadcast_to(np.asarray(f(x1, x2, 0.5 * (t_a + t_b)), dtype=float), x1.shape)
-    else:
-        fbar = np.full(x1.shape, float(f))
-    fq = fbar.reshape(mesh.n_triangles, 3)
-    contrib = (fq @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
-    rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
-    return rhs
+    contrib = (fbar.reshape(-1, nt, 3) @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
+    rhs = (_dof_scatter(mesh) @ contrib.reshape(len(fbar), -1).T).T
+    if not callable(f):
+        rhs = np.repeat(rhs, t_a.size, axis=0)
+    return rhs.reshape(t_a.shape + (mesh.n_dofs,))
 
 
 def ritz_projection(mesh: TriMesh, field, y, g, grad_g,
@@ -336,11 +379,7 @@ def ritz_projection(mesh: TriMesh, field, y, g, grad_g,
 def phi_integrals(mesh: TriMesh) -> np.ndarray:
     """Integrals of the interior nodal basis functions (area/3 per element)."""
     area, _ = _element_geometry(mesh)
-    w = np.zeros(mesh.n_dofs)
-    dof = mesh.interior_index[mesh.triangles]
-    contrib = np.repeat(area / 3.0, 3).reshape(-1, 3)
-    np.add.at(w, dof[dof >= 0], contrib[dof >= 0])
-    return w
+    return _dof_scatter(mesh) @ np.repeat(area / 3.0, 3)
 
 
 def apply_functional(mesh: TriMesh, coeffs: np.ndarray) -> float:

@@ -87,9 +87,9 @@ class SineRandomField:
         """Values of all basis functions at the given points, shape (z, npts)."""
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        s1 = np.sin(np.pi * np.outer(self.k, x1))
-        s2 = np.sin(np.pi * np.outer(self.l, x2))
-        return self.amp[:, None] * s1 * s2
+        out = self.amp[:, None] * _sine_rows(self.k, x1)
+        out *= _sine_rows(self.l, x2)
+        return out
 
     def kappa(self, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> np.ndarray:
         """kappa(x, y) at arrays of points, truncated to len(y) basis terms."""
@@ -193,18 +193,32 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64,
     return BoundsReport(observed_min=obs_min, observed_max=obs_max, violations=violations)
 
 
+def _sine_rows(modes, x):
+    """sin(m pi x) for each mode number m, shape (len(modes), len(x)).
+
+    Each distinct mode number is evaluated once and its row repeated, so z
+    terms over q distinct numbers cost q rows of sines, not z.
+    """
+    uniq, inv = np.unique(modes, return_inverse=True)
+    return np.sin(np.pi * np.outer(uniq, x))[inv]
+
+
 def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):
-    """Numerical lower/upper bounds of kappa over x and worst-case y."""
+    """Numerical lower/upper bounds of kappa over x and worst-case y.
+
+    On the tensor grid |amp_j sin(k_j pi x1) sin(l_j pi x2)| is a product of
+    one table per coordinate; the terms are summed in index order, the same
+    sum as evaluating every basis function at every grid point.
+    """
     g = np.linspace(0.0, 1.0, resolution + 1)
-    X1, X2 = np.meshgrid(g, g, indexing="ij")
-    x1, x2 = X1.ravel(), X2.ravel()
-    k0 = kappa0_const + kappa0_xy * x1 * x2
+    k0 = kappa0_const + kappa0_xy * g[:, None] * g[None, :]
+    half_abs = np.zeros_like(k0)
     if amp.size:
-        s1 = np.sin(np.pi * np.outer(k, x1))
-        s2 = np.sin(np.pi * np.outer(l, x2))
-        half_abs = 0.5 * np.sum(np.abs(amp[:, None] * s1 * s2), axis=0)
-    else:
-        half_abs = np.zeros_like(k0)
+        s1 = np.abs(amp[:, None] * _sine_rows(k, g))
+        s2 = np.abs(_sine_rows(l, g))
+        for row1, row2 in zip(s1, s2):
+            half_abs += row1[:, None] * row2[None, :]
+        half_abs *= 0.5
     return float((k0 - half_abs).min()), float((k0 + half_abs).max())
 
 

@@ -607,17 +607,21 @@ def load_gen_vector(path) -> InterlacedLatticeRule:
     if len(lines) != 2 + beta * z:
         raise ValidationError(
             f"{path}: expected {1 + 1 + beta * z} content lines, found {len(lines)}")
-    ln, ptxt = lines[1]
-    tok = ptxt.split()
-    if tok[0] != "P":
-        raise ValidationError(f"{path}:{ln}: expected modulus line starting with 'P'")
-    p = GFPoly(tuple(int(v) for v in tok[1:]), b)
+
+    def poly(ln, txt, tag, what):
+        tok = txt.split()
+        if tok[0] != tag:
+            raise ValidationError(f"{path}:{ln}: expected {what} line starting with {tag!r}")
+        try:
+            coeffs = tuple(int(v) for v in tok[1:])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{ln}: non-integer coefficient in {txt!r}") from exc
+        return GFPoly(coeffs, b)
+
+    p = poly(*lines[1], "P", "modulus")
     gen = []
     for ln, gtxt in lines[2:]:
-        tok = gtxt.split()
-        if tok[0] != "g":
-            raise ValidationError(f"{path}:{ln}: expected generator line starting with 'g'")
-        g = GFPoly(tuple(int(v) for v in tok[1:]), b)
+        g = poly(ln, gtxt, "g", "generator")
         if g.degree >= m:
             raise ValidationError(f"{path}:{ln}: deg(g) = {g.degree} >= m = {m}")
         gen.append(g)

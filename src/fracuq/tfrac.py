@@ -257,36 +257,72 @@ class SolutionTrajectory:
 
 
 def _pcg(A, b, precond_solve, mass, tol, maxiter=1000):
-    """Conjugate gradients with an SPD preconditioner; stopping in the M-norm."""
+    """Conjugate gradients on the k independent systems of a block-diagonal A.
+
+    b has shape (k, d), row j the right-hand side of block j; A and the
+    block-diagonal mass act on the flattened rows and precond_solve on
+    (d, k) columns.  Each row stops once its residual has dropped by tol in
+    the M-norm and is then frozen by a zero step.
+    """
+    k, d = b.shape
+
+    def dot(u, v):
+        return np.einsum("kd,kd->k", u, v)
+
+    def m_norm(r):
+        return np.sqrt(np.maximum(dot(r, (mass @ r.ravel()).reshape(k, d)), 0.0))
+
     x = np.zeros_like(b)
     r = b.copy()
-    norm0 = math.sqrt(max(r @ (mass @ r), 0.0))
-    if norm0 == 0.0:
-        return x
-    z = precond_solve(r)
+    norm0 = m_norm(r)
+    active = norm0 > 0.0
+    z = precond_solve(r.T).T
     p = z.copy()
-    rz = r @ z
+    rz = dot(r, z)
     for _ in range(maxiter):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if math.sqrt(max(r @ (mass @ r), 0.0)) <= tol * norm0:
+        if not active.any():
             return x
-        z = precond_solve(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        Ap = (A @ p.ravel()).reshape(k, d)
+        step = np.divide(rz, dot(p, Ap), out=np.zeros(k), where=active)
+        x += step[:, None] * p
+        r -= step[:, None] * Ap
+        active &= m_norm(r) > tol * norm0
+        z = precond_solve(r.T).T
+        rz_new = dot(r, z)
+        beta = np.divide(rz_new, rz, out=np.zeros(k), where=active)
+        p = z + beta[:, None] * p
         rz = rz_new
-    res = math.sqrt(max(r @ (mass @ r), 0.0)) / norm0
-    raise SolverError(f"PCG did not converge: relative M-norm residual {res:.3e}")
+    if active.any():
+        res = float(np.max(m_norm(r)[active] / norm0[active]))
+        raise SolverError(f"PCG did not converge: relative M-norm residual {res:.3e}")
+    return x
+
+
+def _block_diag(indptr, indices, data) -> sp.csc_matrix:
+    """Block-diagonal CSC matrix of k blocks sharing one d x d pattern.
+
+    data has shape (k, nnz), row j the data of block j; unknowns are
+    ordered block by block.
+    """
+    k, nnz = data.shape
+    d = indptr.size - 1
+    starts = nnz * np.arange(k)[:, None]
+    ptr = np.append((indptr[:-1] + starts).ravel(), k * nnz)
+    idx = (indices + d * np.arange(k)[:, None]).ravel()
+    return sp.csc_matrix((data.ravel(), idx, ptr), shape=(k * d, k * d))
 
 
 class TrajectorySolver:
     """Solves trajectories for many parameter vectors over shared discretisations.
 
     Everything independent of y (mass matrix, convolution weights, loads,
-    functional weights, preconditioners at y = 0) is precomputed once; the
-    object is then read-only and may be shared across worker threads.
+    functional weights, the affine parts of the stiffness matrix and the
+    Ritz right-hand side, preconditioners at y = 0) is precomputed once;
+    the object is then read-only and may be shared across worker threads.
+
+    A block of k parameter vectors is stepped together: each level solves
+    one block-diagonal system whose pattern is built once per block, so the
+    per-step cost of the Python layer is shared by k samples.
     """
 
     def __init__(self, mesh, field, tmesh: GradedTimeMesh, alpha: float,
@@ -301,11 +337,10 @@ class TrajectorySolver:
         self.g = g
         self.grad_g = grad_g
         self.mass = assemble_mass(mesh)
-        self.assembler = StiffnessAssembler(mesh, field)
+        self.assembler = StiffnessAssembler(mesh, field, grad_g)
         self.weights = weight_matrix(tmesh, alpha)
         t = tmesh.t
-        self.loads = np.array([load_vector(mesh, f, t[n - 1], t[n])
-                               for n in range(1, tmesh.n_steps + 1)])
+        self.loads = load_vector(mesh, f, t[:-1], t[1:])
         self.phi = phi_integrals(mesh)
         if method == "auto":
             method = "pcg" if self.mass.shape[0] > 4000 else "direct"
@@ -332,48 +367,77 @@ class TrajectorySolver:
             s0 = float(_omega3(th, self.alpha)) / th ** 2 * self.mass + 0.5 * d0
             self._precond.append(spla.splu(s0.tocsc()))
 
-    def solve(self, y) -> SolutionTrajectory:
-        mesh, tmesh = self.mesh, self.tmesh
+    def _march(self, Y: np.ndarray, keep_u: bool):
+        """Step the k rows of Y (shape (k, z)) through every level together.
+
+        Returns the functional values, shape (k, n_steps + 1), and with
+        ``keep_u`` the coefficients, shape (n_steps + 1, k, d).
+        """
+        tmesh, asm = self.tmesh, self.assembler
         nt = tmesh.n_steps
+        k = Y.shape[0]
         d = self.mass.shape[0]
-        D = self.assembler.matrix(y)
-        rhs0 = self.assembler.ritz_rhs(y, self.grad_g)
-        u0 = spla.spsolve(D.tocsc(), rhs0)
-        u = np.empty((nt + 1, d))
-        u[0] = u0
-        mv = np.empty((nt, d))
+        # M, D(y) and S_n = w_nn M + D/2 share the pattern of the assembler
+        M = _block_diag(asm.indptr, asm.indices,
+                        np.broadcast_to(self.mass.data, (k, self.mass.nnz)))
+        D = _block_diag(asm.indptr, asm.indices, asm.matrix_data(Y))
+        S = D.copy()
+        half_d = 0.5 * D.data
+        u = spla.spsolve(D, asm.ritz_rhs(Y, self.grad_g).ravel())
+        values = np.empty((k, nt + 1))
+        values[:, 0] = u.reshape(k, d) @ self.phi
+        us = np.empty((nt + 1, k * d)) if keep_u else None
+        if keep_u:
+            us[0] = u
+        mv = np.empty((nt, k * d))
         W = self.weights
         fast = self.kernel is not None
         if fast:
             s, kw = self.kernel.nodes, self.kernel.weights
-            H = np.zeros((s.size, d))
+            H = np.zeros((s.size, k * d))
         for n in range(1, nt + 1):
             tau_n = tmesh.dt[n - 1]
-            S = W[n, n] * self.mass + 0.5 * D
+            np.multiply(M.data, W[n, n], out=S.data)
+            S.data += half_d
             if n == 1:
-                hist = np.zeros(d)
+                hist = 0.0
             elif fast:
                 a_n = _em1_over(s * tau_n)
                 hist = (kw * a_n) @ H + W[n, n - 1] * mv[n - 2]
             else:
                 hist = W[n, 1:n] @ mv[: n - 1]
-            rhs = self.loads[n - 1] - D @ u[n - 1] - hist
+            rhs = (self.loads[n - 1] - (D @ u).reshape(k, d)).ravel() - hist
             if self.method == "direct":
-                v = spla.spsolve(S.tocsc(), rhs)
+                v = spla.spsolve(S, rhs)
             else:
-                k = int(np.argmin(np.abs(self._precond_taus - tau_n)))
-                lu = self._precond[k]
-                v = _pcg(S, rhs, lu.solve, self.mass, self.cg_tol)
-            u[n] = u[n - 1] + v
-            mv[n - 1] = self.mass @ v
+                j = int(np.argmin(np.abs(self._precond_taus - tau_n)))
+                v = _pcg(S, rhs.reshape(k, d), self._precond[j].solve, M,
+                         self.cg_tol).ravel()
+            u = u + v
+            values[:, n] = u.reshape(k, d) @ self.phi
+            if keep_u:
+                us[n] = u
+            mv[n - 1] = M @ v
             if fast and n >= 2:
                 # fold V^{n-1} into the far field and decay to the next level
                 beta = _em1_over(s * tmesh.dt[n - 2])
                 H = np.exp(-s * tau_n)[:, None] * (H + beta[:, None] * mv[n - 2])
-        return SolutionTrajectory(tmesh=tmesh, u=u)
+        return values, (us.reshape(nt + 1, k, d) if keep_u else None)
+
+    def solve(self, y) -> SolutionTrajectory:
+        """Trajectory for one parameter vector, every level's coefficients kept."""
+        _, u = self._march(np.asarray(y, dtype=float)[None, :], keep_u=True)
+        return SolutionTrajectory(tmesh=self.tmesh, u=u[:, 0])
 
     def functional_series(self, y) -> np.ndarray:
-        return self.solve(y).functional_series(self.phi)
+        """L(u_h(t_n, y)) at every level.
+
+        Shape (n_steps + 1,) for one parameter vector, or (k, n_steps + 1)
+        for a (k, z) block of them stepped together.
+        """
+        y = np.asarray(y, dtype=float)
+        values, _ = self._march(np.atleast_2d(y), keep_u=False)
+        return values[0] if y.ndim == 1 else values
 
 
 def solve_trajectory(field, y, mesh, tmesh: GradedTimeMesh, alpha: float,

@@ -229,3 +229,41 @@ class TestErrorPaths:
         path.write_text(json.dumps({"field": {"type": "bogus"}}))
         assert main(["check", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error[E_CONFIG]")
+
+    @staticmethod
+    def assert_one_error_line(capsys, code):
+        err = capsys.readouterr().err
+        assert err.count("error[") == 1
+        assert err.startswith(f"error[{code}]")
+
+    def test_non_integer_config_value_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, qmc={"m": "abc"})
+        assert main(["check", "--config", cfg]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+
+    def test_non_numeric_override_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["estimate", "--config", cfg, "--set", "model.alpha=half"]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+
+    def test_non_integer_genvec_coefficient_exit_1(self, tmp_path, capsys):
+        gv = tmp_path / "gen.txt"
+        gv.write_text("2 1 1 1\nP 1 x 0 1\ng 1\n")
+        cfg = write_config(tmp_path, qmc={"m": 1, "beta": 1, "genvec": str(gv)})
+        assert main(["estimate", "--config", cfg]) == 1
+        self.assert_one_error_line(capsys, "E_VALIDATE")
+        assert main(["points", "--m", "1", "--beta", "1", "--z", "1",
+                     "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, "E_VALIDATE")
+
+    def test_non_numeric_mesh_token_exit_1(self, tmp_path, capsys):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text("3\n0 0 1\n1 0 one\n0 1 1\n1\n0 1 2\n")
+        cfg = write_config(tmp_path, space={"n_div": None, "mesh_path": str(mesh)})
+        assert main(["check", "--config", cfg]) == 1
+        self.assert_one_error_line(capsys, "E_VALIDATE")
+
+    def test_non_numeric_y_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", cfg, "--y", "0.1,x"]) == 2
+        self.assert_one_error_line(capsys, "E_USAGE")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fracuq.errors import ConfigurationError, SolverError
-from fracuq.estimator import (RunConfig, build_solver, convergence_table,
+from fracuq.estimator import (RunConfig, _functional_samples, build_solver,
+                              convergence_table,
                               default_qmc_weights, estimate, example_initial,
                               example_initial_gradient, sample_points,
                               spacetime_refinement_study, truncation_study)
@@ -167,6 +168,34 @@ class TestEstimate:
 
         monkeypatch.setattr(solver, "functional_series", boom)
         with pytest.raises(SolverError, match="sample 0"):
+            estimate(cfg, solver=solver)
+
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_non_finite_samples_are_named_not_averaged(self):
+        cfg = small_config(m=3)           # N = 8 in chunks of 4
+        solver = build_solver(cfg)
+        points = sample_points(cfg).copy()
+        points[5, 1] = np.nan             # one NaN parameter poisons its chunk
+        with pytest.raises(SolverError, match="4 of 8") as info:
+            _functional_samples(solver, points, threads=2)
+        message = str(info.value)
+        assert "sample 5: non-finite" in message
+        assert "sample 3" not in message
+
+    def test_non_finite_value_of_one_sample(self, monkeypatch):
+        cfg = small_config(m=3)
+        solver = build_solver(cfg)
+        bad = sample_points(cfg)[6]
+        series = solver.functional_series
+
+        def one_nan(y):
+            out = series(y)
+            out[np.all(y == bad, axis=1), -1] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "functional_series", one_nan)
+        with pytest.raises(SolverError, match=r"1 of 8 .*\(sample 6: non-finite"):
             estimate(cfg, solver=solver)
 
 

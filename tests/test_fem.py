@@ -12,8 +12,26 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, apply_functional,
                         interpolate_vertices, load_mesh, load_vector,
                         phi_integrals, prolong_structured, ritz_projection,
                         save_mesh, triangulate_unit_square)
-from fracuq.fem import _load_vector_untrimmed
+from fracuq.fem import _MIDPOINT_BASIS, _edge_midpoints, _element_geometry
 from fracuq.field import build_example_field, build_sine_table_field
+
+
+def _load_vector_untrimmed(mesh, f, t_a, t_b):
+    """All-vertex variant of load_vector (f at the interval midpoint), whose
+    entries sum to the integral of f: a partition-of-unity check."""
+    area, _ = _element_geometry(mesh)
+    mid = _edge_midpoints(mesh)
+    x1 = mid[:, :, 0].ravel()
+    x2 = mid[:, :, 1].ravel()
+    if callable(f):
+        fbar = np.broadcast_to(np.asarray(f(x1, x2, 0.5 * (t_a + t_b)), dtype=float), x1.shape)
+    else:
+        fbar = np.full(x1.shape, float(f))
+    fq = fbar.reshape(mesh.n_triangles, 3)
+    contrib = (fq @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
+    rhs = np.zeros(mesh.n_vertices)
+    np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
+    return rhs
 
 
 def reference_triangle():

@@ -1,6 +1,7 @@
 """Tests for the graded-mesh fractional time stepping."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn
 
 from fracuq.errors import ConfigurationError, ToleranceError
-from fracuq.estimator import example_initial, example_initial_gradient
+from fracuq.estimator import (_chunks, _functional_samples, example_initial,
+                              example_initial_gradient)
 from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
                         phi_integrals, ritz_projection, triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
@@ -289,3 +291,77 @@ class TestTrajectorySolver:
         ).functional_series(phi_integrals(self.mesh))
         assert np.all(np.diff(series) < 0)
         assert series[-1] > 0
+
+
+def reference_series(mesh, field, tmesh, alpha, y):
+    """The scheme written out for one sample: assemble S_n and spsolve it at
+    every level, with the history sum taken term by term."""
+    M = assemble_mass(mesh)
+    asm = StiffnessAssembler(mesh, field)
+    D = asm.matrix(y)
+    W = weight_matrix(tmesh, alpha)
+    phi = phi_integrals(mesh)
+    t = tmesh.t
+    u = ritz_projection(mesh, field, y, example_initial, example_initial_gradient,
+                        assembler=asm)
+    series = [phi @ u]
+    mv = []
+    for n in range(1, tmesh.n_steps + 1):
+        hist = np.zeros_like(u)
+        for j in range(1, n):
+            hist += W[n, j] * mv[j - 1]
+        rhs = load_vector(mesh, 1.0, t[n - 1], t[n]) - D @ u - hist
+        v = spla.spsolve((W[n, n] * M + 0.5 * D).tocsc(), rhs)
+        u = u + v
+        mv.append(M @ v)
+        series.append(phi @ u)
+    return np.array(series)
+
+
+class TestChunkedStepping:
+    def setup_method(self):
+        self.field = build_example_field(3)
+        self.mesh = triangulate_unit_square(6)
+        self.tmesh = graded_mesh(1.0, 12, 4.0)
+        self.points = np.random.default_rng(21).uniform(
+            -0.5, 0.5, size=(5, len(self.field)))
+
+    def solver(self, **kw):
+        return TrajectorySolver(self.mesh, self.field, self.tmesh, 0.5, 1.0,
+                                example_initial, example_initial_gradient, **kw)
+
+    def test_single_sample_matches_reference(self):
+        y = self.points[0]
+        ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+        solver = self.solver()
+        assert np.max(np.abs(solver.functional_series(y) - ref)) <= 1e-12
+        u = solver.solve(y).u
+        assert np.max(np.abs(u @ solver.phi - ref)) <= 1e-12
+
+    def test_ragged_chunks_match_reference(self):
+        assert _chunks(5) == [(0, 2), (2, 4), (4, 5)]
+        got = _functional_samples(self.solver(), self.points, threads=1)
+        for y, row in zip(self.points, got):
+            ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+            assert np.max(np.abs(row - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("kw", [{"method": "pcg", "cg_tol": 1e-12},
+                                    {"fast_history": True, "fast_eps": 1e-10}])
+    def test_block_matches_single_samples(self, kw):
+        solver = self.solver(**kw)
+        block = solver.functional_series(self.points)
+        single = np.array([solver.functional_series(y) for y in self.points])
+        assert block.shape == (5, self.tmesh.n_steps + 1)
+        assert np.allclose(block, single, rtol=1e-10, atol=1e-14)
+
+    def test_thread_count_does_not_change_bits(self):
+        solver = self.solver()
+        points = np.random.default_rng(22).uniform(-0.5, 0.5, size=(11, len(self.field)))
+        assert [b - a for a, b in _chunks(11)] == [5, 5, 1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # interleave the workers as often as possible
+        try:
+            runs = [_functional_samples(solver, points, threads) for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(runs[0], other) for other in runs[1:])
