@@ -241,12 +241,13 @@ _CHUNK_MAX = 8
 def _chunks(n: int) -> list[tuple[int, int]]:
     """Fixed ranges of consecutive samples stepped together.
 
-    min(8, max(1, n // 2)) samples each (the last range may be shorter), so
-    two workers always find work and the ranges never depend on the thread
-    count.
+    An even number, 2 ceil(n / 16), of near-equal ranges of at most 8
+    samples, with boundaries floor(i n / count): two workers split them
+    evenly, and the ranges never depend on the thread count.
     """
-    size = min(_CHUNK_MAX, max(1, n // 2))
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
+    count = 2 * max(1, math.ceil(n / (2 * _CHUNK_MAX)))
+    bounds = [i * n // count for i in range(count + 1)]
+    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
 def _functional_samples(solver: TrajectorySolver, points: np.ndarray,

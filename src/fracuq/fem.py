@@ -10,12 +10,14 @@ vertices at assembly time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConfigurationError, ValidationError
 
@@ -24,6 +26,7 @@ __all__ = [
     "triangulate_unit_square",
     "save_mesh",
     "load_mesh",
+    "band_ordered",
     "assemble_mass",
     "assemble_stiffness",
     "StiffnessAssembler",
@@ -138,22 +141,31 @@ def load_mesh(path) -> TriMesh:
     with open(path) as fh:
         tokens = fh.read().split()
     it = iter(tokens)
+
+    def count(what):
+        n = int(next(it))
+        if not 0 <= 3 * n <= len(tokens):    # each entry takes three tokens
+            raise ValidationError(f"{path}: {what} count {n} does not fit the file")
+        return n
+
     try:
-        nv = int(next(it))
+        nv = count("vertex")
         verts = np.empty((nv, 2))
         bdy = np.empty(nv, dtype=bool)
         for i in range(nv):
             verts[i, 0] = float(next(it))
             verts[i, 1] = float(next(it))
             bdy[i] = bool(int(next(it)))
-        nt = int(next(it))
+        nt = count("triangle")
         tris = np.empty((nt, 3), dtype=np.int64)
         for i in range(nt):
             tris[i] = [int(next(it)), int(next(it)), int(next(it))]
     except StopIteration as exc:
         raise ValidationError(f"{path}: truncated mesh file") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric token in mesh file ({exc})") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: invalid token in mesh file ({exc})") from exc
+    if tris.size and not (0 <= tris.min() and tris.max() < nv):
+        raise ValidationError(f"{path}: triangle vertex index outside 0..{nv - 1}")
     interior = np.full(nv, -1, dtype=np.int64)
     interior[~bdy] = np.arange(np.count_nonzero(~bdy))
     v = verts[tris]
@@ -182,6 +194,27 @@ def _pattern(mesh: TriMesh, trimmed: bool = True):
     key, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
     indptr = np.searchsorted(key // n, np.arange(n + 1))
     return indptr, key % n, slot, keep
+
+
+def band_ordered(mesh: TriMesh) -> TriMesh:
+    """The mesh with its dofs renumbered in reverse Cuthill-McKee order.
+
+    Matrices assembled on the result are band matrices of small
+    half-bandwidth (n_div - 1 on the structured mesh) whatever the dof
+    numbering of ``mesh``.  Vertices and triangles are unchanged; only
+    ``interior_index`` differs, and ``n_div`` is dropped because the
+    structured helpers assume the row-major numbering.
+    """
+    indptr, indices, _, _ = _pattern(mesh)
+    n = mesh.n_dofs
+    graph = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    order = reverse_cuthill_mckee(graph, symmetric_mode=True) if n else np.zeros(0, np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    dof = mesh.interior_index.copy()
+    inner = dof >= 0
+    dof[inner] = rank[dof[inner]]
+    return dataclasses.replace(mesh, interior_index=dof, n_div=None)
 
 
 def _assemble(mesh: TriMesh, local: np.ndarray, trimmed: bool) -> sp.csc_matrix:
@@ -253,7 +286,10 @@ class StiffnessAssembler:
                                      shape=(self.indices.size, nt))
         kq0, psi = self._midpoint_values()
         self.kbar0 = kq0.reshape(nt, 3).mean(axis=1)
-        self.psibar = psi.reshape(psi.shape[0], nt, 3).mean(axis=2)
+        # the mean over the three midpoints, summed in the order .mean() uses
+        # but without its strided reduction; psi.T is contiguous
+        q = psi.T.reshape(nt, 3, psi.shape[0])
+        self.psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
         self._ritz = {}
         if grad_g is not None:
             self._ritz[grad_g] = self._ritz_parts(grad_g, kq0, psi)

@@ -84,10 +84,15 @@ class SineRandomField:
         return self.kappa0_const + self.kappa0_xy * np.asarray(x1) * np.asarray(x2)
 
     def basis_values(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at the given points, shape (z, npts)."""
+        """Values of all basis functions at the given points, shape (z, npts).
+
+        The result is Fortran-ordered, so its transpose, indexed by point,
+        is contiguous.
+        """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        out = self.amp[:, None] * _sine_rows(self.k, x1)
+        out = _sine_rows(self.k, x1)
+        out *= self.amp[:, None]
         out *= _sine_rows(self.l, x2)
         return out
 
@@ -197,10 +202,11 @@ def _sine_rows(modes, x):
     """sin(m pi x) for each mode number m, shape (len(modes), len(x)).
 
     Each distinct mode number is evaluated once and its row repeated, so z
-    terms over q distinct numbers cost q rows of sines, not z.
+    terms over q distinct numbers cost q rows of sines, not z.  The result
+    is a new Fortran-ordered array.
     """
     uniq, inv = np.unique(modes, return_inverse=True)
-    return np.sin(np.pi * np.outer(uniq, x))[inv]
+    return np.sin(np.pi * np.outer(x, uniq))[:, inv].T
 
 
 def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):

@@ -9,16 +9,19 @@ exponential-sum surrogate accelerates the history sum.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cython_lapack
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, SolverError, ToleranceError
-from .fem import StiffnessAssembler, assemble_mass, load_vector, phi_integrals
+from .fem import (StiffnessAssembler, assemble_mass, band_ordered, load_vector,
+                  phi_integrals)
 
 __all__ = [
     "GradedTimeMesh",
@@ -312,6 +315,55 @@ def _block_diag(indptr, indices, data) -> sp.csc_matrix:
     return sp.csc_matrix((data.ravel(), idx, ptr), shape=(k * d, k * d))
 
 
+def _capsule_address(name: str) -> int:
+    """Address of the LAPACK routine ``name`` in scipy's Cython LAPACK table."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
+
+
+# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), called through ctypes and
+# not through scipy's f2py wrapper (get_lapack_funcs): that wrapper holds the
+# GIL for the whole factorization, so chunks stepped on worker threads would
+# run one at a time.  A CFUNCTYPE call releases the GIL.
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DPBSV = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT_P, _INT_P, _INT_P,
+                          ctypes.c_void_p, _INT_P, ctypes.c_void_p, _INT_P,
+                          _INT_P)(_capsule_address("dpbsv"))
+
+
+class _BandCholesky:
+    """In-place LAPACK ``dpbsv`` on one preallocated band matrix and vector.
+
+    ``band`` holds a symmetric positive definite matrix A in LAPACK lower
+    band storage, shape (n, kd + 1) in C order with band[j, i - j] =
+    A[i, j] for j <= i <= j + kd.  Each call overwrites ``band`` with the
+    Cholesky factor and ``rhs`` (shape (n,)) with the solution.  Lower, not
+    upper, storage: the upper variant runs through a strided ``dsyr`` that
+    threaded OpenBLAS makes many times slower.
+    """
+
+    def __init__(self, band: np.ndarray, rhs: np.ndarray):
+        n, ldab = band.shape
+        if not (band.dtype == rhs.dtype == np.float64 and rhs.shape == (n,)
+                and band.flags.c_contiguous and rhs.flags.c_contiguous):
+            raise ValueError("band solve needs C-contiguous float64 (n, kd+1) and (n,) arrays")
+        self.band, self.rhs = band, rhs      # keeps the buffers behind the pointers alive
+        self.info = ctypes.c_int()
+        n_, kd, nrhs, ld, ldb = (ctypes.c_int(v) for v in (n, ldab - 1, 1, ldab, max(n, 1)))
+        self._args = (b"L", ctypes.byref(n_), ctypes.byref(kd), ctypes.byref(nrhs),
+                      band.ctypes.data, ctypes.byref(ld), rhs.ctypes.data,
+                      ctypes.byref(ldb), ctypes.byref(self.info))
+
+    def __call__(self) -> bool:
+        """Factor and solve; False if the matrix is not positive definite."""
+        _DPBSV(*self._args)
+        return self.info.value == 0
+
+
 class TrajectorySolver:
     """Solves trajectories for many parameter vectors over shared discretisations.
 
@@ -320,9 +372,13 @@ class TrajectorySolver:
     Ritz right-hand side, preconditioners at y = 0) is precomputed once;
     the object is then read-only and may be shared across worker threads.
 
-    A block of k parameter vectors is stepped together: each level solves
-    one block-diagonal system whose pattern is built once per block, so the
-    per-step cost of the Python layer is shared by k samples.
+    The solver numbers the dofs in reverse Cuthill-McKee order
+    (:func:`band_ordered`), so every level matrix w_nn M + D(y)/2 is a band
+    matrix.  A block of k parameter vectors is stepped together: each level
+    makes one band Cholesky factor-and-solve of the k stacked blocks, so the
+    per-step cost of the Python layer is shared by k samples.  ``mass``,
+    ``assembler`` and ``loads`` are in that band numbering; ``phi`` and
+    :meth:`solve` use the numbering of ``mesh``.
     """
 
     def __init__(self, mesh, field, tmesh: GradedTimeMesh, alpha: float,
@@ -336,14 +392,31 @@ class TrajectorySolver:
         self.alpha = alpha
         self.g = g
         self.grad_g = grad_g
-        self.mass = assemble_mass(mesh)
-        self.assembler = StiffnessAssembler(mesh, field, grad_g)
+        band_mesh = band_ordered(mesh)
+        inner = mesh.interior_index >= 0
+        # _dof[i]: band position of dof i of ``mesh``
+        self._dof = np.empty(mesh.n_dofs, dtype=np.int64)
+        self._dof[mesh.interior_index[inner]] = band_mesh.interior_index[inner]
+        self.mass = assemble_mass(band_mesh)
+        self.assembler = StiffnessAssembler(band_mesh, field, grad_g)
         self.weights = weight_matrix(tmesh, alpha)
         t = tmesh.t
-        self.loads = load_vector(mesh, f, t[:-1], t[1:])
-        self.phi = phi_integrals(mesh)
+        self.loads = load_vector(band_mesh, f, t[:-1], t[1:])
+        self._phi = phi_integrals(band_mesh)
+        self.phi = self._phi[self._dof]
+        # where the lower triangle of the shared CSC pattern lands in LAPACK
+        # lower band storage, flattened (column, offset below the diagonal)
+        asm = self.assembler
+        d = self.mass.shape[0]
+        col = np.repeat(np.arange(d), np.diff(asm.indptr))
+        offset = asm.indices - col
+        self._lower = offset >= 0
+        self._kd = int(offset.max(initial=0))
+        self._band_slot = col[self._lower] * (self._kd + 1) + offset[self._lower]
+        self._mass_band = np.zeros((d, self._kd + 1))
+        self._mass_band.ravel()[self._band_slot] = self.mass.data[self._lower]
         if method == "auto":
-            method = "pcg" if self.mass.shape[0] > 4000 else "direct"
+            method = "pcg" if d > 4000 else "direct"
         if method not in ("direct", "pcg"):
             raise ConfigurationError(f"unknown solver method {method!r}")
         self.method = method
@@ -371,21 +444,36 @@ class TrajectorySolver:
         """Step the k rows of Y (shape (k, z)) through every level together.
 
         Returns the functional values, shape (k, n_steps + 1), and with
-        ``keep_u`` the coefficients, shape (n_steps + 1, k, d).
+        ``keep_u`` the band-numbered coefficients, shape (n_steps + 1, k, d).
+        A band factorization that fails (a level matrix that is not
+        positive definite, or not finite) makes every value of the block
+        NaN, so the caller sees non-finite samples and never averages them.
         """
         tmesh, asm = self.tmesh, self.assembler
         nt = tmesh.n_steps
         k = Y.shape[0]
         d = self.mass.shape[0]
-        # M, D(y) and S_n = w_nn M + D/2 share the pattern of the assembler
+        direct = self.method == "direct"
+        d_data = asm.matrix_data(Y)
+        D = _block_diag(asm.indptr, asm.indices, d_data)
         M = _block_diag(asm.indptr, asm.indices,
                         np.broadcast_to(self.mass.data, (k, self.mass.nnz)))
-        D = _block_diag(asm.indptr, asm.indices, asm.matrix_data(Y))
-        S = D.copy()
-        half_d = 0.5 * D.data
-        u = spla.spsolve(D, asm.ritz_rhs(Y, self.grad_g).ravel())
+        # the k blocks of D(y) stacked in lower band storage, (k, d, kd + 1)
+        band = np.zeros((k, d, self._kd + 1))
+        band.reshape(k, -1)[:, self._band_slot] = d_data[:, self._lower]
+        half_d = 0.5 * band
+        # x is the right-hand side going into each band solve and the
+        # solution coming out of it
+        x = asm.ritz_rhs(Y, self.grad_g).ravel()
+        cholesky = _BandCholesky(band.reshape(k * d, self._kd + 1), x)
+        if not cholesky():
+            x.fill(np.nan)
+        u = x.copy()
+        if not direct:
+            S = D.copy()
+            half_data = 0.5 * D.data
         values = np.empty((k, nt + 1))
-        values[:, 0] = u.reshape(k, d) @ self.phi
+        values[:, 0] = u.reshape(k, d) @ self._phi
         us = np.empty((nt + 1, k * d)) if keep_u else None
         if keep_u:
             us[0] = u
@@ -397,24 +485,25 @@ class TrajectorySolver:
             H = np.zeros((s.size, k * d))
         for n in range(1, nt + 1):
             tau_n = tmesh.dt[n - 1]
-            np.multiply(M.data, W[n, n], out=S.data)
-            S.data += half_d
-            if n == 1:
-                hist = 0.0
-            elif fast:
-                a_n = _em1_over(s * tau_n)
-                hist = (kw * a_n) @ H + W[n, n - 1] * mv[n - 2]
+            np.subtract(self.loads[n - 1], (D @ u).reshape(k, d), out=x.reshape(k, d))
+            if n > 1 and fast:
+                x -= (kw * _em1_over(s * tau_n)) @ H + W[n, n - 1] * mv[n - 2]
+            elif n > 1:
+                x -= W[n, 1:n] @ mv[: n - 1]
+            if direct:
+                np.multiply(self._mass_band, W[n, n], out=band)
+                band += half_d
+                if not cholesky():
+                    x.fill(np.nan)
+                v = x
             else:
-                hist = W[n, 1:n] @ mv[: n - 1]
-            rhs = (self.loads[n - 1] - (D @ u).reshape(k, d)).ravel() - hist
-            if self.method == "direct":
-                v = spla.spsolve(S, rhs)
-            else:
+                np.multiply(M.data, W[n, n], out=S.data)
+                S.data += half_data
                 j = int(np.argmin(np.abs(self._precond_taus - tau_n)))
-                v = _pcg(S, rhs.reshape(k, d), self._precond[j].solve, M,
+                v = _pcg(S, x.reshape(k, d), self._precond[j].solve, M,
                          self.cg_tol).ravel()
-            u = u + v
-            values[:, n] = u.reshape(k, d) @ self.phi
+            u += v
+            values[:, n] = u.reshape(k, d) @ self._phi
             if keep_u:
                 us[n] = u
             mv[n - 1] = M @ v
@@ -427,7 +516,9 @@ class TrajectorySolver:
     def solve(self, y) -> SolutionTrajectory:
         """Trajectory for one parameter vector, every level's coefficients kept."""
         _, u = self._march(np.asarray(y, dtype=float)[None, :], keep_u=True)
-        return SolutionTrajectory(tmesh=self.tmesh, u=u[:, 0])
+        if not np.all(np.isfinite(u)):
+            raise SolverError("non-finite solution values")
+        return SolutionTrajectory(tmesh=self.tmesh, u=u[:, 0][:, self._dof])
 
     def functional_series(self, y) -> np.ndarray:
         """L(u_h(t_n, y)) at every level.

@@ -184,6 +184,30 @@ def test_criterion_05_weight_oracle():
     report(5, ok, f"worst relative deviation = {worst:.3e}, all weights positive")
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+@pytest.mark.parametrize("gamma", [1.5, 4.0, 6.0])
+def test_weight_oracle_at_run_sizes(alpha, gamma):
+    """Criterion 5's oracle and tolerance at the step counts runs use.
+
+    For each level n, j runs over the ends of the range and both sides of
+    the switch from the four-term formula (near) to the quadrature of the
+    single integral (far, base_lo >= 2 dt_j).
+    """
+    tmesh = graded_mesh(1.0, 400, gamma)
+    t, dt = tmesh.t, tmesh.dt
+    worst = 0.0
+    for n in (50, 150, 400):
+        j = np.arange(1, n)
+        far = j[t[n - 1] - t[j] >= 2.0 * dt[j - 1]]
+        assert far.size and far[-1] < n - 1, "both sides of the switch must be present"
+        last_far = int(far[-1])
+        row = history_weights(tmesh, alpha, n)
+        for jj in {1, last_far // 2, last_far, last_far + 1, n - 1, n}:
+            oracle = quadrature_weight(tmesh, alpha, n, jj)
+            worst = max(worst, abs(row[jj - 1] - oracle) / abs(oracle))
+    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+
+
 def test_criterion_06_uniform_mesh_identity():
     worst = 0.0
     for alpha in (0.1, 0.5, 0.9):

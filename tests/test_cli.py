@@ -267,3 +267,15 @@ class TestErrorPaths:
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", cfg, "--y", "0.1,x"]) == 2
         self.assert_one_error_line(capsys, "E_USAGE")
+
+    def test_ill_posed_field_gives_no_average(self, tmp_path, capsys):
+        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative for part of
+        # the parameter range: those samples fail, and no series is written
+        cfg = tmp_path / "ill.json"
+        cfg.write_text(json.dumps({
+            "field": {"type": "sine-table", "kappa0_const": 0.05, "coeffs": [[1, 1, 0.5]]},
+            "space": {"n_div": 8}, "time": {"n_steps": 20}, "qmc": {"m": 3}}))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys, "E_SOLVER")
+        assert not list(out.glob("*-series.csv"))

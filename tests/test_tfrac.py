@@ -1,5 +1,6 @@
 """Tests for the graded-mesh fractional time stepping."""
 
+import dataclasses
 import math
 import sys
 
@@ -9,11 +10,12 @@ import scipy.integrate as si
 import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn
 
-from fracuq.errors import ConfigurationError, ToleranceError
+from fracuq.errors import ConfigurationError, SolverError, ToleranceError
 from fracuq.estimator import (_chunks, _functional_samples, example_initial,
                               example_initial_gradient)
-from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
-                        phi_integrals, ritz_projection, triangulate_unit_square)
+from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
+                        load_mesh, load_vector, phi_integrals, ritz_projection,
+                        save_mesh, triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
 from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
                           fast_history_apply, g_uniform, graded_mesh,
@@ -339,7 +341,7 @@ class TestChunkedStepping:
         assert np.max(np.abs(u @ solver.phi - ref)) <= 1e-12
 
     def test_ragged_chunks_match_reference(self):
-        assert _chunks(5) == [(0, 2), (2, 4), (4, 5)]
+        assert _chunks(5) == [(0, 2), (2, 5)]
         got = _functional_samples(self.solver(), self.points, threads=1)
         for y, row in zip(self.points, got):
             ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
@@ -357,7 +359,7 @@ class TestChunkedStepping:
     def test_thread_count_does_not_change_bits(self):
         solver = self.solver()
         points = np.random.default_rng(22).uniform(-0.5, 0.5, size=(11, len(self.field)))
-        assert [b - a for a, b in _chunks(11)] == [5, 5, 1]
+        assert [b - a for a, b in _chunks(11)] == [5, 6]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # interleave the workers as often as possible
         try:
@@ -365,3 +367,73 @@ class TestChunkedStepping:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+    def test_direct_path_makes_no_sparse_lu(self, monkeypatch):
+        y = self.points[1]
+        ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse LU on the direct path")
+
+        monkeypatch.setattr(spla, "spsolve", refuse)
+        monkeypatch.setattr(spla, "splu", refuse)
+        assert np.max(np.abs(self.solver().functional_series(y) - ref)) <= 1e-12
+
+
+def bandwidth(matrix) -> int:
+    coo = matrix.tocoo()
+    return int(np.max(np.abs(coo.row - coo.col)))
+
+
+class TestBandOrdering:
+    def setup_method(self):
+        self.field = build_example_field(3)
+        self.tmesh = graded_mesh(1.0, 10, 4.0)
+
+    def solver(self, mesh):
+        return TrajectorySolver(mesh, self.field, self.tmesh, 0.5, 1.0,
+                                example_initial, example_initial_gradient)
+
+    def test_structured_half_bandwidth(self):
+        for n_div in (6, 24):
+            mesh = band_ordered(triangulate_unit_square(n_div))
+            assert bandwidth(assemble_mass(mesh)) == n_div - 1
+
+    def test_shuffled_mesh_file_matches_structured(self, tmp_path):
+        mesh = triangulate_unit_square(6)
+        rng = np.random.default_rng(41)
+        new_id = rng.permutation(mesh.n_vertices)      # vertex v is written as new_id[v]
+        verts = np.empty_like(mesh.vertices)
+        verts[new_id] = mesh.vertices
+        bdy = np.empty_like(mesh.boundary)
+        bdy[new_id] = mesh.boundary
+        path = tmp_path / "shuffled.txt"
+        save_mesh(dataclasses.replace(mesh, vertices=verts, boundary=bdy,
+                                      triangles=new_id[mesh.triangles]), path)
+        shuffled = load_mesh(path)
+        assert bandwidth(assemble_mass(shuffled)) > 2 * bandwidth(
+            assemble_mass(band_ordered(shuffled)))
+        ys = rng.uniform(-0.5, 0.5, size=(3, len(self.field)))
+        structured, loaded = self.solver(mesh), self.solver(shuffled)
+        assert np.max(np.abs(loaded.functional_series(ys)
+                             - structured.functional_series(ys))) <= 1e-12
+        # solve() returns coefficients in the numbering of the mesh it was given
+        inner = ~mesh.boundary
+        u_struct = structured.solve(ys[0]).u[:, mesh.interior_index[inner]]
+        u_loaded = loaded.solve(ys[0]).u[:, shuffled.interior_index[new_id[inner]]]
+        assert np.max(np.abs(u_loaded - u_struct)) <= 1e-12
+
+    def test_indefinite_level_matrix_gives_nan_block(self):
+        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at y = -1/2
+        field = build_sine_table_field(0.05, [[1, 1, 0.5]])
+        solver = TrajectorySolver(triangulate_unit_square(8), field, self.tmesh, 0.5,
+                                  1.0, example_initial, example_initial_gradient)
+        values = solver.functional_series(np.array([[0.5], [-0.5]]))
+        assert np.all(np.isnan(values))
+        assert np.all(np.isfinite(solver.functional_series(np.array([0.5]))))
+        with pytest.raises(SolverError, match="non-finite"):
+            solver.solve(np.array([-0.5]))
+        # a level matrix that fails on its own: w_nn M + D/2 with M negated
+        solver._mass_band = -solver._mass_band
+        values = solver.functional_series(np.array([0.5]))
+        assert np.isfinite(values[0]) and np.all(np.isnan(values[1:]))
