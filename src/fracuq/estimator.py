@@ -257,9 +257,14 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
     Samples are stepped in the fixed chunks of :func:`_chunks`, each writing
     its own preallocated rows, so the results and the later reduction order
     are independent of the thread count.  A chunk that raises fails all its
-    samples; a sample with a non-finite value fails on its own.
+    samples; a sample with a non-finite value fails on its own.  Points
+    without coordinates (z = 0) are all the same deterministic problem: one
+    trajectory is stepped and its row fills every sample.
     """
     n = points.shape[0]
+    if points.shape[1] == 0 and n > 1:
+        row = _functional_samples(solver, points[:1], threads)
+        return np.repeat(row, n, axis=0)
     out = np.empty((n, solver.tmesh.n_steps + 1))
     failures = []
 
@@ -288,8 +293,15 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
 
 
 def _reduce_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-weight mean and unbiased std over the sample axis (fixed order)."""
+    """Equal-weight mean and unbiased std over the sample axis (fixed order).
+
+    Identical rows, as a deterministic field (z = 0) gives, reduce to that
+    row and a zero spread exactly; summing n copies would leave rounding in
+    both.
+    """
     n = values.shape[0]
+    if np.all(values == values[0]):
+        return values[0].copy(), np.zeros(values.shape[1])
     mean = np.sum(values, axis=0) / n
     if n > 1:
         std = np.sqrt(np.sum((values - mean) ** 2, axis=0) / (n - 1))

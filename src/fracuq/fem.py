@@ -109,17 +109,14 @@ def triangulate_unit_square(n_div: int) -> TriMesh:
     X, Y = np.meshgrid(g, g, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (n_div + 1) + j
-
-    tris = []
-    for i in range(n_div):
-        for j in range(n_div):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    tris = np.array(tris, dtype=np.int64)
+    # cell (i, j), in row-major order, has lower-left vertex i (n_div + 1) + j
+    # and the triangles (v00, v10, v11), (v00, v11, v01)
+    i, j = np.divmod(np.arange(n_div * n_div, dtype=np.int64), n_div)
+    v00 = i * (n_div + 1) + j
+    v10, v01 = v00 + (n_div + 1), v00 + 1
+    v11 = v10 + 1
+    tris = np.stack([np.column_stack([v00, v10, v11]),
+                     np.column_stack([v00, v11, v01])], axis=1).reshape(-1, 3)
     on_bdy = (verts[:, 0] == 0) | (verts[:, 0] == 1) | (verts[:, 1] == 0) | (verts[:, 1] == 1)
     interior = np.full(verts.shape[0], -1, dtype=np.int64)
     interior[~on_bdy] = np.arange(np.count_nonzero(~on_bdy))
@@ -258,6 +255,10 @@ def assemble_mass(mesh: TriMesh, trimmed: bool = True) -> sp.csc_matrix:
     return _assemble(mesh, local, trimmed)
 
 
+# basis functions per block when the midpoint basis table is reduced
+_MODE_BLOCK = 16
+
+
 class StiffnessAssembler:
     """Stiffness matrices D(y) and Ritz right-hand sides for a fixed (mesh, field).
 
@@ -267,7 +268,7 @@ class StiffnessAssembler:
     ``indptr``/``indices`` of :func:`assemble_mass`; :meth:`matrix_data`
     gives its data for a block of parameter vectors at once.  The Ritz
     right-hand side is affine in y as well; passing ``grad_g`` precomputes
-    its two parts from the same basis values.
+    its two parts in the same pass over the basis.
     """
 
     def __init__(self, mesh: TriMesh, field, grad_g=None):
@@ -284,23 +285,41 @@ class StiffnessAssembler:
         element = np.repeat(np.arange(nt), 9)[keep]
         self._spread = sp.csr_matrix((self.k_geom.ravel()[keep], (slot, element)),
                                      shape=(self.indices.size, nt))
-        kq0, psi = self._midpoint_values()
-        self.kbar0 = kq0.reshape(nt, 3).mean(axis=1)
-        # the mean over the three midpoints, summed in the order .mean() uses
-        # but without its strided reduction; psi.T is contiguous
-        q = psi.T.reshape(nt, 3, psi.shape[0])
-        self.psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
+        mid = _edge_midpoints(mesh)
+        self._x1 = mid[:, :, 0].ravel()
+        self._x2 = mid[:, :, 1].ravel()
+        self._kq0 = field.kappa0(self._x1, self._x2)
+        self.kbar0 = self._kq0.reshape(nt, 3).mean(axis=1)
+        scatter = None if grad_g is None else self._ritz_scatter(grad_g)
+        self.psibar, R = self._reduce_basis(scatter, with_psibar=True)
         self._ritz = {}
         if grad_g is not None:
-            self._ritz[grad_g] = self._ritz_parts(grad_g, kq0, psi)
+            self._ritz[grad_g] = (scatter @ self._kq0, R)
 
-    def _midpoint_values(self):
-        """kappa0 and the basis functions at the edge midpoints, flattened (t, q)."""
-        mid = _edge_midpoints(self.mesh)
-        x1 = mid[:, :, 0].ravel()
-        x2 = mid[:, :, 1].ravel()
-        psi = self.field.basis_values(x1, x2) if len(self.field) else np.zeros((0, x1.size))
-        return self.field.kappa0(x1, x2), psi
+    def _reduce_basis(self, scatter, with_psibar: bool):
+        """psibar and R = (scatter @ psi.T).T from the midpoint basis table psi.
+
+        psi, shape (z, 3 nt) with columns (t, q), is built _MODE_BLOCK rows
+        at a time and never whole (34 MB at paper scale).  Each block is
+        reduced as the whole table would be: psibar as (q0 + q1 + q2) / 3 of
+        its three midpoint slots, R by the same sparse product.  psibar is
+        C-ordered and R the transpose of a C-ordered array, the layouts the
+        whole table gives, so the BLAS products of later samples see
+        bitwise the same operands.  A part that is not asked for is None.
+        """
+        z, nt = len(self.field), self.mesh.n_triangles
+        psibar = np.empty((z, nt)) if with_psibar else None
+        R = None if scatter is None else np.empty((scatter.shape[0], z))
+        rows = self.field.basis_rows(self._x1, self._x2)
+        for a in range(0, z, _MODE_BLOCK):
+            b = min(a + _MODE_BLOCK, z)
+            psi_t = rows(a, b).T                      # (3 nt, b - a), C order
+            if with_psibar:
+                q = psi_t.reshape(nt, 3, b - a)
+                psibar[a:b] = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
+            if R is not None:
+                R[:, a:b] = scatter @ psi_t
+        return psibar, (None if R is None else R.T)
 
     def element_kappa(self, y) -> np.ndarray:
         """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
@@ -327,29 +346,31 @@ class StiffnessAssembler:
             raise ConfigurationError("diffusivity is nonpositive on some element")
         return _assemble(self.mesh, kbar[:, None, None] * self.k_geom, trimmed)
 
-    def _ritz_parts(self, grad_g, kq0, psi):
-        """(r0, R) with <kappa(y) grad g, grad phi_p> = r0 + y @ R.
+    def _ritz_scatter(self, grad_g) -> sp.csr_matrix:
+        """Map from kappa at the edge midpoints, flattened (t, q), to the Ritz rhs.
 
-        Each element integral is area/3 * sum_q kappa(q) grad_g(q) . grad
-        phi_i over the edge midpoints q, so kappa's values there enter
-        linearly through one weighted scatter.
+        Each element integral <kappa grad g, grad phi_i> is area/3 * sum_q
+        kappa(q) grad_g(q) . grad phi_i over the edge midpoints q, so
+        kappa's values there enter linearly through one weighted scatter.
         """
         mid = _edge_midpoints(self.mesh)
         gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
         gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
                        np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
         weights = np.einsum("tqd,tid->tqi", gg, self.grads) * (self.area / 3.0)[:, None, None]
-        scatter = _dof_scatter(self.mesh, weights)
-        return scatter @ kq0, (scatter @ psi.T).T
+        return _dof_scatter(self.mesh, weights)
 
     def ritz_rhs(self, y, grad_g) -> np.ndarray:
         """Right-hand side <kappa grad g, grad phi_p> with the same quadrature.
 
+        It is affine in y, r0 + y @ R, and (r0, R) are kept per ``grad_g``.
         Shape (d,) for one parameter vector, (k, d) for k rows.
         """
         parts = self._ritz.get(grad_g)
         if parts is None:
-            parts = self._ritz.setdefault(grad_g, self._ritz_parts(grad_g, *self._midpoint_values()))
+            scatter = self._ritz_scatter(grad_g)
+            _, R = self._reduce_basis(scatter, with_psibar=False)
+            parts = self._ritz.setdefault(grad_g, (scatter @ self._kq0, R))
         r0, R = parts
         y = np.asarray(y, dtype=float)
         if y.shape[-1] > R.shape[0]:

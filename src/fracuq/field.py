@@ -84,17 +84,29 @@ class SineRandomField:
         return self.kappa0_const + self.kappa0_xy * np.asarray(x1) * np.asarray(x2)
 
     def basis_values(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at the given points, shape (z, npts).
+        """Values of all basis functions at the given points, shape (z, npts), C order."""
+        return np.ascontiguousarray(self.basis_rows(x1, x2)(0, len(self)))
 
-        The result is Fortran-ordered, so its transpose, indexed by point,
-        is contiguous.
+    def basis_rows(self, x1: np.ndarray, x2: np.ndarray):
+        """Function (a, b) -> the values basis_values(x1, x2)[a:b].
+
+        The sines are evaluated here, once per distinct (mode number,
+        coordinate) pair; each call only gathers and multiplies its rows,
+        so blocks of the table can be reduced without holding all of it.
+        A block is Fortran-ordered: its transpose, indexed by point, is
+        contiguous.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        out = _sine_rows(self.k, x1)
-        out *= self.amp[:, None]
-        out *= _sine_rows(self.l, x2)
-        return out
+        sin1 = _sine_rows(self.k, x1, self.amp)
+        sin2 = _sine_rows(self.l, x2)
+
+        def rows(a: int, b: int) -> np.ndarray:
+            out = sin1(a, b)
+            out *= sin2(a, b)
+            return out
+
+        return rows
 
     def kappa(self, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> np.ndarray:
         """kappa(x, y) at arrays of points, truncated to len(y) basis terms."""
@@ -198,15 +210,21 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64,
     return BoundsReport(observed_min=obs_min, observed_max=obs_max, violations=violations)
 
 
-def _sine_rows(modes, x):
-    """sin(m pi x) for each mode number m, shape (len(modes), len(x)).
+def _sine_rows(modes, x, scale=None):
+    """Function (a, b) -> sin(m pi x) for m in modes[a:b], shape (b - a, len(x)).
 
-    Each distinct mode number is evaluated once and its row repeated, so z
-    terms over q distinct numbers cost q rows of sines, not z.  The result
-    is a new Fortran-ordered array.
+    The sine is evaluated once per distinct (mode number, coordinate) pair,
+    so z terms over q distinct numbers at points with g distinct
+    coordinates cost q g sines.  Row i is multiplied by ``scale[i]`` on
+    that small table, and each call gathers its rows from it into a new
+    Fortran-ordered array.
     """
-    uniq, inv = np.unique(modes, return_inverse=True)
-    return np.sin(np.pi * np.outer(x, uniq))[:, inv].T
+    m_uniq, m_inv = np.unique(modes, return_inverse=True)
+    x_uniq, x_inv = np.unique(x, return_inverse=True)
+    table = np.sin(np.pi * np.outer(x_uniq, m_uniq)).take(m_inv, axis=1)
+    if scale is not None:
+        table *= scale
+    return lambda a, b: table[:, a:b].take(x_inv, axis=0).T
 
 
 def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):
@@ -220,8 +238,8 @@ def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):
     k0 = kappa0_const + kappa0_xy * g[:, None] * g[None, :]
     half_abs = np.zeros_like(k0)
     if amp.size:
-        s1 = np.abs(amp[:, None] * _sine_rows(k, g))
-        s2 = np.abs(_sine_rows(l, g))
+        s1 = np.abs(_sine_rows(k, g, amp)(0, amp.size))
+        s2 = np.abs(_sine_rows(l, g)(0, amp.size))
         for row1, row2 in zip(s1, s2):
             half_abs += row1[:, None] * row2[None, :]
         half_abs *= 0.5

@@ -65,20 +65,21 @@ def _omega3(t, alpha: float):
     return np.asarray(t) ** (2.0 - alpha) / gamma_fn(3.0 - alpha)
 
 
+def _diagonal_weight(tau, alpha: float):
+    """w_nn = w_{3-a}(tau_n) / tau_n^2, elementwise."""
+    return _omega3(tau, alpha) / tau ** 2
+
+
 def _omega3_diff(base, gap, alpha: float):
-    """w_{3-a}(base+gap) - w_{3-a}(base), stable when gap << base."""
-    base = np.asarray(base, dtype=float)
+    """w_{3-a}(base+gap) - w_{3-a}(base) for arrays of one shape, stable when gap << base."""
     g23 = gamma_fn(3.0 - alpha)
     out = np.empty_like(base)
     zero = base <= 0
-    out[zero] = gap ** (2.0 - alpha) / g23
+    out[zero] = gap[zero] ** (2.0 - alpha) / g23
     nz = ~zero
     b = base[nz]
-    out[nz] = b ** (2.0 - alpha) * np.expm1((2.0 - alpha) * np.log1p(gap / b)) / g23
+    out[nz] = b ** (2.0 - alpha) * np.expm1((2.0 - alpha) * np.log1p(gap[nz] / b)) / g23
     return out
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def _omega2_diff(x, gap, alpha: float):
@@ -87,60 +88,106 @@ def _omega2_diff(x, gap, alpha: float):
     return x ** e * np.expm1(e * np.log1p(gap / x)) / gamma_fn(2.0 - alpha)
 
 
-def _far_weight_integral(base, delta, tau: float, alpha: float):
+# Gauss-Legendre rules for the far-history integral, with the largest ratio
+# delta / base each one serves.  The integrand's branch point lies base away
+# from [0, delta], so m nodes err by about (4 base / delta)^(-2m): every rule
+# stays below 1e-18 relative up to its ratio.
+_GL_RATIO = np.array([1e-4, 1e-3, 1e-2, 5e-2, 0.15, 0.5])
+_GL_RULES = [np.polynomial.legendre.leggauss(m) for m in (2, 3, 4, 6, 8, 12)]
+
+
+def _far_weight_integral(base, delta, tau, alpha: float, rule):
     """int_0^delta w_{2-a}(base+s+tau) - w_{2-a}(base+s) ds by Gauss-Legendre.
 
     Equals the second mixed difference of w_{3-a} over the rectangle, but
     without the cancellation that formula suffers when delta << base.  The
-    integrand is analytic on [0, delta] once base >= 2 delta, so 12 nodes
-    reach machine accuracy.
+    integrand is analytic on [0, delta] once base >= 2 delta; ``rule`` is
+    the (nodes, weights) pair to use.  The nodes are summed in order, not
+    by a BLAS product, so a value does not depend on its neighbours.
     """
-    s = 0.5 * delta[:, None] * (_GL_NODES[None, :] + 1.0)
-    vals = _omega2_diff(base[:, None] + s, tau, alpha)
-    return 0.5 * delta * (vals @ _GL_WEIGHTS)
+    nodes, weights = rule
+    s = 0.5 * delta * (nodes[:, None] + 1.0)
+    vals = _omega2_diff(base + s, tau, alpha)
+    return 0.5 * delta * (weights[:, None] * vals).sum(axis=0)
+
+
+def _pair_weights(tmesh: GradedTimeMesh, alpha: float, n: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+    """Off-diagonal weights w_nj for equal-length arrays of pairs 1 <= j < n.
+
+    The double integral of w_{1-a}(t-s) over I_n x I_j telescopes into four
+    w_{3-a} values, grouped here so each first-level difference spans the
+    larger gap tau_n.  Far pairs (short I_j seen from a distant I_n,
+    base_lo >= 2 tau_j) switch to a quadrature of the equivalent single
+    integral, which stays fully accurate where the four-term formula
+    cancels; each takes the fewest Gauss nodes its ratio tau_j / base_lo
+    allows.  On a uniform mesh the weights are Toeplitz, w_nj = w_nn g_{n-j}.
+    """
+    t, dt = tmesh.t, tmesh.dt
+    tau_n = dt[n - 1]
+    if tmesh.gamma == 1.0:
+        return _diagonal_weight(tau_n, alpha) * g_uniform(n - j, alpha)
+    tau_j = dt[j - 1]
+    base_lo = t[n - 1] - t[j]          # gap to the right end of I_j
+    far = base_lo >= 2.0 * tau_j
+    num = np.empty(n.shape)
+    near = ~far
+    n_near, gap = n[near], tau_n[near]
+    base_hi = t[n_near - 1] - t[j[near] - 1]      # gap to the left end of I_j
+    num[near] = (_omega3_diff(base_hi, gap, alpha)
+                 - _omega3_diff(base_lo[near], gap, alpha))
+    far = np.flatnonzero(far)
+    order = np.searchsorted(_GL_RATIO, tau_j[far] / base_lo[far])
+    for r, rule in enumerate(_GL_RULES):
+        idx = far[order == r]
+        num[idx] = _far_weight_integral(base_lo[idx], tau_j[idx], tau_n[idx],
+                                        alpha, rule)
+    return num / (tau_n * tau_j)
 
 
 def history_weights(tmesh: GradedTimeMesh, alpha: float, n: int) -> np.ndarray:
     """Convolution weight row (w_n1, ..., w_nn) of the scheme.
 
-    The diagonal is w_{3-a}(tau_n)/tau_n^2; for j < n the double integral of
-    w_{1-a}(t-s) over I_n x I_j telescopes into four w_{3-a} values, grouped
-    here so each first-level difference spans the larger gap tau_n.  Far
-    history terms (short I_j seen from a distant I_n) switch to a quadrature
-    of the equivalent single integral, which stays fully accurate where the
-    four-term formula cancels.
+    The diagonal is w_{3-a}(tau_n)/tau_n^2; the rest is the one-row case of
+    :func:`_pair_weights`, the kernel :func:`weight_matrix` uses.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
     if not 1 <= n <= tmesh.n_steps:
         raise ConfigurationError(f"n={n} outside 1..{tmesh.n_steps}")
-    t, dt = tmesh.t, tmesh.dt
-    tau_n = dt[n - 1]
+    tau_n = tmesh.dt[n - 1: n]     # an array, as in weight_matrix, for the same bits
     row = np.empty(n)
-    row[n - 1] = float(_omega3(tau_n, alpha)) / tau_n ** 2
-    if tmesh.gamma == 1.0:
-        # uniform mesh: the weights are Toeplitz, w_nj = w_nn g_{n-j}
-        row[: n - 1] = row[n - 1] * g_uniform(n - np.arange(1, n), alpha)
-        return row
-    if n > 1:
-        j = np.arange(1, n)
-        base_lo = t[n - 1] - t[j]          # gap to the right end of I_j
-        base_hi = t[n - 1] - t[j - 1]      # gap to the left end of I_j
-        num = _omega3_diff(base_hi, tau_n, alpha) - _omega3_diff(base_lo, tau_n, alpha)
-        far = base_lo >= 2.0 * dt[j - 1]
-        if np.any(far):
-            num[far] = _far_weight_integral(base_lo[far], dt[j - 1][far],
-                                            tau_n, alpha)
-        row[: n - 1] = num / (tau_n * dt[j - 1])
+    row[n - 1:] = _diagonal_weight(tau_n, alpha)
+    row[: n - 1] = _pair_weights(tmesh, alpha, np.full(n - 1, n), np.arange(1, n))
     return row
 
 
+# pairs per call of _pair_weights in weight_matrix: enough to amortise the
+# numpy calls, few enough that the temporaries (up to 12 values per pair)
+# stay small; blocks of 32k pairs raised the peak RSS of a long-history run
+_PAIR_BLOCK = 4096
+
+
 def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
-    """Lower-triangular weights W[n, j] = w_nj for 1 <= j <= n <= n_steps."""
+    """Lower-triangular weights W[n, j] = w_nj for 1 <= j <= n <= n_steps.
+
+    The off-diagonal pairs are taken in row-major order, _PAIR_BLOCK at a
+    time, through the kernel of :func:`history_weights`.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
     nt = tmesh.n_steps
     W = np.zeros((nt + 1, nt + 1))
-    for n in range(1, nt + 1):
-        W[n, 1: n + 1] = history_weights(tmesh, alpha, n)
+    levels = np.arange(1, nt + 1)
+    W[levels, levels] = _diagonal_weight(tmesh.dt, alpha)
+    # row n holds the n - 1 pairs that follow the first (n - 1)(n - 2) / 2
+    first = (levels - 1) * (levels - 2) // 2
+    total = nt * (nt - 1) // 2
+    for p0 in range(0, total, _PAIR_BLOCK):
+        p = np.arange(p0, min(p0 + _PAIR_BLOCK, total))
+        n = np.searchsorted(first, p, side="right")
+        j = p - first[n - 1] + 1
+        W[n, j] = _pair_weights(tmesh, alpha, n, j)
     return W
 
 

@@ -25,8 +25,10 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
 from fracuq.field import build_example_field
 from fracuq.qmc import (GFPoly, PointSet, cbc_construct, classical_points,
                         default_modulus, figure_of_merit, interlace)
-from fracuq.tfrac import (TrajectorySolver, g_uniform, graded_mesh,
-                          history_weights, l2J_norm)
+from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, g_uniform, graded_mesh,
+                          history_weights, l2J_norm, weight_matrix)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def report(num, ok, detail=""):
@@ -205,6 +207,40 @@ def test_weight_oracle_at_run_sizes(alpha, gamma):
         for jj in {1, last_far // 2, last_far, last_far + 1, n - 1, n}:
             oracle = quadrature_weight(tmesh, alpha, n, jj)
             worst = max(worst, abs(row[jj - 1] - oracle) / abs(oracle))
+    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+@pytest.mark.parametrize("gamma", [1.5, 4.0, 6.0])
+def test_weight_matrix_oracle_at_run_sizes(alpha, gamma):
+    """Criterion 5's oracle and tolerance on the W the stepper uses.
+
+    The pairs are those of test_weight_oracle_at_run_sizes, plus, for each
+    Gauss-Legendre rule of the far quadrature, the pair of the 400-step
+    mesh with the largest tau_j / base_lo the rule serves: its worst case.
+    """
+    tmesh = graded_mesh(1.0, 400, gamma)
+    t, dt = tmesh.t, tmesh.dt
+    W = weight_matrix(tmesh, alpha)
+    pairs = set()
+    for n in (50, 150, 400):
+        j = np.arange(1, n)
+        last_far = int(j[t[n - 1] - t[j] >= 2.0 * dt[j - 1]][-1])
+        pairs |= {(n, jj) for jj in (1, last_far // 2, last_far, last_far + 1, n - 1, n)}
+    n, j = np.tril_indices(401, -1)
+    n, j = n[j >= 1], j[j >= 1]
+    base_lo = t[n - 1] - t[j]
+    far = base_lo >= 2.0 * dt[j - 1]
+    n, j, ratio = n[far], j[far], dt[j[far] - 1] / base_lo[far]
+    rule = np.searchsorted(_GL_RATIO, ratio)
+    for r in np.unique(rule):
+        worst_pair = np.flatnonzero(rule == r)[np.argmax(ratio[rule == r])]
+        pairs.add((int(n[worst_pair]), int(j[worst_pair])))
+    assert np.unique(rule).size >= 4, "the far pairs must span several rules"
+    worst = 0.0
+    for nn, jj in sorted(pairs):
+        oracle = quadrature_weight(tmesh, alpha, nn, jj)
+        worst = max(worst, abs(W[nn, jj] - oracle) / abs(oracle))
     assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
 
 

@@ -80,8 +80,10 @@ class TestFieldDump:
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "u.bin")
         write_field_dump(path, np.ones((2, 3)))
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:-8])
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-8])
         with pytest.raises(ConfigurationError):
             read_field_dump(path)
 
@@ -101,12 +103,14 @@ class TestPointsCommand:
         out = str(tmp_path / "pts.csv")
         assert main(["points", "--m", "3", "--beta", "2", "--z", "3",
                      "--genvec", gv, "--out", out]) == 0
-        first = open(out).read()
+        with open(out) as fh:
+            first = fh.read()
         assert "wrote generating vector" in capsys.readouterr().out
         assert main(["points", "--m", "3", "--beta", "2", "--z", "3",
                      "--genvec", gv, "--out", out]) == 0
         assert "wrote generating vector" not in capsys.readouterr().out
-        assert open(out).read() == first
+        with open(out) as fh:
+            assert fh.read() == first
         lines = first.strip().split("\n")
         assert lines[0] == "j,x1,x2,x3"
         assert len(lines) == 9

@@ -134,6 +134,30 @@ class TestEstimate:
         direct = solver.functional_series(np.zeros(0))
         assert np.allclose(series.mean, direct, atol=1e-15)
 
+    def test_deterministic_field_steps_one_trajectory(self, monkeypatch):
+        from fracuq.tfrac import TrajectorySolver
+        field = build_sine_table_field(0.25, [])
+        cfg = small_config(field=field, z=0, m=5, threads=2)
+        assert cfg.n_samples == 32
+        solver = build_solver(cfg)
+        per_sample = np.array([solver.functional_series(y) for y in sample_points(cfg)])
+        march = TrajectorySolver._march
+        blocks = []
+
+        def counted(self, Y, keep_u):
+            blocks.append(Y.shape)
+            return march(self, Y, keep_u)
+
+        monkeypatch.setattr(TrajectorySolver, "_march", counted)
+        values = _functional_samples(solver, sample_points(cfg), cfg.threads)
+        assert blocks == [(1, 0)]
+        assert values.shape == per_sample.shape
+        assert np.max(np.abs(values - per_sample)) <= 1e-12
+        series = estimate(cfg, solver)
+        assert len(blocks) == 2
+        assert np.all(series.std == 0.0)
+        assert np.array_equal(series.mean, values[0])
+
     def test_single_sample_is_corner_trajectory(self):
         cfg = small_config(m=0)
         series = estimate(cfg)

@@ -1,6 +1,8 @@
 """Tests for the P1 finite element pieces."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,11 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, apply_functional,
                         interpolate_vertices, load_mesh, load_vector,
                         phi_integrals, prolong_structured, ritz_projection,
                         save_mesh, triangulate_unit_square)
-from fracuq.fem import _MIDPOINT_BASIS, _edge_midpoints, _element_geometry
+from fracuq.fem import (_MIDPOINT_BASIS, _dof_scatter, _edge_midpoints,
+                        _element_geometry, band_ordered)
 from fracuq.field import build_example_field, build_sine_table_field
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _load_vector_untrimmed(mesh, f, t_a, t_b):
@@ -71,6 +76,17 @@ class TestTriangulate:
     def test_invalid_ndiv(self):
         with pytest.raises(ConfigurationError):
             triangulate_unit_square(0)
+
+    @pytest.mark.parametrize("n_div", [1, 2, 5, 53])
+    def test_triangles_match_cell_loop(self, n_div):
+        tris = []
+        for i in range(n_div):
+            for j in range(n_div):
+                v00, v10 = i * (n_div + 1) + j, (i + 1) * (n_div + 1) + j
+                tris += [(v00, v10, v10 + 1), (v00, v10 + 1, v00 + 1)]
+        got = triangulate_unit_square(n_div).triangles
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, np.array(tris, dtype=np.int64))
 
 
 class TestMeshFiles:
@@ -167,6 +183,97 @@ class TestStiffness:
         # the lenient assembler path still produces a (negative) matrix
         D = StiffnessAssembler(mesh, field).matrix(np.zeros(0))
         assert D.toarray()[0, 0] < 0
+
+
+def reference_affine_parts(mesh, field, grad_g):
+    """psibar, r0 and R built as the assembler once did, from the whole
+    midpoint basis table ``field.basis_values``."""
+    nt = mesh.n_triangles
+    mid = _edge_midpoints(mesh)
+    x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
+    psi = field.basis_values(x1, x2)
+    q = psi.T.reshape(nt, 3, psi.shape[0])
+    psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
+    area, grads = _element_geometry(mesh)
+    gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
+    gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
+                   np.broadcast_to(gy, mid.shape[:2])], axis=-1)
+    weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
+    scatter = _dof_scatter(mesh, weights)
+    return psibar, scatter @ field.kappa0(x1, x2), (scatter @ psi.T).T
+
+
+def shuffled_mesh(tmp_path, n_div=6, seed=41):
+    """The structured mesh written with permuted vertex ids and read back."""
+    mesh = triangulate_unit_square(n_div)
+    new_id = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[new_id] = mesh.vertices
+    bdy = np.empty_like(mesh.boundary)
+    bdy[new_id] = mesh.boundary
+    path = tmp_path / "shuffled.txt"
+    save_mesh(dataclasses.replace(mesh, vertices=verts, boundary=bdy,
+                                  triangles=new_id[mesh.triangles]), path)
+    return load_mesh(path)
+
+
+def repeated_mode_field():
+    """A sine-table field of 21 terms over few distinct mode numbers."""
+    rng = np.random.default_rng(17)
+    rows = [[k, l, a] for k, l, a in zip(rng.integers(1, 4, 21), rng.integers(1, 3, 21),
+                                         rng.uniform(-0.01, 0.01, 21))]
+    return build_sine_table_field(0.3, rows, kappa0_xy=0.05)
+
+
+class TestAffineParts:
+    """The assembler reduces the basis table in blocks of modes; its parts
+    must be bitwise those of the whole table."""
+
+    @pytest.mark.parametrize("case", ["q1", "q3", "q22", "shuffled", "repeated"])
+    def test_bitwise_equal_to_whole_table(self, case, tmp_path):
+        from fracuq.estimator import example_initial_gradient as grad_g
+        if case == "shuffled":
+            mesh, field = shuffled_mesh(tmp_path), build_example_field(3)
+        elif case == "repeated":
+            mesh, field = band_ordered(triangulate_unit_square(9)), repeated_mode_field()
+        else:
+            q = int(case[1:])
+            n_div = 53 if q == 22 else 8
+            mesh, field = band_ordered(triangulate_unit_square(n_div)), build_example_field(q)
+        psibar, r0, R = reference_affine_parts(mesh, field, grad_g)
+        asm = StiffnessAssembler(mesh, field, grad_g)
+        lazy = StiffnessAssembler(mesh, field)
+        ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, len(field)))
+        kbar = asm.kbar0 + ys @ psibar
+        assert np.array_equal(asm.psibar, psibar)
+        assert np.array_equal(asm.matrix_data(ys), (asm._spread @ kbar.T).T)
+        for parts in (asm._ritz[grad_g], lazy._ritz.get(grad_g)):
+            if parts is None:       # the lazy assembler builds its parts on first use
+                assert np.array_equal(lazy.ritz_rhs(ys, grad_g), r0 + ys @ R)
+                parts = lazy._ritz[grad_g]
+            assert np.array_equal(parts[0], r0)
+            assert np.array_equal(parts[1], R)
+        assert np.array_equal(asm.ritz_rhs(ys, grad_g), r0 + ys @ R)
+
+    def test_basis_values_plain_formula(self):
+        field = repeated_mode_field()
+        x1, x2 = np.random.default_rng(4).uniform(0.0, 1.0, size=(2, 300))
+        plain = (np.sin(np.pi * np.outer(x1, field.k)).T * field.amp[:, None]
+                 * np.sin(np.pi * np.outer(x2, field.l)).T)
+        assert np.array_equal(field.basis_values(x1, x2), plain)
+
+    def test_set_up_memory(self):
+        from fracuq.estimator import example_initial_gradient as grad_g
+        mesh = band_ordered(triangulate_unit_square(53))
+        field = build_example_field(22)
+        tracemalloc.start()
+        try:
+            asm = StiffnessAssembler(mesh, field, grad_g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = asm.psibar.nbytes + asm._ritz[grad_g][1].nbytes
+        assert peak < 2.5 * kept, f"peak {peak / 2**20:.1f} MiB for {kept / 2**20:.1f} MiB kept"
 
 
 class TestLoadVector:

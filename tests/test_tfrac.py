@@ -22,6 +22,8 @@ from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
                           history_weights, l2J_norm, solve_trajectory,
                           weight_matrix)
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def oracle_weight(tmesh, alpha, n, j):
     """w_nj by adaptive quadrature of the defining double integral.
@@ -120,6 +122,72 @@ class TestHistoryWeights:
         assert np.allclose(W, np.tril(W))
         for n in range(1, 7):
             assert np.allclose(W[n, 1: n + 1], history_weights(tm, 0.4, n))
+
+
+def reference_weight_matrix(tmesh, alpha):
+    """W built row by row with 12 Gauss-Legendre nodes for every far pair:
+    the reference for the per-pair node counts of weight_matrix."""
+    nodes, gl_weights = np.polynomial.legendre.leggauss(12)
+    t, dt = tmesh.t, tmesh.dt
+    g23, g2 = gamma_fn(3.0 - alpha), gamma_fn(2.0 - alpha)
+    e3, e2 = 2.0 - alpha, 1.0 - alpha
+
+    def omega3_diff(base, gap):
+        out = np.empty_like(base)
+        zero = base <= 0
+        out[zero] = gap ** e3 / g23
+        b = base[~zero]
+        out[~zero] = b ** e3 * np.expm1(e3 * np.log1p(gap / b)) / g23
+        return out
+
+    nt = tmesh.n_steps
+    W = np.zeros((nt + 1, nt + 1))
+    for n in range(1, nt + 1):
+        tau_n = dt[n - 1]
+        W[n, n] = tau_n ** e3 / g23 / tau_n ** 2
+        j = np.arange(1, n)
+        if tmesh.gamma == 1.0:
+            W[n, 1:n] = W[n, n] * g_uniform(n - j, alpha)
+            continue
+        base_lo, base_hi = t[n - 1] - t[j], t[n - 1] - t[j - 1]
+        num = omega3_diff(base_hi, tau_n) - omega3_diff(base_lo, tau_n)
+        far = base_lo >= 2.0 * dt[j - 1]
+        delta = dt[j - 1][far]
+        x = base_lo[far][:, None] + 0.5 * delta[:, None] * (nodes[None, :] + 1.0)
+        vals = x ** e2 * np.expm1(e2 * np.log1p(tau_n / x)) / g2
+        num[far] = 0.5 * delta * (vals @ gl_weights)
+        W[n, 1:n] = num / (tau_n * dt[j - 1])
+    return W
+
+
+class TestWeightMatrix:
+    @pytest.mark.parametrize("n_steps", [50, 150, 400])
+    def test_matches_twelve_node_rows(self, n_steps):
+        worst = 0.0
+        for gamma in (1.5, 4.0, 6.0):
+            for alpha in (0.05, 0.5, 0.95):
+                tm = graded_mesh(1.0, n_steps, gamma)
+                W = weight_matrix(tm, alpha)
+                ref = reference_weight_matrix(tm, alpha)
+                assert np.array_equal(W == 0.0, ref == 0.0)
+                nz = ref != 0.0
+                worst = max(worst, np.max(np.abs(W[nz] - ref[nz]) / np.abs(ref[nz])))
+        assert worst <= 1e-13, f"worst relative deviation {worst:.3e}"
+
+    def test_uniform_mesh_toeplitz_rows(self):
+        tm = graded_mesh(1.0, 60, 1.0)
+        assert np.array_equal(weight_matrix(tm, 0.3), reference_weight_matrix(tm, 0.3))
+
+    def test_rows_are_history_weights(self):
+        # one pair kernel: every row of W is bitwise the history_weights row
+        tm = graded_mesh(1.0, 130, 4.0)
+        W = weight_matrix(tm, 0.7)
+        for n in (1, 2, 31, 32, 100, 130):
+            assert np.array_equal(W[n, 1: n + 1], history_weights(tm, 0.7, n))
+
+    def test_alpha_checked(self):
+        with pytest.raises(ConfigurationError):
+            weight_matrix(graded_mesh(1.0, 4, 2.0), 1.0)
 
 
 class TestExpSumKernel:
