@@ -44,8 +44,8 @@ DEFAULT_CONFIG = {
     "space": {"n_div": 24, "mesh_path": None},
     "time": {"n_steps": 50, "gamma": None},
     "qmc": {"b": 2, "m": 5, "beta": 3, "genvec": None, "shift": "none"},
-    "estimator": {"method": "auto", "fast_history": False, "fast_eps": 1e-8,
-                  "cg_tol": 1e-10, "threads": None, "seed": 0},
+    "estimator": {"fast_history": False, "fast_eps": 1e-8, "threads": None,
+                  "seed": 0},
     "output": {"dir": ".", "prefix": "run", "dump_fields": False,
                "gnuplot": True},
 }
@@ -154,7 +154,6 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
     rule = None
     if qmc["genvec"] is not None:
         rule = load_gen_vector(qmc["genvec"])
-    est = cfg["estimator"]
     gamma = cfg["time"]["gamma"]
     return RunConfig(
         alpha=_num(cfg, "model", "alpha", float),
@@ -166,9 +165,8 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
         b=_num(cfg, "qmc", "b", int), m=_num(cfg, "qmc", "m", int),
         beta=_num(cfg, "qmc", "beta", int),
         rule=rule, shift=str(qmc["shift"]),
-        method=str(est["method"]), fast_history=bool(est["fast_history"]),
+        fast_history=bool(cfg["estimator"]["fast_history"]),
         fast_eps=_num(cfg, "estimator", "fast_eps", float),
-        cg_tol=_num(cfg, "estimator", "cg_tol", float),
         threads=resolve_threads(cfg, threads))
 
 
@@ -244,6 +242,16 @@ def _emit_gnuplot(out_dir, prefix, csv_name):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _prepare(args):
+    """Load and resolve the config of a config-driven command and write its
+    resolved-config echo; returns (cfg, run, out_dir, prefix)."""
+    cfg = load_config(args.config, args.set or ())
+    run = build_run_config(cfg, threads=args.threads)
+    out_dir = args.out or cfg["output"]["dir"]
+    _echo_resolved(cfg, out_dir, run.threads)
+    return cfg, run, out_dir, cfg["output"]["prefix"]
+
+
 def cmd_mesh(args) -> int:
     mesh = triangulate_unit_square(args.ndiv)
     save_mesh(mesh, args.out)
@@ -278,12 +286,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
-    _echo_resolved(cfg, out_dir, run.threads)
+    cfg, run, out_dir, prefix = _prepare(args)
     if args.y:
         try:
             y = np.array([float(v) for v in args.y.split(",")])
@@ -310,12 +313,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
-    _echo_resolved(cfg, out_dir, run.threads)
+    cfg, run, out_dir, prefix = _prepare(args)
     series = estimate(run)
     csv_name = f"{prefix}-series.csv"
     csv_path = os.path.join(out_dir, csv_name)
@@ -339,12 +337,7 @@ def _parse_int_list(text: str, label: str):
 
 
 def cmd_table(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
-    _echo_resolved(cfg, out_dir, run.threads)
+    _, run, out_dir, prefix = _prepare(args)
     n_list = _parse_int_list(args.N, "N")
     rows = convergence_table(run, n_list, args.Nref)
     csv_path = os.path.join(out_dir, f"{prefix}-table.csv")
@@ -360,12 +353,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_truncation(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
-    _echo_resolved(cfg, out_dir, run.threads)
+    _, run, out_dir, prefix = _prepare(args)
     z_list = _parse_int_list(args.z, "z")
     study = truncation_study(run, z_list, args.zref)
     csv_path = os.path.join(out_dir, f"{prefix}-truncation.csv")
@@ -376,12 +364,7 @@ def cmd_truncation(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    prefix = cfg["output"]["prefix"]
-    os.makedirs(out_dir, exist_ok=True)
-    _echo_resolved(cfg, out_dir, run.threads)
+    _, run, out_dir, prefix = _prepare(args)
     study = spacetime_refinement_study(run, levels=args.levels)
     csv_path = os.path.join(out_dir, f"{prefix}-refine.csv")
     rows = []
@@ -398,10 +381,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
-    _echo_resolved(cfg, out_dir, run.threads)
+    cfg, run, _, _ = _prepare(args)
     mesh = run.space_mesh()
     seed = _num(cfg, "estimator", "seed", int)
     print(f"alpha = {run.alpha}")

@@ -101,10 +101,8 @@ class RunConfig:
     f: object = 1.0
     g: object = None
     grad_g: object = None
-    method: str = "auto"
     fast_history: bool = False
     fast_eps: float = 1e-8
-    cg_tol: float = 1e-10
     threads: int = 1
     shift: str = "none"
     qmc_weights: np.ndarray | None = None
@@ -206,9 +204,8 @@ class RefinementStudy:
 def build_solver(config: RunConfig) -> TrajectorySolver:
     return TrajectorySolver(
         config.space_mesh(), config.field, config.time_mesh(), config.alpha,
-        config.f, config.g, config.grad_g, method=config.method,
-        fast_history=config.fast_history, fast_eps=config.fast_eps,
-        cg_tol=config.cg_tol)
+        config.f, config.g, config.grad_g,
+        fast_history=config.fast_history, fast_eps=config.fast_eps)
 
 
 def sample_points(config: RunConfig) -> np.ndarray:
@@ -442,8 +439,7 @@ def spacetime_refinement_study(config: RunConfig, levels: int = 3,
         mesh = triangulate_unit_square(nd)
         tmesh = graded_mesh(config.T, nt, config.gamma)
         solver = TrajectorySolver(mesh, config.field, tmesh, config.alpha,
-                                  config.f, config.g, config.grad_g,
-                                  method=config.method, cg_tol=config.cg_tol)
+                                  config.f, config.g, config.grad_g)
         trajectories.append((mesh, tmesh, solver.solve(y).u))
     fine_mesh, fine_tmesh, u_ref = trajectories[-1]
     mass_fine = assemble_mass(fine_mesh)

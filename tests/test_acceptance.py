@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -49,7 +50,7 @@ DESK_CONFIG = {
 
 
 def read_table_csv(path):
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     return rows
@@ -90,7 +91,7 @@ def test_criterion_02_reference_value_paper_scale():
         pytest.skip("paper-scale run disabled")
     field = build_example_field(22)
     cfg = RunConfig(alpha=0.5, n_steps=150, field=field, z=253, m=9,
-                    gamma=4.0, n_div=53, beta=3, threads=8, method="pcg")
+                    gamma=4.0, n_div=53, beta=3, threads=8)
     series = estimate(cfg)
     value = float(series.mean[-1])
     # agreement to three significant digits: the value must round to 0.257
@@ -330,7 +331,7 @@ def test_criterion_10_fast_history():
 
 
 def test_criterion_11_thread_determinism(desk_tables):
-    one = open(desk_tables[1], "rb").read()
-    eight = open(desk_tables[8], "rb").read()
+    one = Path(desk_tables[1]).read_bytes()
+    eight = Path(desk_tables[8]).read_bytes()
     ok = one == eight
     report(11, ok, f"table CSV bytes identical across 1 and 8 threads: {ok}")

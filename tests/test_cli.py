@@ -32,7 +32,7 @@ class TestLoadConfig:
         path = write_config(tmp_path)
         cfg = load_config(path)
         assert cfg["qmc"]["b"] == 2
-        assert cfg["estimator"]["method"] == "auto"
+        assert cfg["estimator"]["fast_history"] is False
         assert cfg["model"]["alpha"] == 0.5
 
     def test_missing_file_is_usage_error(self):

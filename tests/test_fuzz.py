@@ -164,7 +164,7 @@ def test_malformed_mesh(corruption):
 
 NUMERIC_KEYS = [("model", "alpha"), ("model", "T"), ("time", "n_steps"),
                 ("qmc", "b"), ("qmc", "m"), ("qmc", "beta"), ("field", "q"),
-                ("space", "n_div"), ("estimator", "seed"), ("estimator", "cg_tol")]
+                ("space", "n_div"), ("estimator", "seed"), ("estimator", "fast_eps")]
 SECTIONS = ["model", "field", "space", "time", "qmc", "estimator", "output"]
 NOT_A_NUMBER = st.one_of(WORDS, st.none(), st.lists(st.integers(), max_size=3),
                          st.dictionaries(WORDS, st.integers(), max_size=2))

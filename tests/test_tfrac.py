@@ -18,9 +18,8 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
                         save_mesh, triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
 from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
-                          fast_history_apply, g_uniform, graded_mesh,
-                          history_weights, l2J_norm, solve_trajectory,
-                          weight_matrix)
+                          g_uniform, graded_mesh, history_weights, l2J_norm,
+                          solve_trajectory, weight_matrix)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -207,26 +206,6 @@ class TestExpSumKernel:
             exp_sum_kernel(0.5, 1.0, 0.5, 1e-8)
 
 
-class TestFastHistory:
-    def test_matches_direct_sum(self):
-        alpha = 0.5
-        tm = graded_mesh(1.0, 40, 4.0)
-        rng = np.random.default_rng(8)
-        mv = rng.normal(size=(tm.n_steps, 7))
-        kernel = exp_sum_kernel(alpha, float(tm.dt.min()), tm.T, 1e-8)
-        for n in (1, 2, 3, 17, 40):
-            row = history_weights(tm, alpha, n)
-            direct = row[: n - 1] @ mv[: n - 1] if n > 1 else np.zeros(7)
-            fast = fast_history_apply(tm, alpha, n, mv[: n - 1], 1e-8, kernel)
-            scale = np.max(np.abs(direct)) if n > 1 else 1.0
-            assert np.allclose(fast, direct, atol=1e-7 * max(scale, 1e-30))
-
-    def test_short_history_rejected(self):
-        tm = graded_mesh(1.0, 5, 2.0)
-        with pytest.raises(ConfigurationError):
-            fast_history_apply(tm, 0.5, 4, np.zeros((1, 3)), 1e-8)
-
-
 class TestL2JNorm:
     def test_constant_series(self):
         tm = graded_mesh(2.0, 9, 3.0)
@@ -304,15 +283,6 @@ class TestTrajectorySolver:
                                      example_initial, example_initial_gradient).u
         assert np.allclose(full, source_only + init_only, atol=1e-12)
 
-    def test_direct_and_pcg_agree(self):
-        tm = graded_mesh(1.0, 12, 4.0)
-        y = np.full(len(self.field), -0.3)
-        args = (self.mesh, self.field, tm, 0.5, 1.0,
-                example_initial, example_initial_gradient)
-        direct = TrajectorySolver(*args, method="direct").functional_series(y)
-        pcg = TrajectorySolver(*args, method="pcg", cg_tol=1e-12).functional_series(y)
-        assert np.allclose(direct, pcg, rtol=1e-8, atol=1e-14)
-
     def test_fast_history_solver_close(self):
         tm = graded_mesh(1.0, 30, 4.0)
         y = np.full(len(self.field), 0.1)
@@ -340,13 +310,6 @@ class TestTrajectorySolver:
                                   example_initial, example_initial_gradient)
         series = solver.functional_series(np.zeros(len(self.field)))
         assert series[0] == pytest.approx(1.0, abs=5e-3)
-
-    def test_invalid_method(self):
-        tm = graded_mesh(1.0, 4, 2.0)
-        with pytest.raises(ConfigurationError):
-            TrajectorySolver(self.mesh, self.field, tm, 0.5, 1.0,
-                             example_initial, example_initial_gradient,
-                             method="gauss")
 
     def test_monotone_decay_with_zero_source(self):
         # with f = 0 the functional of the subdiffusion solution decays
@@ -415,10 +378,8 @@ class TestChunkedStepping:
             ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
             assert np.max(np.abs(row - ref)) <= 1e-12
 
-    @pytest.mark.parametrize("kw", [{"method": "pcg", "cg_tol": 1e-12},
-                                    {"fast_history": True, "fast_eps": 1e-10}])
-    def test_block_matches_single_samples(self, kw):
-        solver = self.solver(**kw)
+    def test_block_matches_single_samples(self):
+        solver = self.solver(fast_history=True, fast_eps=1e-10)
         block = solver.functional_series(self.points)
         single = np.array([solver.functional_series(y) for y in self.points])
         assert block.shape == (5, self.tmesh.n_steps + 1)
