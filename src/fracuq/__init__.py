@@ -19,10 +19,10 @@ from .errors import (ConfigurationError, DomainError, FracUQError,
                      SolverError, ToleranceError, UsageError, ValidationError)
 from .estimator import (RunConfig, convergence_table, estimate,
                         spacetime_refinement_study, truncation_study)
-from .fem import assemble_mass, assemble_stiffness, triangulate_unit_square
+from .fem import assemble_mass, triangulate_unit_square
 from .field import build_example_field, build_sine_table_field, verify_bounds
 from .qmc import InterlacedLatticeRule, cbc_rule, load_gen_vector
-from .tfrac import graded_mesh, l2J_norm, solve_trajectory
+from .tfrac import graded_mesh, l2J_norm
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,8 @@ __all__ = [
     "SolverError", "ToleranceError", "UsageError",
     "build_example_field", "build_sine_table_field", "verify_bounds",
     "InterlacedLatticeRule", "cbc_rule", "load_gen_vector",
-    "triangulate_unit_square", "assemble_mass", "assemble_stiffness",
-    "graded_mesh", "solve_trajectory", "l2J_norm",
+    "triangulate_unit_square", "assemble_mass",
+    "graded_mesh", "l2J_norm",
     "RunConfig", "estimate", "convergence_table", "truncation_study",
     "spacetime_refinement_study",
     "__version__",

@@ -25,27 +25,23 @@ import numpy as np
 
 from .errors import ConfigurationError, FracUQError, UsageError
 from .estimator import (RunConfig, build_solver, convergence_table, estimate,
-                        default_qmc_weights, sample_points,
                         spacetime_refinement_study, truncation_study)
 from .fem import load_mesh, save_mesh, triangulate_unit_square
 from .field import build_example_field, build_sine_table_field, verify_bounds
-from .qmc import (InterlacedLatticeRule, cbc_rule, load_gen_vector,
-                  save_gen_vector)
+from .qmc import cbc_rule, load_gen_vector, save_gen_vector
 
-__all__ = ["main", "load_config", "write_field_dump", "read_field_dump"]
+__all__ = ["main", "load_config", "write_field_dump"]
 
 DUMP_MAGIC = b"FUQF"
 
 DEFAULT_CONFIG = {
     "model": {"alpha": 0.5, "T": 1.0, "functional": "average"},
     "field": {"type": "example", "q": 10, "sort_by_norm": False, "z": None,
-              "kappa0_const": None, "kappa0_xy": 0.0, "coeffs": None,
-              "summability_p": 0.55},
+              "kappa0_const": None, "kappa0_xy": 0.0, "coeffs": None},
     "space": {"n_div": 24, "mesh_path": None},
     "time": {"n_steps": 50, "gamma": None},
     "qmc": {"b": 2, "m": 5, "beta": 3, "genvec": None, "shift": "none"},
-    "estimator": {"fast_history": False, "fast_eps": 1e-8, "threads": None,
-                  "seed": 0},
+    "estimator": {"fast_history": False, "fast_eps": 1e-8, "threads": None},
     "output": {"dir": ".", "prefix": "run", "dump_fields": False,
                "gnuplot": True},
 }
@@ -118,8 +114,7 @@ def _build_field(cfg):
         try:
             field = build_sine_table_field(
                 _num(cfg, "field", "kappa0_const", float), fcfg["coeffs"],
-                kappa0_xy=_num(cfg, "field", "kappa0_xy", float),
-                summability_p=_num(cfg, "field", "summability_p", float))
+                kappa0_xy=_num(cfg, "field", "kappa0_xy", float))
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"field.coeffs is not a table of numbers: {exc}") from exc
     else:
@@ -170,11 +165,11 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
         threads=resolve_threads(cfg, threads))
 
 
-def _echo_resolved(cfg: dict, out_dir: str, threads: int) -> str:
+def _echo_resolved(cfg: dict, out_dir: str, run: RunConfig) -> str:
     resolved = copy.deepcopy(cfg)
-    resolved["estimator"]["threads"] = threads
+    resolved["estimator"]["threads"] = run.threads
     if resolved["time"]["gamma"] is None:
-        resolved["time"]["gamma"] = 2.0 / float(resolved["model"]["alpha"])
+        resolved["time"]["gamma"] = run.gamma
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{cfg['output']['prefix']}-resolved-config.json")
     with open(path, "w") as fh:
@@ -200,7 +195,12 @@ def _write_csv(path, header, rows):
 
 
 def write_field_dump(path: str, u: np.ndarray) -> None:
-    """Binary per-level coefficient dump: 16-byte header, float64 LE payload."""
+    """Binary per-level coefficient dump.
+
+    A 16-byte header (the magic ``FUQF``, then the dof count, the level
+    count and a zero as little-endian uint32) is followed by the levels x
+    dofs payload as little-endian float64, level by level.
+    """
     u = np.ascontiguousarray(u, dtype="<f8")
     if u.ndim != 2:
         raise ConfigurationError("field dump expects a (levels, dofs) array")
@@ -208,18 +208,6 @@ def write_field_dump(path: str, u: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(u.tobytes())
-
-
-def read_field_dump(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != DUMP_MAGIC:
-            raise ConfigurationError(f"{path} is not a coefficient dump")
-        d, levels, _ = struct.unpack("<III", header[4:])
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != d * levels:
-        raise ConfigurationError(f"{path}: truncated payload")
-    return payload.reshape(levels, d).copy()
 
 
 _GNUPLOT_SERIES = """\
@@ -248,7 +236,7 @@ def _prepare(args):
     cfg = load_config(args.config, args.set or ())
     run = build_run_config(cfg, threads=args.threads)
     out_dir = args.out or cfg["output"]["dir"]
-    _echo_resolved(cfg, out_dir, run.threads)
+    _echo_resolved(cfg, out_dir, run)
     return cfg, run, out_dir, cfg["output"]["prefix"]
 
 
@@ -381,9 +369,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg, run, _, _ = _prepare(args)
-    mesh = run.space_mesh()
-    seed = _num(cfg, "estimator", "seed", int)
+    _, run, _, _ = _prepare(args)
+    mesh = run.mesh
     print(f"alpha = {run.alpha}")
     print(f"T = {run.T}")
     print(f"gamma = {run.gamma}")
@@ -391,8 +378,8 @@ def cmd_check(args) -> int:
     print(f"z = {run.z}")
     print(f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})")
     print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_dofs} interior dofs, h = {mesh.h:.6g}")
-    report = verify_bounds(run.field, grid_resolution=64, sample_count=8, rng_seed=seed)
-    print(f"kappa observed range (seed {seed}): "
+    report = verify_bounds(run.field, grid_resolution=64)
+    print(f"kappa observed range: "
           f"[{report.observed_min:.6g}, {report.observed_max:.6g}]")
     print(f"declared bounds: [{run.field.declared_bounds[0]:.6g}, "
           f"{run.field.declared_bounds[1]:.6g}]")

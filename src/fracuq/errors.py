@@ -18,7 +18,8 @@ class ConfigurationError(FracUQError):
 
 
 class DomainError(FracUQError):
-    """A spatial point or parameter vector lies outside its admissible set."""
+    """An input lies outside its admissible set: a mesh vertex outside the
+    unit square, or a field whose declared lower bound is not positive."""
 
     code = "E_DOMAIN"
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FracUQError, SolverError
+from .errors import ConfigurationError, DomainError, FracUQError, SolverError
 from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
@@ -59,31 +59,22 @@ def example_initial_gradient(x1, x2):
 
 
 def default_qmc_weights(field: SineRandomField, z: int) -> np.ndarray:
-    """Coordinate weights b_j = sqrt(2) ||psi_j|| / kappa_ref for the CBC search.
-
-    The reference diffusivity is the declared lower bound when positive (the
-    example field's is 0.178 at q = 10); for a user field whose worst-case
-    bound is not positive, the minimum of the mean field kappa0 over the
-    square is used instead.
-    """
-    kmin = field.declared_bounds[0]
-    if kmin <= 0.0:
-        g = np.linspace(0.0, 1.0, 33)
-        X1, X2 = np.meshgrid(g, g, indexing="ij")
-        kmin = float(field.kappa0(X1.ravel(), X2.ravel()).min())
-    if kmin <= 0.0:
-        raise ConfigurationError("cannot derive a positive reference diffusivity")
-    return math.sqrt(2.0) / kmin * field.sup_norms[:z]
+    """Coordinate weights b_j = sqrt(2) ||psi_j|| / kappa_min for the CBC search,
+    with kappa_min the field's declared lower bound (0.178 at q = 10)."""
+    return math.sqrt(2.0) / field.declared_bounds[0] * field.sup_norms[:z]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """All ingredients of one estimation run.
+    """All ingredients of one estimation run, resolved once and then read-only.
 
     The spatial mesh is either a structured ``n_div`` subdivision of the
     unit square or an explicit :class:`TriMesh`; the generating vector is
     either supplied as ``rule`` or built by CBC with the default weights.
-    ``gamma`` defaults to the usual grading 2/alpha.
+    Construction validates the inputs and fills in what was left out:
+    ``mesh`` from ``n_div``, ``gamma`` as the usual grading 2/alpha, ``g``
+    and ``grad_g`` as the example initial profile, and ``rule`` when
+    m >= 1 and z >= 1.  The field's declared lower bound must be positive.
     """
 
     alpha: float
@@ -105,7 +96,6 @@ class RunConfig:
     fast_eps: float = 1e-8
     threads: int = 1
     shift: str = "none"
-    qmc_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -117,46 +107,42 @@ class RunConfig:
                 f"truncation z={self.z} exceeds the field basis ({len(self.field)})")
         if (self.mesh is None) == (self.n_div is None):
             raise ConfigurationError("exactly one of n_div and mesh must be set")
-        if self.gamma is None:
-            self.gamma = 2.0 / self.alpha
-        if self.g is None:
-            self.g = example_initial
-            self.grad_g = example_initial_gradient
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
+        if self.shift not in ("none", "digital-half"):
+            raise ConfigurationError(f"unknown shift mode {self.shift!r}")
+        if self.field.declared_bounds[0] <= 0.0:
+            raise DomainError(
+                f"the field's declared lower bound {self.field.declared_bounds[0]:.6g} "
+                "is not positive")
         if self.rule is not None:
             if self.rule.z < self.z:
                 raise ConfigurationError(
                     f"generating vector covers {self.rule.z} coordinates, need {self.z}")
             if (self.rule.b, self.rule.m, self.rule.beta) != (self.b, self.m, self.beta):
                 raise ConfigurationError("generating vector (b, m, beta) mismatch")
+        resolved = {}
+        if self.mesh is None:
+            resolved["mesh"] = triangulate_unit_square(self.n_div)
+        if self.gamma is None:
+            resolved["gamma"] = 2.0 / self.alpha
+        if self.g is None:
+            resolved.update(g=example_initial, grad_g=example_initial_gradient)
+        if self.rule is None and self.m >= 1 and self.z >= 1:
+            resolved["rule"] = cbc_rule(self.b, self.m, self.beta, self.z,
+                                        default_qmc_weights(self.field, self.z))
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:
         return self.b ** self.m
 
-    def space_mesh(self) -> TriMesh:
-        if self.mesh is None:
-            self.mesh = triangulate_unit_square(self.n_div)
-        return self.mesh
-
     def time_mesh(self) -> GradedTimeMesh:
         return graded_mesh(self.T, self.n_steps, self.gamma)
 
-    def cbc_weights(self, z: int | None = None) -> np.ndarray:
-        z = self.z if z is None else z
-        if self.qmc_weights is not None:
-            w = np.asarray(self.qmc_weights, dtype=float)
-            if w.size < z:
-                raise ConfigurationError(
-                    f"qmc_weights covers {w.size} coordinates, need {z}")
-            return w[:z]
-        return default_qmc_weights(self.field, z)
-
-    def qmc_rule(self) -> InterlacedLatticeRule:
-        if self.rule is None:
-            self.rule = cbc_rule(self.b, self.m, self.beta, self.z,
-                                 self.cbc_weights())
+    def qmc_rule(self) -> InterlacedLatticeRule | None:
+        """The rule of the N = b^m points (None when m = 0 or z = 0)."""
         return self.rule
 
 
@@ -203,7 +189,7 @@ class RefinementStudy:
 
 def build_solver(config: RunConfig) -> TrajectorySolver:
     return TrajectorySolver(
-        config.space_mesh(), config.field, config.time_mesh(), config.alpha,
+        config.mesh, config.field, config.time_mesh(), config.alpha,
         config.f, config.g, config.grad_g,
         fast_history=config.fast_history, fast_eps=config.fast_eps)
 
@@ -226,10 +212,8 @@ def sample_points(config: RunConfig) -> np.ndarray:
                       {"kind": "single"})
         if config.shift == "digital-half":
             ps = digital_shift_half(ps)
-        elif config.shift != "none":
-            raise ConfigurationError(f"unknown shift mode {config.shift!r}")
         return shift_to_centered(ps)
-    return config.qmc_rule().centered_points(shift=config.shift)[:, : config.z]
+    return config.rule.centered_points(shift=config.shift)[:, : config.z]
 
 
 _CHUNK_MAX = 8
@@ -316,7 +300,7 @@ def estimate(config: RunConfig, solver: TrajectorySolver | None = None) -> Expec
     mean, std = _reduce_series(values)
     return ExpectedValueSeries(
         t=solver.tmesh.t.copy(), mean=mean, std=std,
-        n_samples=points.shape[0], z=config.z, h=config.space_mesh().h,
+        n_samples=points.shape[0], z=config.z, h=config.mesh.h,
         n_steps=config.n_steps)
 
 
@@ -334,7 +318,7 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
         raise ConfigurationError("N_ref must exceed every entry of N_list")
     solver = build_solver(config)
     tmesh = solver.tmesh
-    gammas = config.cbc_weights()
+    gammas = default_qmc_weights(config.field, config.z)
     sizes = sorted(set(N_list + [N_ref]))
     point_sets = []
     for n in sizes:
@@ -382,10 +366,10 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
         raise ConfigurationError("z_ref must exceed every entry of z_list")
     if z_ref > len(config.field):
         raise ConfigurationError("z_ref exceeds the field basis length")
-    gammas = config.cbc_weights(z_ref)
     rule = config.rule
     if rule is None or rule.z < z_ref:
-        rule = cbc_rule(config.b, config.m, config.beta, z_ref, gammas)
+        rule = cbc_rule(config.b, config.m, config.beta, z_ref,
+                        default_qmc_weights(config.field, z_ref))
     points = rule.centered_points(shift=config.shift)[:, :z_ref]
     solver = build_solver(config)
     values_T = {}

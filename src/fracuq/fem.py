@@ -2,8 +2,9 @@
 
 Assembles the mass matrix, the diffusivity-weighted stiffness matrix
 (affine in the random parameters, so the per-element basis averages are
-precomputed once and reused across samples), load vectors, Ritz
-projections of the initial data, and the mean-value functional.
+precomputed once and reused across samples), load vectors, the
+right-hand sides of Ritz projections of the initial data, and the weights
+of the mean-value functional.
 Homogeneous Dirichlet conditions are imposed by eliminating boundary
 vertices at assembly time.
 """
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, DomainError, ValidationError
 
 __all__ = [
     "TriMesh",
@@ -28,13 +28,9 @@ __all__ = [
     "load_mesh",
     "band_ordered",
     "assemble_mass",
-    "assemble_stiffness",
     "StiffnessAssembler",
     "load_vector",
-    "ritz_projection",
     "phi_integrals",
-    "apply_functional",
-    "interpolate_vertices",
     "eval_structured",
     "prolong_structured",
 ]
@@ -171,10 +167,13 @@ def load_mesh(path) -> TriMesh:
     mesh = TriMesh(vertices=verts, triangles=tris, boundary=bdy,
                    interior_index=interior, h=float(diam))
     _element_geometry(mesh)  # validates orientation / degeneracy
+    # the field, and so its declared bounds, are defined on the closed unit square
+    if not np.all((verts >= 0.0) & (verts <= 1.0)):
+        raise DomainError(f"{path}: a vertex lies outside the closed unit square")
     return mesh
 
 
-def _pattern(mesh: TriMesh, trimmed: bool = True):
+def _pattern(mesh: TriMesh):
     """CSC sparsity shared by every assembled matrix, and where entries land.
 
     Entry (a, b) of element t's 3x3 block, taken in row-major (t, a, b)
@@ -182,11 +181,11 @@ def _pattern(mesh: TriMesh, trimmed: bool = True):
     ``data[slot]``.  Returns (indptr, indices, slot, keep).
     """
     tri = mesh.triangles
-    index = mesh.interior_index if trimmed else np.arange(mesh.n_vertices)
+    index = mesh.interior_index
     rows = index[np.repeat(tri, 3, axis=1).ravel()]
     cols = index[np.tile(tri, (1, 3)).ravel()]
     keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_dofs if trimmed else mesh.n_vertices
+    n = mesh.n_dofs
     # column-major keys sort into CSC order: by column, then by row
     key, slot = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
     indptr = np.searchsorted(key // n, np.arange(n + 1))
@@ -214,9 +213,9 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
     return dataclasses.replace(mesh, interior_index=dof, n_div=None)
 
 
-def _assemble(mesh: TriMesh, local: np.ndarray, trimmed: bool) -> sp.csc_matrix:
+def _assemble(mesh: TriMesh, local: np.ndarray) -> sp.csc_matrix:
     """Scatter per-element 3x3 blocks; `local` has shape (nt, 3, 3)."""
-    indptr, indices, slot, keep = _pattern(mesh, trimmed)
+    indptr, indices, slot, keep = _pattern(mesh)
     data = np.bincount(slot, weights=local.ravel()[keep], minlength=indices.size)
     n = indptr.size - 1
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
@@ -248,11 +247,11 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
                         [1.0, 1.0, 2.0]]) / 12.0
 
 
-def assemble_mass(mesh: TriMesh, trimmed: bool = True) -> sp.csc_matrix:
+def assemble_mass(mesh: TriMesh) -> sp.csc_matrix:
     """Exact P1 mass matrix (element block area/12 * [[2,1,1],[1,2,1],[1,1,2]])."""
     area, _ = _element_geometry(mesh)
     local = area[:, None, None] * _MASS_LOCAL[None]
-    return _assemble(mesh, local, trimmed)
+    return _assemble(mesh, local)
 
 
 # basis functions per block when the midpoint basis table is reduced
@@ -329,22 +328,14 @@ class StiffnessAssembler:
                 f"parameter vector length {y.shape[-1]} exceeds basis size {self.psibar.shape[0]}")
         return self.kbar0 + y @ self.psibar[: y.shape[-1]]
 
-    def matrix_data(self, y) -> np.ndarray:
-        """CSC data of D(y) on the shared pattern, shape (k, nnz) for k rows of y."""
-        return (self._spread @ np.atleast_2d(self.element_kappa(y)).T).T
+    def matrix_data(self, kbar) -> np.ndarray:
+        """CSC data of D on the shared pattern, shape (k, nnz), for k rows
+        of element averages ``kbar`` as :meth:`element_kappa` gives them."""
+        return (self._spread @ np.atleast_2d(kbar).T).T
 
-    def matrix(self, y, trimmed: bool = True, require_positive: bool = False) -> sp.csc_matrix:
-        """Assemble D(y).
-
-        With ``require_positive`` the element-averaged diffusivity must be
-        strictly positive.  The default is lenient and assembles whatever
-        the field gives; the built-in example field never needs it, since
-        its declared lower bound (0.178 at q = 10) is positive.
-        """
-        kbar = self.element_kappa(y)
-        if require_positive and np.any(kbar <= 0):
-            raise ConfigurationError("diffusivity is nonpositive on some element")
-        return _assemble(self.mesh, kbar[:, None, None] * self.k_geom, trimmed)
+    def matrix(self, y) -> sp.csc_matrix:
+        """Assemble D(y) for one parameter vector."""
+        return _assemble(self.mesh, self.element_kappa(y)[:, None, None] * self.k_geom)
 
     def _ritz_scatter(self, grad_g) -> sp.csr_matrix:
         """Map from kappa at the edge midpoints, flattened (t, q), to the Ritz rhs.
@@ -377,13 +368,6 @@ class StiffnessAssembler:
             raise ConfigurationError(
                 f"parameter vector length {y.shape[-1]} exceeds basis size {R.shape[0]}")
         return r0 + y @ R[: y.shape[-1]]
-
-
-def assemble_stiffness(mesh: TriMesh, field, y, trimmed: bool = True,
-                       require_positive: bool = True) -> sp.csr_matrix:
-    """One-shot stiffness assembly; rejects nonpositive diffusivity by default."""
-    return StiffnessAssembler(mesh, field).matrix(
-        y, trimmed=trimmed, require_positive=require_positive)
 
 
 def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
@@ -423,32 +407,10 @@ def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
     return rhs.reshape(t_a.shape + (mesh.n_dofs,))
 
 
-def ritz_projection(mesh: TriMesh, field, y, g, grad_g,
-                    assembler: StiffnessAssembler | None = None) -> np.ndarray:
-    """Coefficients of the energy projection R_h g onto the interior P1 space."""
-    if assembler is None:
-        assembler = StiffnessAssembler(mesh, field)
-    D = assembler.matrix(y)
-    rhs = assembler.ritz_rhs(y, grad_g)
-    return spla.spsolve(D.tocsc(), rhs)
-
-
 def phi_integrals(mesh: TriMesh) -> np.ndarray:
     """Integrals of the interior nodal basis functions (area/3 per element)."""
     area, _ = _element_geometry(mesh)
     return _dof_scatter(mesh) @ np.repeat(area / 3.0, 3)
-
-
-def apply_functional(mesh: TriMesh, coeffs: np.ndarray) -> float:
-    """Mean-value functional: integral of the P1 function over the domain."""
-    return float(phi_integrals(mesh) @ np.asarray(coeffs, dtype=float))
-
-
-def interpolate_vertices(mesh: TriMesh, func) -> np.ndarray:
-    """Interior coefficients of the vertex interpolant of func(x1, x2)."""
-    keep = mesh.interior_index >= 0
-    v = mesh.vertices[keep]
-    return np.asarray(func(v[:, 0], v[:, 1]), dtype=float)
 
 
 def _full_vertex_values(n_div: int, interior_coeffs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 __all__ = [
     "SineRandomField",
@@ -21,8 +21,6 @@ __all__ = [
     "example_field_scale",
     "build_example_field",
     "build_sine_table_field",
-    "evaluate_kappa",
-    "tail_bound",
     "verify_bounds",
 ]
 
@@ -59,7 +57,6 @@ class SineRandomField:
     k, l : integer mode numbers per basis function
     amp : signed amplitude per basis function
     sup_norms : |amp| (the sine product attains +-1 in the open square)
-    summability_p : exponent p in (0, 1) claimed for the sup-norm sequence
     declared_bounds : (kappa_min, kappa_max) asserted positive bounds
     sorted_by_norm : whether sup_norms is nonincreasing
     """
@@ -69,7 +66,6 @@ class SineRandomField:
     k: np.ndarray
     l: np.ndarray
     amp: np.ndarray
-    summability_p: float
     declared_bounds: tuple[float, float]
     sorted_by_norm: bool = False
     sup_norms: np.ndarray = dc_field(init=False)
@@ -108,49 +104,6 @@ class SineRandomField:
 
         return rows
 
-    def kappa(self, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """kappa(x, y) at arrays of points, truncated to len(y) basis terms."""
-        y = np.asarray(y, dtype=float)
-        if y.size > len(self):
-            raise ConfigurationError(
-                f"parameter vector has {y.size} entries but the basis has {len(self)}"
-            )
-        vals = self.kappa0(x1, x2)
-        if y.size:
-            psi = self.basis_values(x1, x2)[: y.size]
-            vals = vals + y @ psi
-        return vals
-
-    def truncated(self, z: int) -> "SineRandomField":
-        """Field with only the first z basis terms retained."""
-        if not 0 <= z <= len(self):
-            raise ConfigurationError(f"truncation z={z} outside [0, {len(self)}]")
-        return SineRandomField(
-            kappa0_const=self.kappa0_const,
-            kappa0_xy=self.kappa0_xy,
-            k=self.k[:z].copy(),
-            l=self.l[:z].copy(),
-            amp=self.amp[:z].copy(),
-            summability_p=self.summability_p,
-            declared_bounds=self.declared_bounds,
-            sorted_by_norm=self.sorted_by_norm,
-        )
-
-
-def evaluate_kappa(field: SineRandomField, x, y) -> float:
-    """kappa at a single point x = (x1, x2) for parameter vector y."""
-    x1, x2 = float(x[0]), float(x[1])
-    if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
-        raise DomainError(f"point {(x1, x2)} outside the closed unit square")
-    return float(field.kappa(np.array([x1]), np.array([x2]), np.asarray(y, dtype=float))[0])
-
-
-def tail_bound(field: SineRandomField, z: int) -> float:
-    """Worst-case truncation error of kappa: half the sup-norm tail sum."""
-    if not 0 <= z <= len(field):
-        raise ConfigurationError(f"z={z} exceeds basis length {len(field)}")
-    return 0.5 * float(np.sum(field.sup_norms[z:]))
-
 
 @dataclass
 class BoundsReport:
@@ -163,18 +116,15 @@ class BoundsReport:
         return not self.violations
 
 
-def verify_bounds(field: SineRandomField, grid_resolution: int = 64,
-                  sample_count: int = 16, rng_seed: int = 0) -> BoundsReport:
+def verify_bounds(field: SineRandomField, grid_resolution: int = 64) -> BoundsReport:
     """Check the declared kappa bounds on a tensor grid of x-points.
 
     At each grid point the extremes over y are attained at y_j = +-1/2 with
-    signs matched to psi_j(x); additional random y samples are evaluated as
-    a cross-check.  Violations are reported, not raised.
+    signs matched to psi_j(x), so the grid extremes are the observed range.
+    Violations are reported, not raised.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
-    if sample_count < 1:
-        raise ConfigurationError("sample_count must be >= 1")
     g = np.linspace(0.0, 1.0, grid_resolution + 1)
     X1, X2 = np.meshgrid(g, g, indexing="ij")
     x1, x2 = X1.ravel(), X2.ravel()
@@ -187,15 +137,6 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64,
         half_abs = np.zeros_like(k0)
     lo = k0 - half_abs
     hi = k0 + half_abs
-    obs_min = float(lo.min())
-    obs_max = float(hi.max())
-
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(sample_count):
-        y = rng.uniform(-0.5, 0.5, size=z)
-        vals = field.kappa(x1, x2, y)
-        obs_min = min(obs_min, float(vals.min()))
-        obs_max = max(obs_max, float(vals.max()))
 
     kmin, kmax = field.declared_bounds
     violations = []
@@ -207,7 +148,8 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64,
     for idx in bad_hi[:20]:
         signs = np.sign(psi[:, idx]) if z else np.array([])
         violations.append(((x1[idx], x2[idx]), 0.5 * signs, float(hi[idx])))
-    return BoundsReport(observed_min=obs_min, observed_max=obs_max, violations=violations)
+    return BoundsReport(observed_min=float(lo.min()), observed_max=float(hi.max()),
+                        violations=violations)
 
 
 def _sine_rows(modes, x, scale=None):
@@ -279,14 +221,13 @@ def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
         k=k,
         l=l,
         amp=amp,
-        summability_p=0.55,
         declared_bounds=bounds,
         sorted_by_norm=sort_by_norm,
     )
 
 
-def build_sine_table_field(kappa0_const: float, coeffs, kappa0_xy: float = 0.0,
-                           summability_p: float = 0.55) -> SineRandomField:
+def build_sine_table_field(kappa0_const: float, coeffs,
+                           kappa0_xy: float = 0.0) -> SineRandomField:
     """Field from an explicit table of (k, l, amplitude) rows, in given order."""
     rows = np.asarray(coeffs, dtype=float)
     if rows.size == 0:
@@ -309,7 +250,6 @@ def build_sine_table_field(kappa0_const: float, coeffs, kappa0_xy: float = 0.0,
         k=k,
         l=l,
         amp=amp,
-        summability_p=summability_p,
         declared_bounds=bounds,
         sorted_by_norm=bool(np.all(np.diff(norms) <= 0)),
     )

@@ -31,7 +31,6 @@ __all__ = [
     "digital_shift_half",
     "cbc_construct",
     "cbc_rule",
-    "figure_of_merit",
     "kernel_values",
     "save_gen_vector",
     "load_gen_vector",
@@ -415,21 +414,6 @@ def _effective_weights(dim: int, beta: int, b: int, gammas) -> np.ndarray:
         j, l = divmod(c, beta)
         w[c] = gam[j] * float(b) ** (-l)
     return w
-
-
-def figure_of_merit(b: int, m: int, beta: int, p: GFPoly, gen: list[GFPoly],
-                    gammas) -> float:
-    """Weighted worst-case figure of merit, evaluated directly from the points.
-
-    E = (1/N) sum_{n=1}^{N-1} prod_c (1 + W_c psi(x_{n,c})), the n = 0 point
-    being common to every rule.  Lower is better.
-    """
-    dim = len(gen)
-    ps = classical_points(b, m, dim, p, gen)
-    kern, _ = kernel_values(b, m, beta)
-    w = _effective_weights(dim, beta, b, gammas)
-    vals = kern[ps.mantissas[1:]]  # (N-1, dim)
-    return float(np.sum(np.prod(1.0 + w[None, :] * vals, axis=1))) / ps.n_points
 
 
 def _group_tables(b: int, m: int, p: GFPoly):

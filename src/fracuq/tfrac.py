@@ -30,7 +30,6 @@ __all__ = [
     "g_uniform",
     "SolutionTrajectory",
     "TrajectorySolver",
-    "solve_trajectory",
     "ExpSumKernel",
     "exp_sum_kernel",
     "l2J_norm",
@@ -402,13 +401,17 @@ class TrajectorySolver:
         ``keep_u`` the band-numbered coefficients, shape (n_steps + 1, k, d).
         A band factorization that fails (a level matrix that is not
         positive definite, or not finite) makes every value of the block
-        NaN, so the caller sees non-finite samples and never averages them.
+        NaN, and so does a row whose element-averaged diffusivity is not
+        positive everywhere: the caller sees non-finite samples and never
+        averages them.
         """
         tmesh, asm = self.tmesh, self.assembler
         nt = tmesh.n_steps
         k = Y.shape[0]
         d = self.mass.shape[0]
-        d_data = asm.matrix_data(Y)
+        kbar = asm.element_kappa(Y)
+        ill_posed = ~np.all(kbar > 0.0, axis=1)
+        d_data = asm.matrix_data(kbar)
         D = _block_diag(asm.indptr, asm.indices, d_data)
         M = _block_diag(asm.indptr, asm.indices,
                         np.broadcast_to(self.mass.data, (k, self.mass.nnz)))
@@ -457,7 +460,11 @@ class TrajectorySolver:
                 # fold V^{n-1} into the far field and decay to the next level
                 beta = _em1_over(s * tmesh.dt[n - 2])
                 H = np.exp(-s * tau_n)[:, None] * (H + beta[:, None] * mv[n - 2])
-        return values, (us.reshape(nt + 1, k, d) if keep_u else None)
+        values[ill_posed] = np.nan
+        if keep_u:
+            us = us.reshape(nt + 1, k, d)
+            us[:, ill_posed] = np.nan
+        return values, us
 
     def solve(self, y) -> SolutionTrajectory:
         """Trajectory for one parameter vector, every level's coefficients kept."""
@@ -475,12 +482,6 @@ class TrajectorySolver:
         y = np.asarray(y, dtype=float)
         values, _ = self._march(np.atleast_2d(y), keep_u=False)
         return values[0] if y.ndim == 1 else values
-
-
-def solve_trajectory(field, y, mesh, tmesh: GradedTimeMesh, alpha: float,
-                     f, g, grad_g, **kwargs) -> SolutionTrajectory:
-    solver = TrajectorySolver(mesh, field, tmesh, alpha, f, g, grad_g, **kwargs)
-    return solver.solve(np.asarray(y, dtype=float))
 
 
 def l2J_norm(series: np.ndarray, tmesh: GradedTimeMesh, mass=None) -> float:

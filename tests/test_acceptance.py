@@ -22,12 +22,13 @@ from fracuq.estimator import (RunConfig, estimate, example_initial,
                               example_initial_gradient,
                               spacetime_refinement_study, truncation_study)
 from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
-                        ritz_projection, triangulate_unit_square)
+                        triangulate_unit_square)
 from fracuq.field import build_example_field
 from fracuq.qmc import (GFPoly, PointSet, cbc_construct, classical_points,
-                        default_modulus, figure_of_merit, interlace)
+                        default_modulus, interlace)
 from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, g_uniform, graded_mesh,
                           history_weights, l2J_norm, weight_matrix)
+from oracles import figure_of_merit, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from fracuq.cli import (load_config, main, read_field_dump, write_field_dump)
+from fracuq.cli import load_config, main, write_field_dump
 from fracuq.errors import ConfigurationError, UsageError
 from fracuq.fem import load_mesh
+from oracles import read_field_dump
 
 
 def write_config(tmp_path, **sections):
@@ -274,12 +275,30 @@ class TestErrorPaths:
 
     def test_ill_posed_field_gives_no_average(self, tmp_path, capsys):
         # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative for part of
-        # the parameter range: those samples fail, and no series is written
+        # the parameter range: its declared lower bound is -0.2, so the run
+        # is refused before any sample, and no series is written
         cfg = tmp_path / "ill.json"
         cfg.write_text(json.dumps({
             "field": {"type": "sine-table", "kappa0_const": 0.05, "coeffs": [[1, 1, 0.5]]},
             "space": {"n_div": 8}, "time": {"n_steps": 20}, "qmc": {"m": 3}}))
         out = tmp_path / "out"
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
-        self.assert_one_error_line(capsys, "E_SOLVER")
+        self.assert_one_error_line(capsys, "E_DOMAIN")
+        assert not list(out.glob("*-series.csv"))
+
+    def test_sample_with_nonpositive_element_diffusivity_fails(self, tmp_path, capsys):
+        # sin(128 pi x1) vanishes at every node of the 129-point bounds grid,
+        # so the declared lower bound is 0.05 > 0; but on the n_div = 3 mesh
+        # the element averages of kappa dip to -0.085 for half the samples,
+        # which must fail the run instead of entering the average
+        cfg = tmp_path / "ill.json"
+        cfg.write_text(json.dumps({
+            "field": {"type": "sine-table", "kappa0_const": 0.05,
+                      "coeffs": [[128, 1, 0.5]]},
+            "space": {"n_div": 3}, "time": {"n_steps": 20}, "qmc": {"m": 3}}))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error[") == 1
+        assert err.startswith("error[E_SOLVER]: 4 of 8 trajectory solves failed (sample 0:")
         assert not list(out.glob("*-series.csv"))

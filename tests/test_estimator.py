@@ -1,11 +1,13 @@
 """Tests for the QMC expected-value estimator and its studies."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracuq.errors import ConfigurationError, SolverError
+from fracuq import estimator
+from fracuq.errors import ConfigurationError, DomainError, SolverError
 from fracuq.estimator import (RunConfig, _functional_samples, build_solver,
                               convergence_table,
                               default_qmc_weights, estimate, example_initial,
@@ -30,6 +32,20 @@ def small_config(**kw):
                 gamma=4.0, n_div=6, beta=2)
     base.update(kw)
     return RunConfig(**base)
+
+
+@pytest.fixture
+def cbc_calls(monkeypatch):
+    """The m of every estimator.cbc_rule call the test makes."""
+    calls = []
+    cbc = estimator.cbc_rule
+
+    def counted(b, m, *args, **kwargs):
+        calls.append(m)
+        return cbc(b, m, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "cbc_rule", counted)
+    return calls
 
 
 class TestExampleData:
@@ -59,16 +75,6 @@ class TestDefaultWeights:
         assert kmin > 0
         assert np.allclose(w, math.sqrt(2.0) * field.sup_norms[:5] / kmin)
 
-    def test_fallback_for_nonpositive_bound(self):
-        field = build_sine_table_field(0.1, [(1, 1, 0.3)])
-        assert field.declared_bounds[0] <= 0
-        w = default_qmc_weights(field, 1)
-        assert w[0] == pytest.approx(math.sqrt(2.0) * 0.3 / 0.1, rel=1e-3)
-
-    def test_all_negative_rejected(self):
-        field = build_sine_table_field(-1.0, [(1, 1, 0.1)])
-        with pytest.raises(ConfigurationError):
-            default_qmc_weights(field, 1)
 
 
 class TestRunConfig:
@@ -88,6 +94,8 @@ class TestRunConfig:
             small_config(mesh=triangulate_unit_square(4))  # both mesh and n_div
         with pytest.raises(ConfigurationError):
             small_config(threads=0)
+        with pytest.raises(ConfigurationError):
+            small_config(shift="half")
 
     def test_rule_mismatch_rejected(self):
         from fracuq.qmc import cbc_rule
@@ -95,12 +103,37 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             small_config(m=2, rule=rule)
 
-    def test_explicit_weights_used(self):
-        w = np.array([1.0, 0.5, 0.3])
-        cfg = small_config(qmc_weights=w)
-        assert np.array_equal(cfg.cbc_weights(), w)
-        with pytest.raises(ConfigurationError):
-            small_config(qmc_weights=np.array([1.0])).cbc_weights()
+    @pytest.mark.parametrize("kappa0", [0.1, -1.0])
+    def test_nonpositive_declared_bound_rejected(self, kappa0):
+        # 0.1 + 0.3 y sin(pi x1) sin(pi x2) has the declared lower bound
+        # -0.05; a negative mean field is rejected the same way
+        field = build_sine_table_field(kappa0, [(1, 1, 0.3)])
+        assert field.declared_bounds[0] <= 0
+        with pytest.raises(DomainError):
+            small_config(field=field, z=1)
+
+    def test_frozen(self):
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.m = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.rule = None
+
+    def test_resolved_at_construction(self, cbc_calls):
+        from fracuq.qmc import cbc_rule
+        cfg = small_config(m=3, gamma=None, alpha=0.4)
+        assert cbc_calls == [3]
+        assert cfg.qmc_rule() is cfg.qmc_rule() is cfg.rule
+        assert cbc_calls == [3]
+        assert cfg.mesh.n_div == cfg.n_div == 6
+        assert cfg.gamma == pytest.approx(5.0)
+        assert cfg.g is example_initial and cfg.grad_g is example_initial_gradient
+        w = default_qmc_weights(cfg.field, cfg.z)
+        assert cfg.rule.gen == cbc_rule(2, 3, 2, 3, w).gen
+        # m = 0 (one point) and z = 0 (a deterministic field) need no rule
+        assert small_config(m=0).rule is None
+        assert small_config(field=build_sine_table_field(0.25, []), z=0).rule is None
+        assert cbc_calls == [3]
 
 
 class TestSamplePoints:
@@ -195,7 +228,6 @@ class TestEstimate:
             estimate(cfg, solver=solver)
 
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_non_finite_samples_are_named_not_averaged(self):
         cfg = small_config(m=3)           # N = 8 in chunks of 4
         solver = build_solver(cfg)
@@ -231,6 +263,14 @@ class TestConvergenceTable:
         assert math.isnan(rows[0].rate_T)
         assert rows[0].err_T > rows[1].err_T > 0
         assert rows[1].rate_T > 0
+
+    def test_desk_table_builds_three_rules(self, cbc_calls):
+        # N = 8, 16 and the reference 32 = 2^m: the rule resolved with the
+        # config serves N = 32, and only N = 8 and 16 need a CBC search
+        cfg = small_config(field=build_example_field(3), m=5, n_steps=3, n_div=4)
+        rows = convergence_table(cfg, [8, 16], 32)
+        assert [r.n_samples for r in rows] == [8, 16]
+        assert cbc_calls == [5, 3, 4]
 
     def test_nref_validation(self):
         cfg = small_config()

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from fracuq.errors import ConfigurationError, ValidationError
-from fracuq.fem import (StiffnessAssembler, TriMesh, apply_functional,
-                        assemble_mass, assemble_stiffness, eval_structured,
-                        interpolate_vertices, load_mesh, load_vector,
-                        phi_integrals, prolong_structured, ritz_projection,
-                        save_mesh, triangulate_unit_square)
+from fracuq.fem import (StiffnessAssembler, TriMesh, assemble_mass,
+                        eval_structured, load_mesh, load_vector,
+                        phi_integrals, prolong_structured, save_mesh,
+                        triangulate_unit_square)
 from fracuq.fem import (_MIDPOINT_BASIS, _dof_scatter, _edge_midpoints,
                         _element_geometry, band_ordered)
 from fracuq.field import build_example_field, build_sine_table_field
+from oracles import ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -44,6 +44,21 @@ def reference_triangle():
     bdy = np.array([True, True, True])
     interior = np.array([-1, -1, -1], dtype=np.int64)
     return TriMesh(verts, tris, bdy, interior, h=math.sqrt(2.0))
+
+
+def all_vertices_free(mesh):
+    """The mesh with every vertex a dof, so assembly keeps the boundary rows."""
+    return dataclasses.replace(mesh, boundary=np.zeros(mesh.n_vertices, dtype=bool),
+                               interior_index=np.arange(mesh.n_vertices))
+
+
+def stiffness(mesh, field, y):
+    return StiffnessAssembler(mesh, field).matrix(y)
+
+
+def apply_functional(mesh, coeffs):
+    """Mean-value functional: integral of the P1 function over the domain."""
+    return float(phi_integrals(mesh) @ coeffs)
 
 
 class TestTriangulate:
@@ -114,12 +129,12 @@ class TestMeshFiles:
 
 class TestMass:
     def test_reference_element_block(self):
-        M = assemble_mass(reference_triangle(), trimmed=False).toarray()
+        M = assemble_mass(all_vertices_free(reference_triangle())).toarray()
         # area 1/2, so the diagonal is 1/12 and off-diagonal 1/24
         assert np.allclose(M, np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0)
 
     def test_total_mass_is_domain_area(self):
-        M = assemble_mass(triangulate_unit_square(6), trimmed=False)
+        M = assemble_mass(all_vertices_free(triangulate_unit_square(6)))
         assert M.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_single_dof_value(self):
@@ -137,13 +152,12 @@ class TestMass:
 class TestStiffness:
     def test_unit_diffusivity_stencil(self):
         field = build_sine_table_field(1.0, [])
-        D = assemble_stiffness(triangulate_unit_square(2), field, np.zeros(0))
+        D = stiffness(triangulate_unit_square(2), field, np.zeros(0))
         assert D.toarray() == pytest.approx(np.array([[4.0]]), rel=1e-14)
 
     def test_row_sums_vanish_untrimmed(self):
         field = build_sine_table_field(1.0, [])
-        D = assemble_stiffness(triangulate_unit_square(5), field, np.zeros(0),
-                               trimmed=False)
+        D = stiffness(all_vertices_free(triangulate_unit_square(5)), field, np.zeros(0))
         assert np.allclose(np.asarray(D.sum(axis=1)).ravel(), 0.0, atol=1e-13)
 
     def test_affine_in_parameters(self):
@@ -162,8 +176,7 @@ class TestStiffness:
         field = build_example_field(6)
         mesh = triangulate_unit_square(8)
         rng = np.random.default_rng(1)
-        D = assemble_stiffness(mesh, field,
-                               rng.uniform(-0.5, 0.5, size=len(field))).toarray()
+        D = stiffness(mesh, field, rng.uniform(-0.5, 0.5, size=len(field))).toarray()
         assert np.allclose(D, D.T)
         assert np.linalg.eigvalsh(D).min() > 0
 
@@ -175,13 +188,26 @@ class TestStiffness:
         assert np.allclose(asm.matrix(y).toarray(), asm.matrix(full).toarray())
 
     def test_nonpositive_diffusivity_rejected(self):
-        field = build_sine_table_field(-1.0, [])
+        # sin(128 pi x1) vanishes on the bounds grid, so the declared lower
+        # bound is 0.05; on the n_div = 3 mesh the element averages still
+        # dip below 0 at y = 1/2 while the level matrices stay positive
+        # definite.  The stepper gives that sample NaN values, and only it.
+        from fracuq.errors import SolverError
+        from fracuq.estimator import example_initial, example_initial_gradient
+        from fracuq.tfrac import TrajectorySolver, graded_mesh
+        field = build_sine_table_field(0.05, [(128, 1, 0.5)])
+        assert field.declared_bounds[0] > 0
         mesh = triangulate_unit_square(3)
-        with pytest.raises(ConfigurationError):
-            assemble_stiffness(mesh, field, np.zeros(0))
-        # the lenient assembler path still produces a (negative) matrix
-        D = StiffnessAssembler(mesh, field).matrix(np.zeros(0))
-        assert D.toarray()[0, 0] < 0
+        y = np.array([[0.5], [0.1], [0.0]])
+        kbar = StiffnessAssembler(mesh, field).element_kappa(y)
+        assert kbar[0].min() < 0 < kbar[1:].min()
+        solver = TrajectorySolver(mesh, field, graded_mesh(1.0, 4, 2.0), 0.5, 1.0,
+                                  example_initial, example_initial_gradient)
+        values = solver.functional_series(y)
+        assert np.all(np.isnan(values[0]))
+        assert np.all(np.isfinite(values[1:]))
+        with pytest.raises(SolverError):
+            solver.solve(y[0])
 
 
 def reference_affine_parts(mesh, field, grad_g):
@@ -245,7 +271,8 @@ class TestAffineParts:
         ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, len(field)))
         kbar = asm.kbar0 + ys @ psibar
         assert np.array_equal(asm.psibar, psibar)
-        assert np.array_equal(asm.matrix_data(ys), (asm._spread @ kbar.T).T)
+        assert np.array_equal(asm.matrix_data(asm.element_kappa(ys)),
+                              (asm._spread @ kbar.T).T)
         for parts in (asm._ritz[grad_g], lazy._ritz.get(grad_g)):
             if parts is None:       # the lazy assembler builds its parts on first use
                 assert np.array_equal(lazy.ritz_rhs(ys, grad_g), r0 + ys @ R)
@@ -320,7 +347,8 @@ class TestFunctional:
     def test_interpolant_of_normalised_initial(self):
         from fracuq.estimator import example_initial
         mesh = triangulate_unit_square(64)
-        coeffs = interpolate_vertices(mesh, example_initial)
+        v = mesh.vertices[mesh.interior_index >= 0]
+        coeffs = example_initial(v[:, 0], v[:, 1])
         assert apply_functional(mesh, coeffs) == pytest.approx(1.0, abs=2e-3)
 
 

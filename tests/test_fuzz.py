@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fracuq.cli import main
@@ -164,7 +164,9 @@ def test_malformed_mesh(corruption):
 
 NUMERIC_KEYS = [("model", "alpha"), ("model", "T"), ("time", "n_steps"),
                 ("qmc", "b"), ("qmc", "m"), ("qmc", "beta"), ("field", "q"),
-                ("space", "n_div"), ("estimator", "seed"), ("estimator", "fast_eps")]
+                ("space", "n_div"), ("time", "gamma"), ("estimator", "fast_eps")]
+# a null time.gamma asks for the default grading 2/alpha, so null is no corruption
+NULLABLE_KEYS = {("time", "gamma")}
 SECTIONS = ["model", "field", "space", "time", "qmc", "estimator", "output"]
 NOT_A_NUMBER = st.one_of(WORDS, st.none(), st.lists(st.integers(), max_size=3),
                          st.dictionaries(WORDS, st.integers(), max_size=2))
@@ -190,6 +192,7 @@ def test_malformed_config(corruption):
         cfg = base_config(tmp)
         argv = []
         if kind == "value":
+            assume(value is not None or where not in NULLABLE_KEYS)
             cfg.setdefault(where[0], {})[where[1]] = value
         elif kind == "override":
             argv = ["--set", f"{where[0]}.{where[1]}={value}"]

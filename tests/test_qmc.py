@@ -8,9 +8,10 @@ import pytest
 from fracuq.errors import ConfigurationError, ValidationError
 from fracuq.qmc import (GFPoly, InterlacedLatticeRule, cbc_construct, cbc_rule,
                         classical_points, default_modulus, digital_shift_half,
-                        figure_of_merit, interlace, kernel_values,
-                        load_gen_vector, save_gen_vector, shift_to_centered)
+                        interlace, kernel_values, load_gen_vector,
+                        save_gen_vector, shift_to_centered)
 from fracuq.qmc import is_irreducible
+from oracles import figure_of_merit
 
 
 class TestGFPoly:

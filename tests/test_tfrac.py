@@ -14,12 +14,13 @@ from fracuq.errors import ConfigurationError, SolverError, ToleranceError
 from fracuq.estimator import (_chunks, _functional_samples, example_initial,
                               example_initial_gradient)
 from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
-                        load_mesh, load_vector, phi_integrals, ritz_projection,
-                        save_mesh, triangulate_unit_square)
+                        load_mesh, load_vector, phi_integrals, save_mesh,
+                        triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
 from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
                           g_uniform, graded_mesh, history_weights, l2J_norm,
-                          solve_trajectory, weight_matrix)
+                          weight_matrix)
+from oracles import ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -245,6 +246,10 @@ def crank_nicolson_series(mesh, field, y, tau, n_steps, f, g, grad_g):
         u = u + lu.solve(rhs)
         series.append(phi @ u)
     return np.array(series)
+
+
+def solve_trajectory(field, y, mesh, tmesh, alpha, f, g, grad_g):
+    return TrajectorySolver(mesh, field, tmesh, alpha, f, g, grad_g).solve(y)
 
 
 class TestTrajectorySolver:
