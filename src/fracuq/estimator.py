@@ -231,6 +231,14 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
+def _failure_reason(solver: TrajectorySolver, y: np.ndarray) -> str:
+    """Why the sample y has non-finite values: an ill-posed field, or the solve."""
+    kmin = float(solver.assembler.element_kappa(y).min(initial=np.inf))
+    if kmin <= 0.0:
+        return f"element-averaged diffusivity <= 0 (min {kmin:.2g})"
+    return "non-finite solution values"
+
+
 def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
                         threads: int) -> np.ndarray:
     """L(u_h(t_n, y_j)) for every sample, shape (N, n_steps + 1).
@@ -238,7 +246,8 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
     Samples are stepped in the fixed chunks of :func:`_chunks`, each writing
     its own preallocated rows, so the results and the later reduction order
     are independent of the thread count.  A chunk that raises fails all its
-    samples; a sample with a non-finite value fails on its own.  Points
+    samples; a sample with a non-finite value fails on its own, named as
+    ill-posed when its element-averaged diffusivity is not positive.  Points
     without coordinates (z = 0) are all the same deterministic problem: one
     trajectory is stepped and its row fills every sample.
     """
@@ -257,7 +266,7 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
             failures.extend((j, exc) for j in range(a, b))
             return
         for j in a + np.flatnonzero(~np.all(np.isfinite(out[a:b]), axis=1)):
-            failures.append((int(j), SolverError("non-finite solution values")))
+            failures.append((int(j), SolverError(_failure_reason(solver, points[j]))))
 
     chunks = _chunks(n)
     if threads <= 1:

@@ -12,6 +12,7 @@ vertices at assembly time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class TriMesh:
     vertices: (nv, 2); triangles: (nt, 3) counterclockwise vertex triples;
     boundary: (nv,) bool; interior_index: vertex id -> dof id, -1 on the
     boundary; h: maximal element diameter.
+
+    The tables every assembly shares (element geometry, edge midpoints,
+    edges, the CSC pattern and the dof scatter) are computed once per mesh
+    object, on first use.  A mesh made by ``dataclasses.replace``, as
+    :func:`band_ordered` makes one, starts without them.
     """
 
     vertices: np.ndarray
@@ -63,6 +69,26 @@ class TriMesh:
     @property
     def n_dofs(self) -> int:
         return int(np.max(self.interior_index)) + 1 if np.any(self.interior_index >= 0) else 0
+
+    @functools.cached_property
+    def _geometry(self):
+        return _element_geometry(self)
+
+    @functools.cached_property
+    def _midpoints(self):
+        return _edge_midpoints(self)
+
+    @functools.cached_property
+    def _edges(self):
+        return _edge_table(self)
+
+    @functools.cached_property
+    def _csc_pattern(self):
+        return _pattern(self)
+
+    @functools.cached_property
+    def _scatter(self):
+        return _dof_scatter(self)
 
 
 def _element_geometry(mesh: TriMesh):
@@ -89,6 +115,29 @@ def _edge_midpoints(mesh: TriMesh):
     """Element quadrature points (edge midpoints, degree-2 exact) as (nt, 3, 2)."""
     v = mesh.vertices[mesh.triangles]
     return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
+
+
+def _edge_table(mesh: TriMesh):
+    """The distinct edges, where each element's midpoints fall, and the edge midpoints.
+
+    An edge is the sorted vertex pair of an element side; midpoint q of
+    element t lies on the side opposite vertex q.  Returns (edge_of, mid,
+    E): edge ids, shape (nt, 3); the midpoints, shape (n_edges, 2),
+    bitwise those of :func:`_edge_midpoints` because the sum of the two
+    ends does not depend on their order; and the (nt, n_edges) CSR map with
+    entries 1 in (t, q) order, so that row t of ``E @ p`` is (p[e0] + p[e1])
+    + p[e2].
+    """
+    tri = mesh.triangles
+    nt, nv = mesh.n_triangles, mesh.n_vertices
+    ends = np.sort(np.stack([tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=-1), axis=-1)
+    key, edge_of = np.unique((ends[..., 0] * nv + ends[..., 1]).ravel(), return_inverse=True)
+    edge_of = edge_of.ravel()
+    v = mesh.vertices
+    mid = 0.5 * (v[key // nv] + v[key % nv])
+    E = sp.csr_matrix((np.ones(3 * nt), edge_of, np.arange(0, 3 * nt + 1, 3)),
+                      shape=(nt, key.size))
+    return edge_of.reshape(nt, 3), mid, E
 
 
 # P1 basis values at the three edge midpoints; row = midpoint, col = vertex
@@ -166,7 +215,7 @@ def load_mesh(path) -> TriMesh:
                for a, b in ((0, 1), (1, 2), (2, 0)))
     mesh = TriMesh(vertices=verts, triangles=tris, boundary=bdy,
                    interior_index=interior, h=float(diam))
-    _element_geometry(mesh)  # validates orientation / degeneracy
+    mesh._geometry  # validates orientation / degeneracy
     # the field, and so its declared bounds, are defined on the closed unit square
     if not np.all((verts >= 0.0) & (verts <= 1.0)):
         raise DomainError(f"{path}: a vertex lies outside the closed unit square")
@@ -201,7 +250,7 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
     ``interior_index`` differs, and ``n_div`` is dropped because the
     structured helpers assume the row-major numbering.
     """
-    indptr, indices, _, _ = _pattern(mesh)
+    indptr, indices, _, _ = mesh._csc_pattern
     n = mesh.n_dofs
     graph = sp.csc_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     order = reverse_cuthill_mckee(graph, symmetric_mode=True) if n else np.zeros(0, np.int64)
@@ -215,7 +264,7 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
 
 def _assemble(mesh: TriMesh, local: np.ndarray) -> sp.csc_matrix:
     """Scatter per-element 3x3 blocks; `local` has shape (nt, 3, 3)."""
-    indptr, indices, slot, keep = _pattern(mesh)
+    indptr, indices, slot, keep = mesh._csc_pattern
     data = np.bincount(slot, weights=local.ravel()[keep], minlength=indices.size)
     n = indptr.size - 1
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
@@ -249,12 +298,12 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
 
 def assemble_mass(mesh: TriMesh) -> sp.csc_matrix:
     """Exact P1 mass matrix (element block area/12 * [[2,1,1],[1,2,1],[1,1,2]])."""
-    area, _ = _element_geometry(mesh)
+    area, _ = mesh._geometry
     local = area[:, None, None] * _MASS_LOCAL[None]
     return _assemble(mesh, local)
 
 
-# basis functions per block when the midpoint basis table is reduced
+# basis functions per block when the edge-midpoint basis table is reduced
 _MODE_BLOCK = 16
 
 
@@ -273,22 +322,22 @@ class StiffnessAssembler:
     def __init__(self, mesh: TriMesh, field, grad_g=None):
         self.mesh = mesh
         self.field = field
-        area, grads = _element_geometry(mesh)
+        area, grads = mesh._geometry
         self.area = area
         self.grads = grads
         # geometric element stiffness: area * grad_i . grad_j, shape (nt, 3, 3)
         self.k_geom = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
         nt = mesh.n_triangles
-        self.indptr, self.indices, slot, keep = _pattern(mesh)
+        self.indptr, self.indices, slot, keep = mesh._csc_pattern
         # D(y).data = spread @ (element averages of kappa)
         element = np.repeat(np.arange(nt), 9)[keep]
         self._spread = sp.csr_matrix((self.k_geom.ravel()[keep], (slot, element)),
                                      shape=(self.indices.size, nt))
-        mid = _edge_midpoints(mesh)
-        self._x1 = mid[:, :, 0].ravel()
-        self._x2 = mid[:, :, 1].ravel()
-        self._kq0 = field.kappa0(self._x1, self._x2)
-        self.kbar0 = self._kq0.reshape(nt, 3).mean(axis=1)
+        edge_of, mid, _ = mesh._edges
+        self._x1 = mid[:, 0]
+        self._x2 = mid[:, 1]
+        self._kq0 = field.kappa0(self._x1, self._x2)        # at the edge midpoints
+        self.kbar0 = self._kq0[edge_of].mean(axis=1)
         scatter = None if grad_g is None else self._ritz_scatter(grad_g)
         self.psibar, R = self._reduce_basis(scatter, with_psibar=True)
         self._ritz = {}
@@ -296,26 +345,31 @@ class StiffnessAssembler:
             self._ritz[grad_g] = (scatter @ self._kq0, R)
 
     def _reduce_basis(self, scatter, with_psibar: bool):
-        """psibar and R = (scatter @ psi.T).T from the midpoint basis table psi.
+        """psibar and R = (scatter @ psi.T).T from the edge-midpoint basis table psi.
 
-        psi, shape (z, 3 nt) with columns (t, q), is built _MODE_BLOCK rows
-        at a time and never whole (34 MB at paper scale).  Each block is
-        reduced as the whole table would be: psibar as (q0 + q1 + q2) / 3 of
-        its three midpoint slots, R by the same sparse product.  psibar is
-        C-ordered and R the transpose of a C-ordered array, the layouts the
-        whole table gives, so the BLAS products of later samples see
-        bitwise the same operands.  A part that is not asked for is None.
+        psi, shape (z, n_edges), holds each basis function once per edge
+        (8,533 edges at paper scale, against 16,854 element midpoints).  It
+        is built _MODE_BLOCK rows at a time and never whole.  Each block is
+        reduced through two sparse maps: the element-to-edge map E gives
+        psibar = (E @ psi.T).T / 3, which adds each element's three
+        midpoints in the order q0, q1, q2, and ``scatter`` (see
+        :meth:`_ritz_scatter`) gives R.  The sums and their order are those
+        of the element-midpoint table, so the results are bitwise the same.
+        psibar is C-ordered and R the transpose of a C-ordered array, the
+        layouts the whole table gives, so the BLAS products of later
+        samples see bitwise the same operands.  A part that is not asked
+        for is None.
         """
         z, nt = len(self.field), self.mesh.n_triangles
+        E = self.mesh._edges[2]
         psibar = np.empty((z, nt)) if with_psibar else None
         R = None if scatter is None else np.empty((scatter.shape[0], z))
         rows = self.field.basis_rows(self._x1, self._x2)
         for a in range(0, z, _MODE_BLOCK):
             b = min(a + _MODE_BLOCK, z)
-            psi_t = rows(a, b).T                      # (3 nt, b - a), C order
+            psi_t = rows(a, b).T                      # (n_edges, b - a), C order
             if with_psibar:
-                q = psi_t.reshape(nt, 3, b - a)
-                psibar[a:b] = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
+                psibar[a:b] = ((E @ psi_t) / 3.0).T
             if R is not None:
                 R[:, a:b] = scatter @ psi_t
         return psibar, (None if R is None else R.T)
@@ -338,18 +392,26 @@ class StiffnessAssembler:
         return _assemble(self.mesh, self.element_kappa(y)[:, None, None] * self.k_geom)
 
     def _ritz_scatter(self, grad_g) -> sp.csr_matrix:
-        """Map from kappa at the edge midpoints, flattened (t, q), to the Ritz rhs.
+        """Map from kappa at the edges to the Ritz rhs.
 
         Each element integral <kappa grad g, grad phi_i> is area/3 * sum_q
         kappa(q) grad_g(q) . grad phi_i over the edge midpoints q, so
-        kappa's values there enter linearly through one weighted scatter.
+        kappa's values there enter linearly through one weighted scatter
+        from the columns (t, q).  Its column indices are then renamed to
+        edge ids.  A dof meets an edge through both of its elements, so a
+        row can name an edge twice; those entries stay unsummed and in
+        their (t, q) order, and a product adds the same terms in the same
+        order as the (t, q) map would.
         """
-        mid = _edge_midpoints(self.mesh)
+        mid = self.mesh._midpoints
         gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
         gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
                        np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
         weights = np.einsum("tqd,tid->tqi", gg, self.grads) * (self.area / 3.0)[:, None, None]
-        return _dof_scatter(self.mesh, weights)
+        by_slot = _dof_scatter(self.mesh, weights)
+        edge_of, _, E = self.mesh._edges
+        return sp.csr_matrix((by_slot.data, edge_of.ravel()[by_slot.indices], by_slot.indptr),
+                             shape=(by_slot.shape[0], E.shape[1]))
 
     def ritz_rhs(self, y, grad_g) -> np.ndarray:
         """Right-hand side <kappa grad g, grad phi_p> with the same quadrature.
@@ -376,14 +438,15 @@ def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
     The time average uses 2-point Gauss (exact through cubics in t); space
     uses the degree-2 edge-midpoint rule.  f is f(x1, x2, t) vectorised in
     the spatial arguments, or a plain constant.  Arrays of interval ends
-    give one row per interval from a single pass over the mesh.
+    give one row per interval from a single pass over the mesh; for a
+    constant f the rows are one read-only row broadcast.
     """
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float),
                                    np.asarray(t_b, dtype=float))
     if not np.all(t_a < t_b):
         raise ConfigurationError("load_vector requires t_a < t_b")
-    area, _ = _element_geometry(mesh)
-    mid = _edge_midpoints(mesh)
+    area, _ = mesh._geometry
+    mid = mesh._midpoints
     x1 = mid[:, :, 0].ravel()
     x2 = mid[:, :, 1].ravel()
     if callable(f):
@@ -401,16 +464,17 @@ def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
     nt = mesh.n_triangles
     # entry i gets area/3 * sum_q f(q) phi_i(q)
     contrib = (fbar.reshape(-1, nt, 3) @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
-    rhs = (_dof_scatter(mesh) @ contrib.reshape(len(fbar), -1).T).T
+    rhs = (mesh._scatter @ contrib.reshape(len(fbar), -1).T).T
     if not callable(f):
-        rhs = np.repeat(rhs, t_a.size, axis=0)
+        # every interval has the same row: a read-only view, not copies
+        return np.broadcast_to(rhs[0], t_a.shape + (mesh.n_dofs,))
     return rhs.reshape(t_a.shape + (mesh.n_dofs,))
 
 
 def phi_integrals(mesh: TriMesh) -> np.ndarray:
     """Integrals of the interior nodal basis functions (area/3 per element)."""
-    area, _ = _element_geometry(mesh)
-    return _dof_scatter(mesh) @ np.repeat(area / 3.0, 3)
+    area, _ = mesh._geometry
+    return mesh._scatter @ np.repeat(area / 3.0, 3)
 
 
 def _full_vertex_values(n_div: int, interior_coeffs: np.ndarray) -> np.ndarray:

@@ -290,25 +290,37 @@ def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> 
     """Classical polynomial lattice point set with b^m points in `dim` columns.
 
     Coordinate c of point j is v_m(j(x) g_c(x) / P(x)): the index digits of
-    j act on the Hankel matrix of Laurent coefficients of g_c/P.
+    j act on the Hankel matrix of Laurent coefficients of g_c/P.  Those
+    coefficients are linear in g_c over GF(b), so the 2m - 1 of every
+    column come from one integer product of the generator coefficients
+    with the table of the monomials 1, x, ..., x^(m-1).  Output digit t of
+    every column is then one float product of the index digits with the
+    Hankel rows t..t+m-1; its entries are integers of at most m (b - 1)^2,
+    so the product is exact.  No temporary is larger than the (N, dim)
+    mantissas.
     """
     if dim != len(gen):
         raise ConfigurationError(f"dim={dim} but {len(gen)} generating polynomials given")
     _check_rule(b, m, p, gen)
     n = b ** m
-    # base-b digits of all indices j, least significant first: (m, N)
+    # base-b digits of all indices j, least significant first: (N, m)
     j = np.arange(n, dtype=np.int64)
-    jdig = np.empty((m, n), dtype=np.int64)
+    jdig = np.empty((n, m))
     for r in range(m):
-        jdig[r] = (j // b ** r) % b
-    weights = (b ** np.arange(m - 1, -1, -1, dtype=np.int64))  # digit t -> b^(m-t)
-    mant = np.empty((n, dim), dtype=np.int64)
-    for c, g in enumerate(gen):
-        u = _laurent_digits(g, p, 2 * m - 1)  # u_1 .. u_{2m-1}
-        hankel = np.array([[u[t + r] for r in range(m)] for t in range(m)], dtype=np.int64)
-        digs = (hankel @ jdig) % b  # (m, N), row t-1 = digit t
-        mant[:, c] = weights @ digs
-    return PointSet(mantissas=mant, b=b, digits=m,
+        jdig[:, r] = (j // b ** r) % b
+    monomials = np.array([_laurent_digits(GFPoly((0,) * k + (1,), b), p, 2 * m - 1)
+                          for k in range(m)], dtype=np.int64)       # (m, 2m - 1)
+    coeffs = np.array([g.coeffs + (0,) * (m - len(g.coeffs)) for g in gen],
+                      dtype=np.int64).reshape(dim, m)
+    u = ((coeffs @ monomials) % b).astype(float)     # (dim, 2m - 1): u_1 .. u_{2m-1}
+    mant = np.zeros((n, dim))
+    digit = np.empty((n, dim))
+    for t in range(m):                               # output digit t + 1, weight b^(m-1-t)
+        np.matmul(jdig, u[:, t: t + m].T, out=digit)
+        np.fmod(digit, b, out=digit)
+        digit *= b ** (m - 1 - t)
+        mant += digit
+    return PointSet(mantissas=mant.astype(np.int64), b=b, digits=m,
                     meta={"b": b, "m": m, "kind": "classical"})
 
 

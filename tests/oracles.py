@@ -4,7 +4,11 @@ None of these is on a run's path: the Ritz projection by a sparse direct
 solve is the oracle of criterion 4 and of the stepper's initial level, the
 figure of merit evaluated from the points is the oracle of the FFT-based
 CBC search (criterion 8), and the dump reader checks the binary files that
-``fracuq solve --dump-fields`` writes.
+``fracuq solve --dump-fields`` writes.  The affine parts of the stiffness
+set-up from the basis at every element midpoint, and the lattice points
+built one column at a time, are the plain forms of what the package
+computes once per edge and for all columns at once; both must give the
+same bits.
 """
 
 import struct
@@ -14,8 +18,10 @@ import scipy.sparse.linalg as spla
 
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
-from fracuq.fem import StiffnessAssembler
-from fracuq.qmc import _effective_weights, classical_points, kernel_values
+from fracuq.fem import (StiffnessAssembler, _dof_scatter, _edge_midpoints,
+                        _element_geometry)
+from fracuq.qmc import (_check_rule, _effective_weights, _laurent_digits,
+                        classical_points, kernel_values)
 
 
 def ritz_projection(mesh, field, y, g, grad_g, assembler=None) -> np.ndarray:
@@ -25,6 +31,43 @@ def ritz_projection(mesh, field, y, g, grad_g, assembler=None) -> np.ndarray:
     D = assembler.matrix(y)
     rhs = assembler.ritz_rhs(y, grad_g)
     return spla.spsolve(D.tocsc(), rhs)
+
+
+def element_midpoint_parts(mesh, field, grad_g):
+    """psibar, r0 and R of :class:`StiffnessAssembler` from the basis table
+    at the 3 nt element midpoints, with columns (t, q), in one piece."""
+    nt = mesh.n_triangles
+    mid = _edge_midpoints(mesh)
+    x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
+    psi = field.basis_values(x1, x2)
+    q = psi.T.reshape(nt, 3, psi.shape[0])
+    psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
+    area, grads = _element_geometry(mesh)
+    gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
+    gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
+                   np.broadcast_to(gy, mid.shape[:2])], axis=-1)
+    weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
+    scatter = _dof_scatter(mesh, weights)
+    return psibar, scatter @ field.kappa0(x1, x2), (scatter @ psi.T).T
+
+
+def classical_points_by_column(b, m, dim, p, gen) -> np.ndarray:
+    """Mantissas of :func:`classical_points`, one column at a time: the
+    Laurent digits of g_c / P, their Hankel matrix, and an integer product
+    with the index digits."""
+    _check_rule(b, m, p, gen)
+    n = b ** m
+    j = np.arange(n, dtype=np.int64)
+    jdig = np.empty((m, n), dtype=np.int64)
+    for r in range(m):
+        jdig[r] = (j // b ** r) % b
+    weights = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    mant = np.empty((n, dim), dtype=np.int64)
+    for c, g in enumerate(gen):
+        u = _laurent_digits(g, p, 2 * m - 1)
+        hankel = np.array([[u[t + r] for r in range(m)] for t in range(m)], dtype=np.int64)
+        mant[:, c] = weights @ ((hankel @ jdig) % b)
+    return mant
 
 
 def figure_of_merit(b, m, beta, p, gen, gammas) -> float:

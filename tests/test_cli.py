@@ -301,4 +301,5 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("error[") == 1
         assert err.startswith("error[E_SOLVER]: 4 of 8 trajectory solves failed (sample 0:")
+        assert "(sample 0: element-averaged diffusivity <= 0 (min -0.085);" in err
         assert not list(out.glob("*-series.csv"))

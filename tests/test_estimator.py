@@ -1,12 +1,13 @@
 """Tests for the QMC expected-value estimator and its studies."""
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracuq import estimator
+from fracuq import estimator, fem
 from fracuq.errors import ConfigurationError, DomainError, SolverError
 from fracuq.estimator import (RunConfig, _functional_samples, build_solver,
                               convergence_table,
@@ -149,6 +150,31 @@ class TestSamplePoints:
         assert np.all(pts == -0.5)
         shifted = sample_points(small_config(m=0, shift="digital-half"))
         assert np.all(shifted == 0.0)
+
+
+class TestBuildSolver:
+    def test_mesh_tables_built_once_per_mesh(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name):
+            fn = getattr(fem, name)
+
+            def counted(mesh, *args):
+                calls[name, id(mesh)] += 1
+                return fn(mesh, *args)
+            return counted
+
+        for name in ("_pattern", "_element_geometry", "_edge_midpoints", "_edge_table"):
+            monkeypatch.setattr(fem, name, counting(name))
+        cfg = small_config()
+        solver = build_solver(cfg)
+        band_mesh = solver.assembler.mesh
+        assert band_mesh is not cfg.mesh
+        # RCM reads the input mesh's pattern; assembly shares the band mesh's
+        assert calls == {("_pattern", id(cfg.mesh)): 1, ("_pattern", id(band_mesh)): 1,
+                         ("_element_geometry", id(band_mesh)): 1,
+                         ("_edge_midpoints", id(band_mesh)): 1,
+                         ("_edge_table", id(band_mesh)): 1}
 
 
 class TestEstimate:

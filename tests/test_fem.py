@@ -12,10 +12,10 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, assemble_mass,
                         eval_structured, load_mesh, load_vector,
                         phi_integrals, prolong_structured, save_mesh,
                         triangulate_unit_square)
-from fracuq.fem import (_MIDPOINT_BASIS, _dof_scatter, _edge_midpoints,
-                        _element_geometry, band_ordered)
+from fracuq.fem import (_MIDPOINT_BASIS, _edge_midpoints, _element_geometry,
+                        band_ordered)
 from fracuq.field import build_example_field, build_sine_table_field
-from oracles import ritz_projection
+from oracles import element_midpoint_parts, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -210,24 +210,6 @@ class TestStiffness:
             solver.solve(y[0])
 
 
-def reference_affine_parts(mesh, field, grad_g):
-    """psibar, r0 and R built as the assembler once did, from the whole
-    midpoint basis table ``field.basis_values``."""
-    nt = mesh.n_triangles
-    mid = _edge_midpoints(mesh)
-    x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
-    psi = field.basis_values(x1, x2)
-    q = psi.T.reshape(nt, 3, psi.shape[0])
-    psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
-    area, grads = _element_geometry(mesh)
-    gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
-    gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
-                   np.broadcast_to(gy, mid.shape[:2])], axis=-1)
-    weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
-    scatter = _dof_scatter(mesh, weights)
-    return psibar, scatter @ field.kappa0(x1, x2), (scatter @ psi.T).T
-
-
 def shuffled_mesh(tmp_path, n_div=6, seed=41):
     """The structured mesh written with permuted vertex ids and read back."""
     mesh = triangulate_unit_square(n_div)
@@ -242,6 +224,17 @@ def shuffled_mesh(tmp_path, n_div=6, seed=41):
     return load_mesh(path)
 
 
+def jittered_mesh(tmp_path, n_div=10, seed=5):
+    """The structured mesh with its interior vertices moved at random, written and read back."""
+    mesh = triangulate_unit_square(n_div)
+    inner = ~mesh.boundary
+    verts = mesh.vertices.copy()
+    verts[inner] += np.random.default_rng(seed).uniform(-0.15, 0.15, (inner.sum(), 2)) / n_div
+    path = tmp_path / "jittered.txt"
+    save_mesh(dataclasses.replace(mesh, vertices=verts), path)
+    return load_mesh(path)
+
+
 def repeated_mode_field():
     """A sine-table field of 21 terms over few distinct mode numbers."""
     rng = np.random.default_rng(17)
@@ -251,26 +244,35 @@ def repeated_mode_field():
 
 
 class TestAffineParts:
-    """The assembler reduces the basis table in blocks of modes; its parts
-    must be bitwise those of the whole table."""
+    """The assembler reduces the basis at the edge midpoints in blocks of
+    modes; its parts must be bitwise those of the whole table at the
+    element midpoints."""
 
-    @pytest.mark.parametrize("case", ["q1", "q3", "q22", "shuffled", "repeated"])
+    @pytest.mark.parametrize("case", ["q1", "q3", "q22", "shuffled", "repeated",
+                                      "n12", "jittered"])
     def test_bitwise_equal_to_whole_table(self, case, tmp_path):
         from fracuq.estimator import example_initial_gradient as grad_g
         if case == "shuffled":
             mesh, field = shuffled_mesh(tmp_path), build_example_field(3)
+        elif case == "jittered":
+            mesh, field = jittered_mesh(tmp_path), build_example_field(6)
+        elif case == "n12":
+            mesh, field = triangulate_unit_square(12), build_example_field(6)
         elif case == "repeated":
             mesh, field = band_ordered(triangulate_unit_square(9)), repeated_mode_field()
         else:
             q = int(case[1:])
             n_div = 53 if q == 22 else 8
             mesh, field = band_ordered(triangulate_unit_square(n_div)), build_example_field(q)
-        psibar, r0, R = reference_affine_parts(mesh, field, grad_g)
+        psibar, r0, R = element_midpoint_parts(mesh, field, grad_g)
         asm = StiffnessAssembler(mesh, field, grad_g)
         lazy = StiffnessAssembler(mesh, field)
         ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, len(field)))
         kbar = asm.kbar0 + ys @ psibar
         assert np.array_equal(asm.psibar, psibar)
+        # bitwise, the sign of a zero included
+        assert asm.psibar.tobytes() == psibar.tobytes()
+        assert asm._ritz[grad_g][1].tobytes() == R.tobytes()
         assert np.array_equal(asm.matrix_data(asm.element_kappa(ys)),
                               (asm._spread @ kbar.T).T)
         for parts in (asm._ritz[grad_g], lazy._ritz.get(grad_g)):
@@ -313,6 +315,16 @@ class TestLoadVector:
         a = load_vector(mesh, lambda x1, x2, t: t, 0.0, 1.0)
         c = load_vector(mesh, 0.5, 0.0, 1.0)
         assert np.allclose(a, c, atol=1e-15)
+
+    def test_constant_source_is_one_read_only_row(self):
+        mesh = triangulate_unit_square(6)
+        t = np.linspace(0.0, 1.0, 6)
+        rows = load_vector(mesh, 0.5, t[:-1], t[1:])
+        assert rows.shape == (5, mesh.n_dofs)
+        assert not rows.flags.writeable and rows.strides[0] == 0
+        one = load_vector(mesh, 0.5, 0.0, 1.0)
+        assert one.shape == (mesh.n_dofs,)
+        assert rows.tobytes() == np.tile(one, 5).tobytes()
 
     def test_interval_validation(self):
         with pytest.raises(ConfigurationError):

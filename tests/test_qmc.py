@@ -11,7 +11,7 @@ from fracuq.qmc import (GFPoly, InterlacedLatticeRule, cbc_construct, cbc_rule,
                         interlace, kernel_values, load_gen_vector,
                         save_gen_vector, shift_to_centered)
 from fracuq.qmc import is_irreducible
-from oracles import figure_of_merit
+from oracles import classical_points_by_column, figure_of_merit
 
 
 class TestGFPoly:
@@ -104,6 +104,18 @@ class TestClassicalPoints:
         ps = classical_points(2, 5, 1, p, [GFPoly.from_int(7, 2)])
         assert ps.digits == 5
         assert np.all(ps.mantissas >= 0) and np.all(ps.mantissas < 32)
+
+    @pytest.mark.parametrize("b, m", [(2, m) for m in range(1, 13)]
+                             + [(3, 1), (3, 3), (3, 5), (5, 1), (5, 2), (5, 4)])
+    def test_bitwise_equal_to_column_by_column(self, b, m):
+        rng = np.random.default_rng(b * 100 + m)
+        dim = 5 if b ** m > 1000 else 24
+        gen = [GFPoly.from_int(int(v), b) for v in rng.integers(1, b ** m, dim)]
+        p = default_modulus(b, m)
+        got = classical_points(b, m, dim, p, gen).mantissas
+        want = classical_points_by_column(b, m, dim, p, gen)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValidationError):
