@@ -76,7 +76,9 @@ class TriMesh:
 
     @functools.cached_property
     def _midpoints(self):
-        return _edge_midpoints(self)
+        """Element quadrature points (edge midpoints, degree-2 exact) as (nt, 3, 2)."""
+        edge_of, mid, _ = self._edges
+        return mid[edge_of]
 
     @functools.cached_property
     def _edges(self):
@@ -111,19 +113,13 @@ def _element_geometry(mesh: TriMesh):
     return area, grads
 
 
-def _edge_midpoints(mesh: TriMesh):
-    """Element quadrature points (edge midpoints, degree-2 exact) as (nt, 3, 2)."""
-    v = mesh.vertices[mesh.triangles]
-    return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
-
-
 def _edge_table(mesh: TriMesh):
     """The distinct edges, where each element's midpoints fall, and the edge midpoints.
 
     An edge is the sorted vertex pair of an element side; midpoint q of
     element t lies on the side opposite vertex q.  Returns (edge_of, mid,
-    E): edge ids, shape (nt, 3); the midpoints, shape (n_edges, 2),
-    bitwise those of :func:`_edge_midpoints` because the sum of the two
+    E): edge ids, shape (nt, 3); the midpoints, shape (n_edges, 2), the
+    same bits whichever element computes them, because the sum of the two
     ends does not depend on their order; and the (nt, n_edges) CSR map with
     entries 1 in (t, q) order, so that row t of ``E @ p`` is (p[e0] + p[e1])
     + p[e2].

@@ -18,8 +18,7 @@ import scipy.sparse.linalg as spla
 
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
-from fracuq.fem import (StiffnessAssembler, _dof_scatter, _edge_midpoints,
-                        _element_geometry)
+from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
 from fracuq.qmc import (_check_rule, _effective_weights, _laurent_digits,
                         classical_points, kernel_values)
 
@@ -33,11 +32,17 @@ def ritz_projection(mesh, field, y, g, grad_g, assembler=None) -> np.ndarray:
     return spla.spsolve(D.tocsc(), rhs)
 
 
+def element_midpoints(mesh) -> np.ndarray:
+    """Edge midpoints of every element, (nt, 3, 2): midpoint q is opposite vertex q."""
+    v = mesh.vertices[mesh.triangles]
+    return 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])
+
+
 def element_midpoint_parts(mesh, field, grad_g):
     """psibar, r0 and R of :class:`StiffnessAssembler` from the basis table
     at the 3 nt element midpoints, with columns (t, q), in one piece."""
     nt = mesh.n_triangles
-    mid = _edge_midpoints(mesh)
+    mid = element_midpoints(mesh)
     x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
     psi = field.basis_values(x1, x2)
     q = psi.T.reshape(nt, 3, psi.shape[0])

@@ -164,7 +164,7 @@ class TestBuildSolver:
                 return fn(mesh, *args)
             return counted
 
-        for name in ("_pattern", "_element_geometry", "_edge_midpoints", "_edge_table"):
+        for name in ("_pattern", "_element_geometry", "_edge_table"):
             monkeypatch.setattr(fem, name, counting(name))
         cfg = small_config()
         solver = build_solver(cfg)
@@ -173,7 +173,6 @@ class TestBuildSolver:
         # RCM reads the input mesh's pattern; assembly shares the band mesh's
         assert calls == {("_pattern", id(cfg.mesh)): 1, ("_pattern", id(band_mesh)): 1,
                          ("_element_geometry", id(band_mesh)): 1,
-                         ("_edge_midpoints", id(band_mesh)): 1,
                          ("_edge_table", id(band_mesh)): 1}
 
 

@@ -12,10 +12,9 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, assemble_mass,
                         eval_structured, load_mesh, load_vector,
                         phi_integrals, prolong_structured, save_mesh,
                         triangulate_unit_square)
-from fracuq.fem import (_MIDPOINT_BASIS, _edge_midpoints, _element_geometry,
-                        band_ordered)
+from fracuq.fem import _MIDPOINT_BASIS, _element_geometry, band_ordered
 from fracuq.field import build_example_field, build_sine_table_field
-from oracles import element_midpoint_parts, ritz_projection
+from oracles import element_midpoint_parts, element_midpoints, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -24,7 +23,7 @@ def _load_vector_untrimmed(mesh, f, t_a, t_b):
     """All-vertex variant of load_vector (f at the interval midpoint), whose
     entries sum to the integral of f: a partition-of-unity check."""
     area, _ = _element_geometry(mesh)
-    mid = _edge_midpoints(mesh)
+    mid = element_midpoints(mesh)
     x1 = mid[:, :, 0].ravel()
     x2 = mid[:, :, 1].ravel()
     if callable(f):
