@@ -19,7 +19,7 @@ from .errors import ConfigurationError, DomainError, FracUQError, SolverError
 from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
-from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule,
+from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule, check_rule_shape,
                   digital_shift_half, shift_to_centered)
 from .tfrac import GradedTimeMesh, TrajectorySolver, graded_mesh, l2J_norm
 
@@ -111,6 +111,7 @@ class RunConfig:
             raise ConfigurationError("threads must be >= 1")
         if self.shift not in ("none", "digital-half"):
             raise ConfigurationError(f"unknown shift mode {self.shift!r}")
+        check_rule_shape(self.b, self.m, self.beta)
         if self.field.declared_bounds[0] <= 0.0:
             raise DomainError(
                 f"the field's declared lower bound {self.field.declared_bounds[0]:.6g} "
@@ -129,8 +130,7 @@ class RunConfig:
         if self.g is None:
             resolved.update(g=example_initial, grad_g=example_initial_gradient)
         if self.rule is None and self.m >= 1 and self.z >= 1:
-            resolved["rule"] = cbc_rule(self.b, self.m, self.beta, self.z,
-                                        default_qmc_weights(self.field, self.z))
+            resolved["rule"] = _lattice_rule(self, self.m, self.z)
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
 
@@ -185,6 +185,15 @@ class RefinementStudy:
     errors: np.ndarray      # L2(J, Omega) error per coarse level vs finest
     ratios: np.ndarray      # consecutive error ratios
     orders: np.ndarray      # log2 of the ratios
+
+
+def _lattice_rule(config: RunConfig, m: int, z: int) -> InterlacedLatticeRule:
+    """config.rule when it has b^m points and covers z coordinates, otherwise
+    a CBC rule with the default weights."""
+    rule = config.rule
+    if rule is not None and rule.m == m and rule.z >= z:
+        return rule
+    return cbc_rule(config.b, m, config.beta, z, default_qmc_weights(config.field, z))
 
 
 def build_solver(config: RunConfig) -> TrajectorySolver:
@@ -327,17 +336,13 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
         raise ConfigurationError("N_ref must exceed every entry of N_list")
     solver = build_solver(config)
     tmesh = solver.tmesh
-    gammas = default_qmc_weights(config.field, config.z)
     sizes = sorted(set(N_list + [N_ref]))
     point_sets = []
     for n in sizes:
         m = round(math.log(n) / math.log(config.b))
         if config.b ** m != n:
             raise ConfigurationError(f"N={n} is not a power of the base b={config.b}")
-        if config.rule is not None and config.rule.m == m:
-            rule = config.rule
-        else:
-            rule = cbc_rule(config.b, m, config.beta, config.z, gammas)
+        rule = _lattice_rule(config, m, config.z)
         point_sets.append(rule.centered_points(shift=config.shift)[:, : config.z])
     # every point set in one pass, so the chunks keep all workers busy
     values = _functional_samples(solver, np.concatenate(point_sets), config.threads)
@@ -375,10 +380,7 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
         raise ConfigurationError("z_ref must exceed every entry of z_list")
     if z_ref > len(config.field):
         raise ConfigurationError("z_ref exceeds the field basis length")
-    rule = config.rule
-    if rule is None or rule.z < z_ref:
-        rule = cbc_rule(config.b, config.m, config.beta, z_ref,
-                        default_qmc_weights(config.field, z_ref))
+    rule = _lattice_rule(config, config.m, z_ref)
     points = rule.centered_points(shift=config.shift)[:, :z_ref]
     solver = build_solver(config)
     values_T = {}

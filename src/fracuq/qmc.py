@@ -7,8 +7,10 @@ digit interlacing to obtain a higher-order rule.  A component-by-component
 figure of merit; externally published vectors can be loaded from a text
 file instead.
 
-All coordinates are carried as integer mantissas (exact multiples of
-b^-digits) and only converted to floats on demand.
+Residues mod P are integer digit rows, lowest degree first, and all of the
+arithmetic of GF(b)[x]/P is built from one vectorised step, multiplication
+by x mod P.  All coordinates are carried as integer mantissas (exact
+multiples of b^-digits) and only converted to floats on demand.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import ConfigurationError, ValidationError
 
 __all__ = [
     "GFPoly",
+    "check_rule_shape",
     "PointSet",
     "InterlacedLatticeRule",
     "default_modulus",
@@ -38,18 +41,36 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(b)
+# polynomials over GF(b), base-b digits and residues mod P
 
-def _trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def check_rule_shape(b: int, m: int, beta: int) -> None:
+    """Refuse a rule whose beta*m base-b output digits overflow a float64
+    mantissa, or whose base b is not prime (GF(b) must be a field)."""
+    if b >= 2 and beta * m * math.log2(b) > 53:
+        raise ConfigurationError(
+            f"beta*m = {beta * m} base-{b} digits exceeds the float64 mantissa")
+    if b < 2 or _prime_factors(b) != [b]:
+        raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
 
 
 @dataclass(frozen=True)
 class GFPoly:
-    """Polynomial over GF(b), coefficients lowest degree first."""
+    """Polynomial over GF(b), coefficients lowest degree first, stored
+    reduced mod b and without trailing zeros."""
 
     coeffs: tuple[int, ...]
     b: int
@@ -57,8 +78,10 @@ class GFPoly:
     def __post_init__(self):
         if self.b < 2:
             raise ConfigurationError("base b must be >= 2")
-        c = _trim(tuple(int(v) % self.b for v in self.coeffs))
-        object.__setattr__(self, "coeffs", c)
+        c = [int(v) % self.b for v in self.coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:
@@ -79,113 +102,97 @@ class GFPoly:
         return cls(tuple(c), b)
 
     def to_int(self) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.b + c
-        return v
-
-    def __mul__(self, other: "GFPoly") -> "GFPoly":
-        if self.is_zero or other.is_zero:
-            return GFPoly((), self.b)
-        b = self.b
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, c in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * c) % b
-        return GFPoly(tuple(out), b)
-
-    def __add__(self, other: "GFPoly") -> "GFPoly":
-        b = self.b
-        n = max(len(self.coeffs), len(other.coeffs))
-        ca = self.coeffs + (0,) * (n - len(self.coeffs))
-        cb = other.coeffs + (0,) * (n - len(other.coeffs))
-        return GFPoly(tuple((x + y) % b for x, y in zip(ca, cb)), b)
-
-    def __sub__(self, other: "GFPoly") -> "GFPoly":
-        b = self.b
-        n = max(len(self.coeffs), len(other.coeffs))
-        ca = self.coeffs + (0,) * (n - len(self.coeffs))
-        cb = other.coeffs + (0,) * (n - len(other.coeffs))
-        return GFPoly(tuple((x - y) % b for x, y in zip(ca, cb)), b)
-
-    def __mod__(self, mod: "GFPoly") -> "GFPoly":
-        if mod.is_zero:
-            raise ZeroDivisionError("polynomial modulus is zero")
-        b = self.b
-        lead_inv = pow(mod.coeffs[-1], -1, b)
-        r = list(self.coeffs)
-        dm = mod.degree
-        while len(r) - 1 >= dm and r:
-            if r[-1] == 0:
-                r.pop()
-                continue
-            factor = (r[-1] * lead_inv) % b
-            shift = len(r) - 1 - dm
-            for i, c in enumerate(mod.coeffs):
-                r[shift + i] = (r[shift + i] - factor * c) % b
-            r.pop()
-        return GFPoly(tuple(r), b)
-
-    def monic(self) -> "GFPoly":
-        if self.is_zero:
-            return self
-        inv = pow(self.coeffs[-1], -1, self.b)
-        return GFPoly(tuple((c * inv) % self.b for c in self.coeffs), self.b)
+        return sum(c * self.b ** k for k, c in enumerate(self.coeffs))
 
 
-def _poly_gcd(a: GFPoly, c: GFPoly) -> GFPoly:
-    while not c.is_zero:
-        a, c = c, a % c
-    return a
+def _digits(x, b: int, n: int) -> np.ndarray:
+    """The n lowest base-b digits of the integers x, lowest first: shape (..., n)."""
+    digits = np.asarray(x, dtype=np.int64)[..., None] // b ** np.arange(n, dtype=np.int64)
+    digits %= b
+    return digits
 
 
-def _pow_x_qpow(t: int, mod: GFPoly) -> GFPoly:
-    """x^(b^t) mod P by t-fold Frobenius (raise to power b)."""
-    b = mod.b
-    h = GFPoly((0, 1), b) % mod
-    for _ in range(t):
-        acc = GFPoly((1,), b)
-        base = h
-        e = b
-        while e:
-            if e & 1:
-                acc = (acc * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        h = acc
-    return h
+def _from_digits(digits: np.ndarray, b: int) -> np.ndarray:
+    """The integers whose base-b digits, lowest first, lie along the last axis."""
+    return digits @ b ** np.arange(digits.shape[-1], dtype=np.int64)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+def _monic(p: GFPoly) -> tuple[np.ndarray, int]:
+    """The m low coefficients of P scaled to be monic, and the scale 1/lead(P).
+
+    Residues mod P are digit rows of length m, lowest degree first; reducing
+    mod P or mod the monic P gives the same rows.
+    """
+    inv = pow(p.coeffs[-1], -1, p.b)
+    return np.array(p.coeffs[:-1], dtype=np.int64) * inv % p.b, inv
+
+
+def _x_powers(rows: np.ndarray, low: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Digit rows of r x^k mod P for k = 0..n-1, shape (..., n, m), from the
+    residue rows r (..., m) and the low coefficients of the monic P.
+
+    Multiplying by x shifts the digits up one place and folds the digit
+    carried out of the top back in as x^m = -low(x).  This is the one
+    reduction step of the module: products, powers, Laurent digits and the
+    Frobenius map of GF(b)[x]/P are all built from it.
+    """
+    out = np.empty(rows.shape[:-1] + (n, low.size), dtype=np.int64)
+    out[..., 0, :] = rows
+    for k in range(1, n):
+        prev = out[..., k - 1, :]
+        out[..., k, 0] = 0
+        out[..., k, 1:] = prev[..., :-1]
+        out[..., k, :] = (out[..., k, :] - prev[..., -1:] * low) % b
     return out
 
 
+def _mul_mod(rows: np.ndarray, a: np.ndarray, low: np.ndarray, b: int) -> np.ndarray:
+    """Digit rows of r a mod P: the rows r times the multiplication matrix of
+    the residue a, whose row k is a x^k."""
+    return rows @ _x_powers(a, low, b, low.size) % b
+
+
+def _laurent_digits(rows: np.ndarray, p: GFPoly, n: int) -> np.ndarray:
+    """Coefficients t_1..t_n of r / P in powers of 1/x, shape (..., n), for
+    residue rows r: t_k is the top digit of (r / lead(P)) x^(k-1) mod P."""
+    low, inv = _monic(p)
+    return _x_powers(rows * inv % p.b, low, p.b, n)[..., -1]
+
+
+def _full_rank(a: np.ndarray, b: int) -> bool:
+    """Whether the square matrix a is invertible over GF(b), by elimination."""
+    a = a % b
+    for k in range(len(a)):
+        pivots = k + np.flatnonzero(a[k:, k])
+        if pivots.size == 0:
+            return False
+        a[[k, pivots[0]]] = a[[pivots[0], k]]
+        scale = a[k + 1:, k] * pow(int(a[k, k]), -1, b) % b
+        a[k + 1:] = (a[k + 1:] - np.outer(scale, a[k])) % b
+    return True
+
+
 def is_irreducible(p: GFPoly) -> bool:
-    """Rabin's test over GF(b)."""
-    m = p.degree
+    """Rabin's test over GF(b): x^(b^m) = x mod P, and x^(b^(m/q)) - x is a
+    unit mod P for every prime q dividing m.
+
+    Raising to the power b is GF(b)-linear, so x^(b^t) is the row of x times
+    the t-th power of the Frobenius matrix, whose row k is x^(kb) mod P.  A
+    residue is a unit when its multiplication matrix has full rank mod b.
+    """
+    m, b = p.degree, p.b
     if m <= 0:
         return False
-    if m == 1:
-        return True
-    x = GFPoly((0, 1), p.b)
-    if not (_pow_x_qpow(m, p) - (x % p)).is_zero:
+    low, _ = _monic(p)
+    xk = _x_powers(_digits(1, b, m), low, b, (m - 1) * b + 2)
+    frobenius = xk[: (m - 1) * b + 1: b]
+    h = [xk[1]]                                     # h[t] = x^(b^t) mod P
+    for _ in range(m):
+        h.append(h[-1] @ frobenius % b)
+    if not np.array_equal(h[m], h[0]):
         return False
-    for q in _prime_factors(m):
-        h = _pow_x_qpow(m // q, p) - (x % p)
-        if _poly_gcd(p, h).degree != 0 and not _poly_gcd(p, h).is_zero:
-            return False
-    return True
+    return all(_full_rank(_x_powers((h[m // q] - h[0]) % b, low, b, m), b)
+               for q in _prime_factors(m))
 
 
 _MODULUS_CACHE: dict[tuple[int, int], GFPoly] = {}
@@ -219,32 +226,6 @@ def default_modulus(b: int, m: int) -> GFPoly:
         else:  # pragma: no cover - cannot happen for prime b
             raise ValidationError(f"no irreducible polynomial of degree {m} over GF({b})")
     return _MODULUS_CACHE[key]
-
-
-def _laurent_digits(g: GFPoly, p: GFPoly, n_digits: int) -> list[int]:
-    """First coefficients t_1..t_n of the expansion of g/p in powers of x^-1.
-
-    Requires deg g < deg p; p is normalised to monic (the quotient is
-    unchanged when numerator and denominator are scaled together).
-    """
-    if g.degree >= p.degree:
-        raise ConfigurationError("laurent expansion requires deg g < deg P")
-    b = p.b
-    lead_inv = pow(p.coeffs[-1], -1, b)
-    pm = p.monic()
-    m = pm.degree
-    r = [(c * lead_inv) % b for c in g.coeffs] + [0] * (m - len(g.coeffs))
-    digits = []
-    pc = pm.coeffs
-    for _ in range(n_digits):
-        # multiply the remainder by x, reduce by the monic modulus
-        lead = r[m - 1]
-        digits.append(lead)
-        r = [0] + r[: m - 1]
-        if lead:
-            for i in range(m):
-                r[i] = (r[i] - lead * pc[i]) % b
-    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +271,20 @@ def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> 
     """Classical polynomial lattice point set with b^m points in `dim` columns.
 
     Coordinate c of point j is v_m(j(x) g_c(x) / P(x)): the index digits of
-    j act on the Hankel matrix of Laurent coefficients of g_c/P.  Those
-    coefficients are linear in g_c over GF(b), so the 2m - 1 of every
-    column come from one integer product of the generator coefficients
-    with the table of the monomials 1, x, ..., x^(m-1).  Output digit t of
-    every column is then one float product of the index digits with the
-    Hankel rows t..t+m-1; its entries are integers of at most m (b - 1)^2,
-    so the product is exact.  No temporary is larger than the (N, dim)
-    mantissas.
+    j act on the Hankel matrix of Laurent coefficients of g_c/P, and the
+    2m - 1 coefficients of every column come from one pass over the
+    generators' digit rows.  Output digit t of every column is then one
+    float product of the index digits with the Hankel rows t..t+m-1; its
+    entries are integers of at most m (b - 1)^2, so the product is exact.
+    No temporary is larger than the (N, dim) mantissas.
     """
     if dim != len(gen):
         raise ConfigurationError(f"dim={dim} but {len(gen)} generating polynomials given")
     _check_rule(b, m, p, gen)
     n = b ** m
-    # base-b digits of all indices j, least significant first: (N, m)
-    j = np.arange(n, dtype=np.int64)
-    jdig = np.empty((n, m))
-    for r in range(m):
-        jdig[:, r] = (j // b ** r) % b
-    monomials = np.array([_laurent_digits(GFPoly((0,) * k + (1,), b), p, 2 * m - 1)
-                          for k in range(m)], dtype=np.int64)       # (m, 2m - 1)
-    coeffs = np.array([g.coeffs + (0,) * (m - len(g.coeffs)) for g in gen],
-                      dtype=np.int64).reshape(dim, m)
-    u = ((coeffs @ monomials) % b).astype(float)     # (dim, 2m - 1): u_1 .. u_{2m-1}
+    jdig = _digits(np.arange(n), b, m).astype(float)       # index digits, lowest first
+    u = _laurent_digits(_digits([g.to_int() for g in gen], b, m), p,
+                        2 * m - 1).astype(float)           # (dim, 2m - 1): u_1 .. u_{2m-1}
     mant = np.zeros((n, dim))
     digit = np.empty((n, dim))
     for t in range(m):                               # output digit t + 1, weight b^(m-1-t)
@@ -334,25 +306,17 @@ def interlace(raw: PointSet, beta: int) -> PointSet:
         raise ConfigurationError("interlacing factor must be >= 1")
     if raw.dim % beta:
         raise ConfigurationError(f"column count {raw.dim} not divisible by beta={beta}")
-    if beta == 1:
-        return PointSet(raw.mantissas.copy(), raw.b, raw.digits, dict(raw.meta))
     b, m = raw.b, raw.digits
-    out_digits = beta * m
-    if out_digits * math.log2(b) > 53:
-        raise ConfigurationError(
-            f"beta*m = {out_digits} base-{b} digits exceeds the float64 mantissa")
-    z = raw.dim // beta
-    n = raw.n_points
-    blocks = raw.mantissas.reshape(n, z, beta)
-    out = np.zeros((n, z), dtype=np.int64)
-    for i in range(1, m + 1):          # digit index within each stream
-        dig = (blocks // b ** (m - i)) % b  # (n, z, beta), digit i of each stream
-        for l in range(1, beta + 1):
-            pos = (i - 1) * beta + l
-            out += dig[:, :, l - 1] * b ** (out_digits - pos)
+    check_rule_shape(b, m, beta)
+    n, z = raw.n_points, raw.dim // beta
+    # counted lowest first, digit k of block column l is output digit
+    # beta*k + beta - l: spread each column's digits beta places apart,
+    # then offset the columns of a block by one place each
+    spread = _from_digits(_digits(raw.mantissas.reshape(n, z, beta), b, m), b ** beta)
     meta = dict(raw.meta)
     meta.update(kind="interlaced", beta=beta)
-    return PointSet(out, b, out_digits, meta)
+    return PointSet(spread @ b ** np.arange(beta - 1, -1, -1, dtype=np.int64),
+                    b, beta * m, meta)
 
 
 def shift_to_centered(points: PointSet) -> np.ndarray:
@@ -369,16 +333,13 @@ def digital_shift_half(points: PointSet) -> PointSet:
     simply flips the leading digit of every coordinate.
     """
     b, d = points.b, points.digits
-    if b % 2 == 0:
-        shift_dig = np.zeros(d, dtype=np.int64)
-        shift_dig[0] = b // 2
-    else:
-        # 1/2 = sum_i ((b-1)/2) b^-i for odd b
-        shift_dig = np.full(d, (b - 1) // 2, dtype=np.int64)
-    out = np.zeros_like(points.mantissas)
-    for t in range(1, d + 1):
-        dig = (points.mantissas // b ** (d - t)) % b
-        out += ((dig + shift_dig[t - 1]) % b) * b ** (d - t)
+    # 1/2 = sum_i ((b-1)/2) b^-i for odd b; for b = 2 the leading digit 1
+    half = np.full(d, (b - 1) // 2)
+    half[-1] = b // 2
+    digits = _digits(points.mantissas, b, d)
+    digits += half
+    digits %= b
+    out = _from_digits(digits, b)
     meta = dict(points.meta)
     meta.update(digital_shift="half")
     return PointSet(out, b, d, meta)
@@ -404,12 +365,8 @@ def kernel_values(b: int, m: int, beta: int) -> "tuple[np.ndarray, float]":
     n = b ** m
     vals = np.empty(n)
     vals[0] = (b - 1) / (1.0 - s)
-    idx = np.arange(1, n, dtype=np.int64)
-    # position (1-based) of the first nonzero base-b digit of r/b^m
-    i0 = np.zeros(idx.shape, dtype=np.int64)
-    for t in range(1, m + 1):
-        dig = (idx // b ** (m - t)) % b
-        i0 = np.where((i0 == 0) & (dig > 0), t, i0)
+    # position (1-based, most significant first) of the first nonzero digit of r/b^m
+    i0 = 1 + np.argmax(_digits(np.arange(1, n), b, m)[:, ::-1] > 0, axis=1)
     sp = s ** (i0 - 1)
     vals[1:] = (b - 1) * (1.0 - sp) / (1.0 - s) - sp
     return vals, float(vals[0])
@@ -428,43 +385,26 @@ def _effective_weights(dim: int, beta: int, b: int, gammas) -> np.ndarray:
     return w
 
 
-def _group_tables(b: int, m: int, p: GFPoly):
-    """Discrete log/exp tables of the multiplicative group of GF(b)[x]/P."""
-    n = b ** m
-    order = n - 1
-    fac = _prime_factors(order)
-    residues = [GFPoly.from_int(r, b) for r in range(n)]
+def _group_powers(p: GFPoly) -> np.ndarray:
+    """Digit rows of g^0 .. g^(N-2) for the generator g of the cyclic group
+    (GF(b)[x]/P)^*, N = b^m.
 
-    def pow_mod(a: GFPoly, e: int) -> GFPoly:
-        acc = GFPoly((1,), b)
-        base = a
-        while e:
-            if e & 1:
-                acc = (acc * base) % p
-            base = (base * base) % p
-            e >>= 1
-        return acc
-
-    gen_res = None
-    for cand in range(2, n):
-        a = residues[cand]
-        if all(pow_mod(a, order // q).to_int() != 1 for q in fac):
-            gen_res = a
-            break
-    if gen_res is None:
-        if order == 1:
-            gen_res = residues[1]
-        else:  # pragma: no cover
-            raise ValidationError("no generator found; modulus not irreducible?")
-    exp_table = np.empty(order, dtype=np.int64)
-    log_table = np.full(n, -1, dtype=np.int64)
-    cur = GFPoly((1,), b)
-    for e in range(order):
-        v = cur.to_int()
-        exp_table[e] = v
-        log_table[v] = e
-        cur = (cur * gen_res) % p
-    return exp_table, log_table
+    g is the first residue by integer encoding whose N - 1 powers are all
+    distinct.  The powers of a candidate are built by doubling: every known
+    power times the next power-of-two power, in one product.
+    """
+    low, _ = _monic(p)
+    b, m = p.b, low.size
+    order = b ** m - 1
+    for cand in range(1, order + 1):
+        powers, step = _digits([1], b, m), _digits(cand, b, m)
+        while len(powers) < order:
+            both = _mul_mod(np.vstack([powers, step]), step, low, b)
+            powers, step = np.vstack([powers, both[:-1]]), both[-1]
+        powers = powers[:order]
+        if np.unique(_from_digits(powers, b)).size == order:
+            return powers
+    raise ValidationError("modulus polynomial is reducible")
 
 
 def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
@@ -475,53 +415,41 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     encoding on ties) to minimise the figure of merit given the columns
     already fixed.  Scores for all b^m - 1 candidates at once are a cyclic
     correlation over the multiplicative group, evaluated with an FFT, so a
-    full construction costs O(dim * N log N) plus table setup.
+    full construction costs O(dim * N log N) plus table setup.  The running
+    product over the fixed columns is kept in log order, entry e at the
+    residue g^e, so the factor of a chosen g^a is a slice of psi laid out
+    twice.
     """
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
     if p is None:
         p = default_modulus(b, m)
     _check_rule(b, m, p, [])
-    n = b ** m
-    order = n - 1
-    if order == 0:
-        raise ConfigurationError("m must give at least 2 points")
-    exp_table, log_table = _group_tables(b, m, p)
-
-    # psi over residues: residue r maps to the point v_m(r/P)
+    powers = _group_powers(p)
+    order = len(powers)
+    codes = _from_digits(powers, b)
+    # psi at the point v_m(g^e / P) of every residue g^e
     kern, _ = kernel_values(b, m, beta)
-    v_mant = np.empty(n, dtype=np.int64)
-    v_mant[0] = 0
-    wpow = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    for r in range(1, n):
-        digs = _laurent_digits(GFPoly.from_int(r, b), p, m)
-        v_mant[r] = int(np.dot(wpow, np.array(digs, dtype=np.int64)))
-    psi_res = kern[v_mant]
-
+    psi = kern[_from_digits(_laurent_digits(powers, p, m)[:, ::-1], b)]
+    psi2 = np.concatenate([psi, psi])
     w = _effective_weights(dim, beta, b, gammas)
-    psi_exp = psi_res[exp_table]              # psi at residue = generator^e
-    log_n = log_table[1:n]                    # log of n = 1..N-1 in natural order
-
-    prod = np.ones(order)                     # running product over n = 1..N-1
-    fft_psi = np.fft.fft(psi_exp)
-    gen: list[GFPoly] = []
+    fft_psi = np.fft.fft(psi)
+    prod = np.ones(order)
+    chosen = []
     for c in range(dim):
-        q = np.zeros(order)
-        np.add.at(q, log_n, prod)             # prod indexed by log n
-        scores_log = np.real(np.fft.ifft(fft_psi * np.conj(np.fft.fft(q))))
-        smin = float(scores_log.min())
+        scores = np.real(np.fft.ifft(fft_psi * np.conj(np.fft.fft(prod))))
+        smin = float(scores.min())
         # ties broken by the smallest residue encoding
-        tied = np.where(scores_log <= smin + 1e-12 * (1.0 + abs(smin)), exp_table, n + 1)
-        g_int = int(tied.min())
-        a = int(log_table[g_int])
-        gen.append(GFPoly.from_int(g_int, b))
-        idx = exp_table[(log_n + a) % order]
-        prod = prod * (1.0 + w[c] * psi_res[idx])
-    return gen
+        tied = np.where(scores <= smin + 1e-12 * (1.0 + abs(smin)), codes, order + 1)
+        a = int(np.argmin(tied))
+        chosen.append(a)
+        prod = prod * (1.0 + w[c] * psi2[a: a + order])
+    return [GFPoly(tuple(row), b) for row in powers[chosen].tolist()]
 
 
 def cbc_rule(b: int, m: int, beta: int, z: int, gammas,
              p: GFPoly | None = None) -> "InterlacedLatticeRule":
+    check_rule_shape(b, m, beta)
     if p is None:
         p = default_modulus(b, m)
     gen = cbc_construct(b, m, beta * z, beta, gammas, p)
@@ -545,6 +473,7 @@ class InterlacedLatticeRule:
         if len(self.gen) != self.beta * self.z:
             raise ValidationError(
                 f"generating vector has {len(self.gen)} entries, need beta*z = {self.beta * self.z}")
+        check_rule_shape(self.b, self.m, self.beta)
         _check_rule(self.b, self.m, self.p, list(self.gen))
 
     @property

@@ -8,7 +8,8 @@ CBC search (criterion 8), and the dump reader checks the binary files that
 set-up from the basis at every element midpoint, and the lattice points
 built one column at a time, are the plain forms of what the package
 computes once per edge and for all columns at once; both must give the
-same bits.
+same bits.  Trial division by the schoolbook polynomial remainder is the
+oracle of the irreducibility test, which the package runs on digit rows.
 """
 
 import struct
@@ -19,7 +20,7 @@ import scipy.sparse.linalg as spla
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
 from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
-from fracuq.qmc import (_check_rule, _effective_weights, _laurent_digits,
+from fracuq.qmc import (_check_rule, _digits, _effective_weights, _laurent_digits,
                         classical_points, kernel_values)
 
 
@@ -56,6 +57,22 @@ def element_midpoint_parts(mesh, field, grad_g):
     return psibar, scatter @ field.kappa0(x1, x2), (scatter @ psi.T).T
 
 
+def poly_mod(a, q, b) -> list:
+    """Remainder of a by q over GF(b), coefficient lists lowest degree first,
+    by schoolbook long division; trailing zeros are trimmed."""
+    r = list(a)
+    inv = pow(q[-1], -1, b)
+    while len(r) >= len(q):
+        factor = r[-1] * inv % b
+        shift = len(r) - len(q)
+        for i, c in enumerate(q):
+            r[shift + i] = (r[shift + i] - factor * c) % b
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
 def classical_points_by_column(b, m, dim, p, gen) -> np.ndarray:
     """Mantissas of :func:`classical_points`, one column at a time: the
     Laurent digits of g_c / P, their Hankel matrix, and an integer product
@@ -69,7 +86,7 @@ def classical_points_by_column(b, m, dim, p, gen) -> np.ndarray:
     weights = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
     mant = np.empty((n, dim), dtype=np.int64)
     for c, g in enumerate(gen):
-        u = _laurent_digits(g, p, 2 * m - 1)
+        u = _laurent_digits(_digits(g.to_int(), b, m), p, 2 * m - 1)
         hankel = np.array([[u[t + r] for r in range(m)] for t in range(m)], dtype=np.int64)
         mant[:, c] = weights @ ((hankel @ jdig) % b)
     return mant

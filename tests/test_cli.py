@@ -261,6 +261,33 @@ class TestErrorPaths:
                      "--genvec", str(gv)]) == 1
         self.assert_one_error_line(capsys, "E_VALIDATE")
 
+    def test_non_prime_base_points_exit_1(self, tmp_path, capsys):
+        gv = tmp_path / "gen.txt"
+        assert main(["points", "--b", "4", "--m", "3", "--z", "2", "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+        assert not gv.exists()
+
+    def test_non_prime_genvec_base_exit_1(self, tmp_path, capsys):
+        # over Z/4 the modulus' leading coefficient 2 has no inverse
+        gv = tmp_path / "gen.txt"
+        gv.write_text("4 2 1 1\nP 1 0 2\ng 1\n")
+        assert main(["points", "--b", "4", "--m", "2", "--beta", "1", "--z", "1",
+                     "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+
+    def test_base_one_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["check", "--config", cfg, "--set", "qmc.b=1"]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+
+    def test_digit_budget_checked_before_cbc(self, tmp_path, capsys):
+        # 3 * 30 binary digits exceed float64's 53 before a 2^30-point search
+        gv = tmp_path / "gen.txt"
+        assert main(["points", "--m", "30", "--beta", "3", "--z", "1",
+                     "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+        assert not gv.exists()
+
     def test_non_numeric_mesh_token_exit_1(self, tmp_path, capsys):
         mesh = tmp_path / "mesh.txt"
         mesh.write_text("3\n0 0 1\n1 0 one\n0 1 1\n1\n0 1 2\n")

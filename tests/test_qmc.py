@@ -1,6 +1,8 @@
 """Tests for the interlaced polynomial lattice rules."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from fracuq.qmc import (GFPoly, InterlacedLatticeRule, cbc_construct, cbc_rule,
                         classical_points, default_modulus, digital_shift_half,
                         interlace, kernel_values, load_gen_vector,
                         save_gen_vector, shift_to_centered)
-from fracuq.qmc import is_irreducible
-from oracles import classical_points_by_column, figure_of_merit
+from fracuq.qmc import _digits, _from_digits, _monic, _mul_mod, is_irreducible
+from oracles import classical_points_by_column, figure_of_merit, poly_mod
 
 
 class TestGFPoly:
@@ -21,11 +23,10 @@ class TestGFPoly:
                 assert GFPoly.from_int(v, b).to_int() == v
 
     def test_mul_mod_consistency(self):
-        # (a * c) mod p computed over GF(2) agrees with carry-less bit math
-        a = GFPoly.from_int(0b1011, 2)
-        c = GFPoly.from_int(0b110, 2)
-        p = GFPoly.from_int(0b10011, 2)  # x^4 + x + 1
-        prod = (a * c) % p
+        # the residue product a c mod p over GF(2) agrees with carry-less bit math
+        a, c = _digits([0b1011, 0b110], 2, 4)
+        low, _ = _monic(GFPoly.from_int(0b10011, 2))  # x^4 + x + 1
+        prod = int(_from_digits(_mul_mod(a, c, low, 2), 2))
 
         def clmul(x, y):
             out = 0
@@ -41,7 +42,7 @@ class TestGFPoly:
                 x ^= q << (x.bit_length() - q.bit_length())
             return x
 
-        assert prod.to_int() == mod2(clmul(0b1011, 0b110), 0b10011)
+        assert prod == mod2(clmul(0b1011, 0b110), 0b10011)
 
     def test_degree_and_zero(self):
         assert GFPoly((), 2).is_zero
@@ -60,13 +61,15 @@ class TestIrreducibility:
             return False
         for d in range(p.b, p.b ** m):
             q = GFPoly.from_int(d, p.b)
-            if 1 <= q.degree < m and (p % q).is_zero:
+            if 1 <= q.degree < m and not poly_mod(p.coeffs, q.coeffs, p.b):
                 return False
         return True
 
-    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("b", [2, 3, 5])
     def test_matches_trial_division(self, b):
-        for v in range(b, b ** 4):
+        # degree 4 and 6 reach Rabin's gcd condition for m / q >= 2
+        max_degree = {2: 6, 3: 3, 5: 3}[b]
+        for v in range(b, b ** (max_degree + 1)):
             p = GFPoly.from_int(v, b)
             if p.coeffs[-1] != 0:
                 assert is_irreducible(p) == self.brute(p), v
@@ -231,6 +234,16 @@ class TestCBC:
             chosen = figure_of_merit(b, m, beta, p, prefix + [gen[c]], gammas)
             assert chosen == pytest.approx(best, rel=1e-10)
             prefix.append(gen[c])
+
+    def test_generating_vectors_pinned(self):
+        # integer encodings of the CBC vectors of the default moduli, recorded
+        # from the GFPoly-arithmetic construction; every rule must keep them
+        pinned = json.loads((Path(__file__).parent / "pinned_genvecs.json").read_text())
+        gammas = 1.0 / np.arange(1, 13, dtype=float) ** 2
+        for key, want in pinned.items():
+            b, m, beta = map(int, key.split(","))
+            rule = cbc_rule(b, m, beta, 12, gammas)
+            assert [g.to_int() for g in rule.gen] == want, key
 
     def test_deterministic(self):
         g1 = cbc_construct(2, 5, 6, 3, [1.0 / (j + 1) for j in range(2)])
