@@ -287,15 +287,15 @@ def cmd_solve(args) -> int:
     else:
         y = np.zeros(0)
     solver = build_solver(run)
-    traj = solver.solve(y)
-    values = traj.functional_series(solver.phi)
+    u = solver.solve(y)
+    values = u @ solver.phi
     csv_path = os.path.join(out_dir, f"{prefix}-trajectory.csv")
-    rows = [(n, traj.tmesh.t[n], values[n]) for n in range(values.size)]
+    rows = [(n, solver.tmesh.t[n], values[n]) for n in range(values.size)]
     _write_csv(csv_path, ["n", "t", "value"], rows)
     print(f"wrote {csv_path}; L(u(T)) = {_fmt(values[-1])}")
     if args.dump_fields or cfg["output"]["dump_fields"]:
         dump = args.dump_fields or os.path.join(out_dir, f"{prefix}-fields.bin")
-        write_field_dump(dump, traj.u)
+        write_field_dump(dump, u)
         print(f"wrote {dump}")
     return 0
 

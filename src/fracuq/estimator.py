@@ -29,7 +29,6 @@ __all__ = [
     "ConvergenceRow",
     "TruncationStudy",
     "RefinementStudy",
-    "example_initial",
     "example_initial_gradient",
     "default_qmc_weights",
     "build_solver",
@@ -41,16 +40,9 @@ __all__ = [
 ]
 
 
-def example_initial(x1, x2):
-    """Initial profile 144 x1^2 (1-x1) x2^2 (1-x2), normalised so its
-    average over the unit square is 1."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return 144.0 * x1 ** 2 * (1.0 - x1) * x2 ** 2 * (1.0 - x2)
-
-
 def example_initial_gradient(x1, x2):
-    """Gradient of :func:`example_initial`."""
+    """Gradient of the initial profile 144 x1^2 (1-x1) x2^2 (1-x2), whose
+    average over the unit square is 1."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     gx = 144.0 * (2.0 * x1 - 3.0 * x1 ** 2) * x2 ** 2 * (1.0 - x2)
@@ -72,9 +64,11 @@ class RunConfig:
     unit square or an explicit :class:`TriMesh`; the generating vector is
     either supplied as ``rule`` or built by CBC with the default weights.
     Construction validates the inputs and fills in what was left out:
-    ``mesh`` from ``n_div``, ``gamma`` as the usual grading 2/alpha, ``g``
-    and ``grad_g`` as the example initial profile, and ``rule`` when
-    m >= 1 and z >= 1.  The field's declared lower bound must be positive.
+    ``mesh`` from ``n_div``, ``gamma`` as the usual grading 2/alpha,
+    ``grad_g`` as the gradient of the example initial profile, and ``rule``
+    when m >= 1 and z >= 1.  The initial data enter only through their
+    Ritz projection, which needs only ``grad_g``.  The field's declared
+    lower bound must be positive.
     """
 
     alpha: float
@@ -90,7 +84,6 @@ class RunConfig:
     beta: int = 3
     rule: InterlacedLatticeRule | None = None
     f: object = 1.0
-    g: object = None
     grad_g: object = None
     fast_history: bool = False
     fast_eps: float = 1e-8
@@ -127,8 +120,8 @@ class RunConfig:
             resolved["mesh"] = triangulate_unit_square(self.n_div)
         if self.gamma is None:
             resolved["gamma"] = 2.0 / self.alpha
-        if self.g is None:
-            resolved.update(g=example_initial, grad_g=example_initial_gradient)
+        if self.grad_g is None:
+            resolved["grad_g"] = example_initial_gradient
         if self.rule is None and self.m >= 1 and self.z >= 1:
             resolved["rule"] = _lattice_rule(self, self.m, self.z)
         for name, value in resolved.items():
@@ -199,8 +192,7 @@ def _lattice_rule(config: RunConfig, m: int, z: int) -> InterlacedLatticeRule:
 def build_solver(config: RunConfig) -> TrajectorySolver:
     return TrajectorySolver(
         config.mesh, config.field, config.time_mesh(), config.alpha,
-        config.f, config.g, config.grad_g,
-        fast_history=config.fast_history, fast_eps=config.fast_eps)
+        config.f, config.grad_g, fast_history=config.fast_history, fast_eps=config.fast_eps)
 
 
 def sample_points(config: RunConfig) -> np.ndarray:
@@ -217,8 +209,7 @@ def sample_points(config: RunConfig) -> np.ndarray:
     if config.z == 0:
         return np.zeros((config.n_samples, 0))
     if config.m == 0:
-        ps = PointSet(np.zeros((1, config.z), dtype=np.int64), config.b, 1,
-                      {"kind": "single"})
+        ps = PointSet(np.zeros((1, config.z), dtype=np.int64), config.b, 1)
         if config.shift == "digital-half":
             ps = digital_shift_half(ps)
         return shift_to_centered(ps)
@@ -434,8 +425,8 @@ def spacetime_refinement_study(config: RunConfig, levels: int = 3,
         mesh = triangulate_unit_square(nd)
         tmesh = graded_mesh(config.T, nt, config.gamma)
         solver = TrajectorySolver(mesh, config.field, tmesh, config.alpha,
-                                  config.f, config.g, config.grad_g)
-        trajectories.append((mesh, tmesh, solver.solve(y).u))
+                                  config.f, config.grad_g)
+        trajectories.append((mesh, tmesh, solver.solve(y)))
     fine_mesh, fine_tmesh, u_ref = trajectories[-1]
     mass_fine = assemble_mass(fine_mesh)
     errors = []

@@ -56,7 +56,6 @@ class TriMesh:
     boundary: np.ndarray
     interior_index: np.ndarray
     h: float
-    n_div: int | None = None  # set for the structured unit-square mesh
 
     @property
     def n_vertices(self) -> int:
@@ -162,7 +161,7 @@ def triangulate_unit_square(n_div: int) -> TriMesh:
     interior = np.full(verts.shape[0], -1, dtype=np.int64)
     interior[~on_bdy] = np.arange(np.count_nonzero(~on_bdy))
     return TriMesh(vertices=verts, triangles=tris, boundary=on_bdy,
-                   interior_index=interior, h=math.sqrt(2.0) / n_div, n_div=n_div)
+                   interior_index=interior, h=math.sqrt(2.0) / n_div)
 
 
 def save_mesh(mesh: TriMesh, path):
@@ -243,8 +242,7 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
     Matrices assembled on the result are band matrices of small
     half-bandwidth (n_div - 1 on the structured mesh) whatever the dof
     numbering of ``mesh``.  Vertices and triangles are unchanged; only
-    ``interior_index`` differs, and ``n_div`` is dropped because the
-    structured helpers assume the row-major numbering.
+    ``interior_index`` differs.
     """
     indptr, indices, _, _ = mesh._csc_pattern
     n = mesh.n_dofs
@@ -255,15 +253,7 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
     dof = mesh.interior_index.copy()
     inner = dof >= 0
     dof[inner] = rank[dof[inner]]
-    return dataclasses.replace(mesh, interior_index=dof, n_div=None)
-
-
-def _assemble(mesh: TriMesh, local: np.ndarray) -> sp.csc_matrix:
-    """Scatter per-element 3x3 blocks; `local` has shape (nt, 3, 3)."""
-    indptr, indices, slot, keep = mesh._csc_pattern
-    data = np.bincount(slot, weights=local.ravel()[keep], minlength=indices.size)
-    n = indptr.size - 1
-    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    return dataclasses.replace(mesh, interior_index=dof)
 
 
 def _dof_scatter(mesh: TriMesh, weights: np.ndarray | None = None) -> sp.csr_matrix:
@@ -296,7 +286,10 @@ def assemble_mass(mesh: TriMesh) -> sp.csc_matrix:
     """Exact P1 mass matrix (element block area/12 * [[2,1,1],[1,2,1],[1,1,2]])."""
     area, _ = mesh._geometry
     local = area[:, None, None] * _MASS_LOCAL[None]
-    return _assemble(mesh, local)
+    indptr, indices, slot, keep = mesh._csc_pattern
+    data = np.bincount(slot, weights=local.ravel()[keep], minlength=indices.size)
+    n = indptr.size - 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 # basis functions per block when the edge-midpoint basis table is reduced
@@ -304,78 +297,67 @@ _MODE_BLOCK = 16
 
 
 class StiffnessAssembler:
-    """Stiffness matrices D(y) and Ritz right-hand sides for a fixed (mesh, field).
+    """Stiffness matrices D(y) and Ritz right-hand sides for a fixed (mesh, field, grad_g).
 
     The diffusivity enters each element through its 3-point Gauss average,
     which is affine in y, so per-element basis averages are precomputed and
     each sample only combines them.  Every D(y) shares the CSC pattern
     ``indptr``/``indices`` of :func:`assemble_mass`; :meth:`matrix_data`
     gives its data for a block of parameter vectors at once.  The Ritz
-    right-hand side is affine in y as well; passing ``grad_g`` precomputes
-    its two parts in the same pass over the basis.
+    right-hand side of the initial data, known through their gradient
+    ``grad_g``, is affine in y as well, r0 + y @ R; both parts come from the
+    same pass over the basis.
     """
 
-    def __init__(self, mesh: TriMesh, field, grad_g=None):
+    def __init__(self, mesh: TriMesh, field, grad_g):
         self.mesh = mesh
-        self.field = field
         area, grads = mesh._geometry
-        self.area = area
-        self.grads = grads
         # geometric element stiffness: area * grad_i . grad_j, shape (nt, 3, 3)
-        self.k_geom = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+        k_geom = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
         nt = mesh.n_triangles
         self.indptr, self.indices, slot, keep = mesh._csc_pattern
         # D(y).data = spread @ (element averages of kappa)
         element = np.repeat(np.arange(nt), 9)[keep]
-        self._spread = sp.csr_matrix((self.k_geom.ravel()[keep], (slot, element)),
+        self._spread = sp.csr_matrix((k_geom.ravel()[keep], (slot, element)),
                                      shape=(self.indices.size, nt))
-        edge_of, mid, _ = mesh._edges
-        self._x1 = mid[:, 0]
-        self._x2 = mid[:, 1]
-        self._kq0 = field.kappa0(self._x1, self._x2)        # at the edge midpoints
-        self.kbar0 = self._kq0[edge_of].mean(axis=1)
-        scatter = None if grad_g is None else self._ritz_scatter(grad_g)
-        self.psibar, R = self._reduce_basis(scatter, with_psibar=True)
-        self._ritz = {}
-        if grad_g is not None:
-            self._ritz[grad_g] = (scatter @ self._kq0, R)
-
-    def _reduce_basis(self, scatter, with_psibar: bool):
-        """psibar and R = (scatter @ psi.T).T from the edge-midpoint basis table psi.
-
-        psi, shape (z, n_edges), holds each basis function once per edge
-        (8,533 edges at paper scale, against 16,854 element midpoints).  It
-        is built _MODE_BLOCK rows at a time and never whole.  Each block is
-        reduced through two sparse maps: the element-to-edge map E gives
-        psibar = (E @ psi.T).T / 3, which adds each element's three
-        midpoints in the order q0, q1, q2, and ``scatter`` (see
-        :meth:`_ritz_scatter`) gives R.  The sums and their order are those
-        of the element-midpoint table, so the results are bitwise the same.
-        psibar is C-ordered and R the transpose of a C-ordered array, the
-        layouts the whole table gives, so the BLAS products of later
-        samples see bitwise the same operands.  A part that is not asked
-        for is None.
-        """
-        z, nt = len(self.field), self.mesh.n_triangles
-        E = self.mesh._edges[2]
-        psibar = np.empty((z, nt)) if with_psibar else None
-        R = None if scatter is None else np.empty((scatter.shape[0], z))
-        rows = self.field.basis_rows(self._x1, self._x2)
+        edge_of, mid, E = mesh._edges
+        x1, x2 = mid[:, 0], mid[:, 1]
+        kq0 = field.kappa0(x1, x2)                  # at the edge midpoints
+        self.kbar0 = kq0[edge_of].mean(axis=1)
+        scatter = _gradient_scatter(mesh, grad_g)
+        self.r0 = scatter @ kq0
+        # psibar and R = (scatter @ psi.T).T from the edge-midpoint basis
+        # table psi, shape (z, n_edges): each basis function once per edge
+        # (8,533 edges at paper scale, against 16,854 element midpoints).  It
+        # is built _MODE_BLOCK rows at a time and never whole.  The
+        # element-to-edge map E gives psibar = (E @ psi.T).T / 3, which adds
+        # each element's three midpoints in the order q0, q1, q2.  The sums
+        # and their order are those of the element-midpoint table, so the
+        # results are bitwise the same.  psibar is C-ordered and R the
+        # transpose of a C-ordered array, the layouts the whole table gives,
+        # so the BLAS products of later samples see bitwise the same operands.
+        z = len(field)
+        self.psibar = np.empty((z, nt))
+        R = np.empty((scatter.shape[0], z))
+        rows = field.basis_rows(x1, x2)
         for a in range(0, z, _MODE_BLOCK):
             b = min(a + _MODE_BLOCK, z)
             psi_t = rows(a, b).T                      # (n_edges, b - a), C order
-            if with_psibar:
-                psibar[a:b] = ((E @ psi_t) / 3.0).T
-            if R is not None:
-                R[:, a:b] = scatter @ psi_t
-        return psibar, (None if R is None else R.T)
+            self.psibar[a:b] = ((E @ psi_t) / 3.0).T
+            R[:, a:b] = scatter @ psi_t
+        self.R = R.T
 
-    def element_kappa(self, y) -> np.ndarray:
-        """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
+    def _parameters(self, y) -> np.ndarray:
+        """y as a float array; it may be shorter than the basis, not longer."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] > self.psibar.shape[0]:
             raise ConfigurationError(
                 f"parameter vector length {y.shape[-1]} exceeds basis size {self.psibar.shape[0]}")
+        return y
+
+    def element_kappa(self, y) -> np.ndarray:
+        """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
+        y = self._parameters(y)
         return self.kbar0 + y @ self.psibar[: y.shape[-1]]
 
     def matrix_data(self, kbar) -> np.ndarray:
@@ -385,47 +367,40 @@ class StiffnessAssembler:
 
     def matrix(self, y) -> sp.csc_matrix:
         """Assemble D(y) for one parameter vector."""
-        return _assemble(self.mesh, self.element_kappa(y)[:, None, None] * self.k_geom)
+        n = self.indptr.size - 1
+        return sp.csc_matrix((self.matrix_data(self.element_kappa(y))[0],
+                              self.indices, self.indptr), shape=(n, n))
 
-    def _ritz_scatter(self, grad_g) -> sp.csr_matrix:
-        """Map from kappa at the edges to the Ritz rhs.
-
-        Each element integral <kappa grad g, grad phi_i> is area/3 * sum_q
-        kappa(q) grad_g(q) . grad phi_i over the edge midpoints q, so
-        kappa's values there enter linearly through one weighted scatter
-        from the columns (t, q).  Its column indices are then renamed to
-        edge ids.  A dof meets an edge through both of its elements, so a
-        row can name an edge twice; those entries stay unsummed and in
-        their (t, q) order, and a product adds the same terms in the same
-        order as the (t, q) map would.
-        """
-        mid = self.mesh._midpoints
-        gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
-        gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
-                       np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
-        weights = np.einsum("tqd,tid->tqi", gg, self.grads) * (self.area / 3.0)[:, None, None]
-        by_slot = _dof_scatter(self.mesh, weights)
-        edge_of, _, E = self.mesh._edges
-        return sp.csr_matrix((by_slot.data, edge_of.ravel()[by_slot.indices], by_slot.indptr),
-                             shape=(by_slot.shape[0], E.shape[1]))
-
-    def ritz_rhs(self, y, grad_g) -> np.ndarray:
+    def ritz_rhs(self, y) -> np.ndarray:
         """Right-hand side <kappa grad g, grad phi_p> with the same quadrature.
 
-        It is affine in y, r0 + y @ R, and (r0, R) are kept per ``grad_g``.
         Shape (d,) for one parameter vector, (k, d) for k rows.
         """
-        parts = self._ritz.get(grad_g)
-        if parts is None:
-            scatter = self._ritz_scatter(grad_g)
-            _, R = self._reduce_basis(scatter, with_psibar=False)
-            parts = self._ritz.setdefault(grad_g, (scatter @ self._kq0, R))
-        r0, R = parts
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] > R.shape[0]:
-            raise ConfigurationError(
-                f"parameter vector length {y.shape[-1]} exceeds basis size {R.shape[0]}")
-        return r0 + y @ R[: y.shape[-1]]
+        y = self._parameters(y)
+        return self.r0 + y @ self.R[: y.shape[-1]]
+
+
+def _gradient_scatter(mesh: TriMesh, grad_g) -> sp.csr_matrix:
+    """Map from kappa at the edges to the Ritz rhs.
+
+    Each element integral <kappa grad g, grad phi_i> is area/3 * sum_q
+    kappa(q) grad_g(q) . grad phi_i over the edge midpoints q, so kappa's
+    values there enter linearly through one weighted scatter from the
+    columns (t, q).  Its column indices are then renamed to edge ids.  A
+    dof meets an edge through both of its elements, so a row can name an
+    edge twice; those entries stay unsummed and in their (t, q) order, and
+    a product adds the same terms in the same order as the (t, q) map would.
+    """
+    area, grads = mesh._geometry
+    mid = mesh._midpoints
+    gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
+    gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
+                   np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
+    weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
+    by_slot = _dof_scatter(mesh, weights)
+    edge_of, _, E = mesh._edges
+    return sp.csr_matrix((by_slot.data, edge_of.ravel()[by_slot.indices], by_slot.indptr),
+                         shape=(by_slot.shape[0], E.shape[1]))
 
 
 def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:

@@ -58,7 +58,6 @@ class SineRandomField:
     amp : signed amplitude per basis function
     sup_norms : |amp| (the sine product attains +-1 in the open square)
     declared_bounds : (kappa_min, kappa_max) asserted positive bounds
-    sorted_by_norm : whether sup_norms is nonincreasing
     """
 
     kappa0_const: float
@@ -67,7 +66,6 @@ class SineRandomField:
     l: np.ndarray
     amp: np.ndarray
     declared_bounds: tuple[float, float]
-    sorted_by_norm: bool = False
     sup_norms: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
@@ -222,7 +220,6 @@ def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
         l=l,
         amp=amp,
         declared_bounds=bounds,
-        sorted_by_norm=sort_by_norm,
     )
 
 
@@ -242,7 +239,6 @@ def build_sine_table_field(kappa0_const: float, coeffs,
         amp = rows[:, 2].copy()
         if np.any(k < 1) or np.any(l < 1):
             raise ConfigurationError("mode numbers k, l must be >= 1")
-    norms = np.abs(amp)
     bounds = _declare_bounds(kappa0_const, kappa0_xy, k, l, amp)
     return SineRandomField(
         kappa0_const=kappa0_const,
@@ -251,5 +247,4 @@ def build_sine_table_field(kappa0_const: float, coeffs,
         l=l,
         amp=amp,
         declared_bounds=bounds,
-        sorted_by_norm=bool(np.all(np.diff(norms) <= 0)),
     )

@@ -16,7 +16,7 @@ multiples of b^-digits) and only converted to floats on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,7 +238,6 @@ class PointSet:
     mantissas: np.ndarray
     b: int
     digits: int
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def n_points(self) -> int:
@@ -292,8 +291,7 @@ def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> 
         np.fmod(digit, b, out=digit)
         digit *= b ** (m - 1 - t)
         mant += digit
-    return PointSet(mantissas=mant.astype(np.int64), b=b, digits=m,
-                    meta={"b": b, "m": m, "kind": "classical"})
+    return PointSet(mantissas=mant.astype(np.int64), b=b, digits=m)
 
 
 def interlace(raw: PointSet, beta: int) -> PointSet:
@@ -313,10 +311,7 @@ def interlace(raw: PointSet, beta: int) -> PointSet:
     # beta*k + beta - l: spread each column's digits beta places apart,
     # then offset the columns of a block by one place each
     spread = _from_digits(_digits(raw.mantissas.reshape(n, z, beta), b, m), b ** beta)
-    meta = dict(raw.meta)
-    meta.update(kind="interlaced", beta=beta)
-    return PointSet(spread @ b ** np.arange(beta - 1, -1, -1, dtype=np.int64),
-                    b, beta * m, meta)
+    return PointSet(spread @ b ** np.arange(beta - 1, -1, -1, dtype=np.int64), b, beta * m)
 
 
 def shift_to_centered(points: PointSet) -> np.ndarray:
@@ -339,10 +334,7 @@ def digital_shift_half(points: PointSet) -> PointSet:
     digits = _digits(points.mantissas, b, d)
     digits += half
     digits %= b
-    out = _from_digits(digits, b)
-    meta = dict(points.meta)
-    meta.update(digital_shift="half")
-    return PointSet(out, b, d, meta)
+    return PointSet(_from_digits(digits, b), b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +370,10 @@ def _effective_weights(dim: int, beta: int, b: int, gammas) -> np.ndarray:
     gam = np.asarray(gammas, dtype=float)
     if gam.size < z:
         raise ConfigurationError(f"need {z} weights for dim={dim}, beta={beta}")
-    w = np.empty(dim)
-    for c in range(dim):
-        j, l = divmod(c, beta)
-        w[c] = gam[j] * float(b) ** (-l)
-    return w
+    # Python's float ** int, not numpy's power: the two can differ in the
+    # last bit, and CBC ties depend on these weights
+    decay = np.array([float(b) ** -l for l in range(beta)])
+    return (gam[:z, None] * decay).ravel()[:dim]
 
 
 def _group_powers(p: GFPoly) -> np.ndarray:
@@ -453,8 +444,7 @@ def cbc_rule(b: int, m: int, beta: int, z: int, gammas,
     if p is None:
         p = default_modulus(b, m)
     gen = cbc_construct(b, m, beta * z, beta, gammas, p)
-    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen),
-                                 provenance="cbc")
+    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen))
 
 
 @dataclass(frozen=True)
@@ -467,7 +457,6 @@ class InterlacedLatticeRule:
     z: int
     p: GFPoly
     gen: tuple[GFPoly, ...]
-    provenance: str = "unspecified"
 
     def __post_init__(self):
         if len(self.gen) != self.beta * self.z:
@@ -484,9 +473,7 @@ class InterlacedLatticeRule:
         return classical_points(self.b, self.m, self.beta * self.z, self.p, list(self.gen))
 
     def points(self) -> PointSet:
-        ps = interlace(self.classical(), self.beta)
-        ps.meta.update(provenance=self.provenance, z=self.z)
-        return ps
+        return interlace(self.classical(), self.beta)
 
     def centered_points(self, shift: str = "none") -> np.ndarray:
         """Points mapped to [-1/2, 1/2)^z, optionally digitally shifted.
@@ -550,5 +537,4 @@ def load_gen_vector(path) -> InterlacedLatticeRule:
         if g.degree >= m:
             raise ValidationError(f"{path}:{ln}: deg(g) = {g.degree} >= m = {m}")
         gen.append(g)
-    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen),
-                                 provenance=f"file:{path}")
+    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen))

@@ -27,8 +27,6 @@ __all__ = [
     "graded_mesh",
     "history_weights",
     "weight_matrix",
-    "g_uniform",
-    "SolutionTrajectory",
     "TrajectorySolver",
     "ExpSumKernel",
     "exp_sum_kernel",
@@ -118,12 +116,10 @@ def _pair_weights(tmesh: GradedTimeMesh, alpha: float, n: np.ndarray,
     base_lo >= 2 tau_j) switch to a quadrature of the equivalent single
     integral, which stays fully accurate where the four-term formula
     cancels; each takes the fewest Gauss nodes its ratio tau_j / base_lo
-    allows.  On a uniform mesh the weights are Toeplitz, w_nj = w_nn g_{n-j}.
+    allows.  A uniform mesh takes the same path.
     """
     t, dt = tmesh.t, tmesh.dt
     tau_n = dt[n - 1]
-    if tmesh.gamma == 1.0:
-        return _diagonal_weight(tau_n, alpha) * g_uniform(n - j, alpha)
     tau_j = dt[j - 1]
     base_lo = t[n - 1] - t[j]          # gap to the right end of I_j
     far = base_lo >= 2.0 * tau_j
@@ -186,13 +182,6 @@ def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
         j = p - first[n - 1] + 1
         W[n, j] = _pair_weights(tmesh, alpha, n, j)
     return W
-
-
-def g_uniform(j, alpha: float):
-    """Toeplitz generator of the uniform-mesh weights."""
-    j = np.asarray(j, dtype=float)
-    e = 2.0 - alpha
-    return (j + 1.0) ** e - 2.0 * j ** e + np.maximum(j - 1.0, 0.0) ** e
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +251,6 @@ def _em1_over(x):
 
 # ---------------------------------------------------------------------------
 # trajectory solver
-
-@dataclass
-class SolutionTrajectory:
-    """Per-level P1 coefficients, piecewise linear in time between levels."""
-
-    tmesh: GradedTimeMesh
-    u: np.ndarray  # (n_steps + 1, d_h)
-
-    def functional_series(self, weights: np.ndarray) -> np.ndarray:
-        return self.u @ weights
-
 
 def _block_diag(indptr, indices, data) -> sp.csc_matrix:
     """Block-diagonal CSC matrix of k blocks sharing one d x d pattern.
@@ -351,22 +329,19 @@ class TrajectorySolver:
     makes one band Cholesky factor-and-solve of the k stacked blocks, so the
     per-step cost of the Python layer is shared by k samples.  ``mass``,
     ``assembler`` and ``loads`` are in that band numbering; ``phi`` and
-    :meth:`solve` use the numbering of ``mesh``.
+    :meth:`solve` use the numbering of ``mesh``.  The stepping starts from
+    the Ritz projection of the initial data, which needs only their
+    gradient ``grad_g``.
     """
 
     # the one linear solver; traced benchmark runs record it as their label
     method = "direct"
 
     def __init__(self, mesh, field, tmesh: GradedTimeMesh, alpha: float,
-                 f, g, grad_g, fast_history: bool = False, fast_eps: float = 1e-8):
+                 f, grad_g, fast_history: bool = False, fast_eps: float = 1e-8):
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        self.mesh = mesh
-        self.field = field
         self.tmesh = tmesh
-        self.alpha = alpha
-        self.g = g
-        self.grad_g = grad_g
         band_mesh = band_ordered(mesh)
         inner = mesh.interior_index >= 0
         # _dof[i]: band position of dof i of ``mesh``
@@ -421,7 +396,7 @@ class TrajectorySolver:
         half_d = 0.5 * band
         # x is the right-hand side going into each band solve and the
         # solution coming out of it
-        x = asm.ritz_rhs(Y, self.grad_g).ravel()
+        x = asm.ritz_rhs(Y).ravel()
         cholesky = _BandCholesky(band.reshape(k * d, self._kd + 1), x)
         if not cholesky():
             x.fill(np.nan)
@@ -466,12 +441,13 @@ class TrajectorySolver:
             us[:, ill_posed] = np.nan
         return values, us
 
-    def solve(self, y) -> SolutionTrajectory:
-        """Trajectory for one parameter vector, every level's coefficients kept."""
+    def solve(self, y) -> np.ndarray:
+        """Coefficients of the trajectory of one parameter vector at every
+        level, shape (n_steps + 1, d), in the dof numbering of ``mesh``."""
         _, u = self._march(np.asarray(y, dtype=float)[None, :], keep_u=True)
         if not np.all(np.isfinite(u)):
             raise SolverError("non-finite solution values")
-        return SolutionTrajectory(tmesh=self.tmesh, u=u[:, 0][:, self._dof])
+        return u[:, 0][:, self._dof]
 
     def functional_series(self, y) -> np.ndarray:
         """L(u_h(t_n, y)) at every level.

@@ -1,6 +1,8 @@
 """Reference computations that tests compare the package against.
 
-None of these is on a run's path: the Ritz projection by a sparse direct
+None of these is on a run's path: the example initial profile, whose
+gradient is the package's default initial data, is what the tests
+interpolate and differentiate; the Ritz projection by a sparse direct
 solve is the oracle of criterion 4 and of the stepper's initial level, the
 figure of merit evaluated from the points is the oracle of the FFT-based
 CBC search (criterion 8), and the dump reader checks the binary files that
@@ -10,6 +12,7 @@ built one column at a time, are the plain forms of what the package
 computes once per edge and for all columns at once; both must give the
 same bits.  Trial division by the schoolbook polynomial remainder is the
 oracle of the irreducibility test, which the package runs on digit rows.
+The generator of the uniform-mesh weights is the oracle of criterion 6.
 """
 
 import struct
@@ -24,13 +27,38 @@ from fracuq.qmc import (_check_rule, _digits, _effective_weights, _laurent_digit
                         classical_points, kernel_values)
 
 
-def ritz_projection(mesh, field, y, g, grad_g, assembler=None) -> np.ndarray:
-    """Coefficients of the energy projection R_h g onto the interior P1 space."""
+def example_initial(x1, x2):
+    """Initial profile 144 x1^2 (1-x1) x2^2 (1-x2), normalised so its
+    average over the unit square is 1; its gradient is
+    ``fracuq.estimator.example_initial_gradient``."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    return 144.0 * x1 ** 2 * (1.0 - x1) * x2 ** 2 * (1.0 - x2)
+
+
+def g_uniform(j, alpha):
+    """Toeplitz generator g_j = (j+1)^e - 2 j^e + (j-1)^e, e = 2 - alpha, of
+    the uniform-mesh weights w_nj = w_nn g_{n-j}, with g_0 = 1.
+
+    For j >= 2 the second difference is taken as j^e (expm1(e log1p(1/j)) +
+    expm1(e log1p(-1/j))), free of the cancellation between the three powers.
+    """
+    j = np.asarray(j, dtype=float)
+    e = 2.0 - alpha
+    far = np.maximum(j, 2.0)
+    smooth = far ** e * (np.expm1(e * np.log1p(1.0 / far)) + np.expm1(e * np.log1p(-1.0 / far)))
+    return np.where(j >= 2.0, smooth,
+                    (j + 1.0) ** e - 2.0 * j ** e + np.maximum(j - 1.0, 0.0) ** e)
+
+
+def ritz_projection(mesh, field, y, grad_g, assembler=None) -> np.ndarray:
+    """Coefficients of the energy projection R_h g onto the interior P1 space,
+    for initial data g with gradient ``grad_g`` (an ``assembler`` passed in
+    must have been built with the same ``grad_g``)."""
     if assembler is None:
-        assembler = StiffnessAssembler(mesh, field)
+        assembler = StiffnessAssembler(mesh, field, grad_g)
     D = assembler.matrix(y)
-    rhs = assembler.ritz_rhs(y, grad_g)
-    return spla.spsolve(D.tocsc(), rhs)
+    return spla.spsolve(D.tocsc(), assembler.ritz_rhs(y))
 
 
 def element_midpoints(mesh) -> np.ndarray:

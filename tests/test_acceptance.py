@@ -18,17 +18,16 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from fracuq.cli import main
-from fracuq.estimator import (RunConfig, estimate, example_initial,
-                              example_initial_gradient,
+from fracuq.estimator import (RunConfig, estimate, example_initial_gradient,
                               spacetime_refinement_study, truncation_study)
 from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
                         triangulate_unit_square)
 from fracuq.field import build_example_field
 from fracuq.qmc import (GFPoly, PointSet, cbc_construct, classical_points,
                         default_modulus, interlace)
-from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, g_uniform, graded_mesh,
+from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, graded_mesh,
                           history_weights, l2J_norm, weight_matrix)
-from oracles import figure_of_merit, ritz_projection
+from oracles import figure_of_merit, g_uniform, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -116,12 +115,12 @@ def test_criterion_03_spacetime_order():
            + ", ".join(f"{r:.2f}" for r in ratios))
 
 
-def crank_nicolson_trajectory(mesh, field, y, tau, n_steps, f, g, grad_g):
+def crank_nicolson_trajectory(mesh, field, y, tau, n_steps, f, grad_g):
     """Independent Crank-Nicolson Galerkin reference solver."""
     M = assemble_mass(mesh)
-    asm = StiffnessAssembler(mesh, field)
+    asm = StiffnessAssembler(mesh, field, grad_g)
     D = asm.matrix(y)
-    u = ritz_projection(mesh, field, y, g, grad_g, assembler=asm)
+    u = ritz_projection(mesh, field, y, grad_g, assembler=asm)
     out = [u]
     lu = spla.splu((M / tau + 0.5 * D).tocsc())
     for n in range(1, n_steps + 1):
@@ -138,11 +137,10 @@ def test_criterion_04_crank_nicolson_degeneration():
     tmesh = graded_mesh(1.0, 40, 1.0)
     rng = np.random.default_rng(4)
     y = rng.uniform(-0.5, 0.5, size=55)
-    solver = TrajectorySolver(mesh, field, tmesh, alpha, 1.0,
-                              example_initial, example_initial_gradient)
-    u = solver.solve(y).u
+    solver = TrajectorySolver(mesh, field, tmesh, alpha, 1.0, example_initial_gradient)
+    u = solver.solve(y)
     ref = crank_nicolson_trajectory(mesh, field, y, tmesh.dt[0], 40, 1.0,
-                                    example_initial, example_initial_gradient)
+                                    example_initial_gradient)
     mass = assemble_mass(mesh)
     rel = l2J_norm(u - ref, tmesh, mass=mass) / l2J_norm(ref, tmesh, mass=mass)
     report(4, rel <= 1e-4, f"relative L2(J,Omega) deviation = {rel:.3e}")
@@ -314,8 +312,7 @@ def test_criterion_10_fast_history():
     field = build_example_field(6)
     mesh = triangulate_unit_square(8)
     tmesh = graded_mesh(1.0, 400, 4.0)
-    args = (mesh, field, tmesh, 0.5, 1.0,
-            example_initial, example_initial_gradient)
+    args = (mesh, field, tmesh, 0.5, 1.0, example_initial_gradient)
     y = np.full(len(field), 0.25)
     t0 = time.perf_counter()
     direct = TrajectorySolver(*args).functional_series(y)

@@ -11,15 +11,12 @@ from fracuq import estimator, fem
 from fracuq.errors import ConfigurationError, DomainError, SolverError
 from fracuq.estimator import (RunConfig, _functional_samples, build_solver,
                               convergence_table,
-                              default_qmc_weights, estimate, example_initial,
+                              default_qmc_weights, estimate,
                               example_initial_gradient, sample_points,
                               spacetime_refinement_study, truncation_study)
 from fracuq.fem import triangulate_unit_square
 from fracuq.field import build_example_field, build_sine_table_field
-
-
-def zero(x1, x2):
-    return np.zeros_like(np.asarray(x1, dtype=float))
+from oracles import example_initial
 
 
 def zero_grad(x1, x2):
@@ -104,6 +101,11 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             small_config(m=2, rule=rule)
 
+    def test_user_grad_g_is_kept(self):
+        cfg = small_config(f=0.0, grad_g=zero_grad)
+        assert cfg.grad_g is zero_grad
+        assert np.all(estimate(cfg).mean == 0.0)
+
     @pytest.mark.parametrize("kappa0", [0.1, -1.0])
     def test_nonpositive_declared_bound_rejected(self, kappa0):
         # 0.1 + 0.3 y sin(pi x1) sin(pi x2) has the declared lower bound
@@ -126,9 +128,9 @@ class TestRunConfig:
         assert cbc_calls == [3]
         assert cfg.qmc_rule() is cfg.qmc_rule() is cfg.rule
         assert cbc_calls == [3]
-        assert cfg.mesh.n_div == cfg.n_div == 6
+        assert cfg.mesh.n_vertices == 7 ** 2
         assert cfg.gamma == pytest.approx(5.0)
-        assert cfg.g is example_initial and cfg.grad_g is example_initial_gradient
+        assert cfg.grad_g is example_initial_gradient
         w = default_qmc_weights(cfg.field, cfg.z)
         assert cfg.rule.gen == cbc_rule(2, 3, 2, 3, w).gen
         # m = 0 (one point) and z = 0 (a deterministic field) need no rule
@@ -178,7 +180,7 @@ class TestBuildSolver:
 
 class TestEstimate:
     def test_zero_data(self):
-        cfg = small_config(f=0.0, g=zero, grad_g=zero_grad)
+        cfg = small_config(f=0.0, grad_g=zero_grad)
         series = estimate(cfg)
         assert np.all(series.mean == 0.0)
         assert np.all(series.std == 0.0)
@@ -324,7 +326,7 @@ class TestTruncationStudy:
 
 class TestRefinementStudy:
     def test_zero_data_zero_errors(self):
-        cfg = small_config(f=0.0, g=zero, grad_g=zero_grad, n_div=4)
+        cfg = small_config(f=0.0, grad_g=zero_grad, n_div=4)
         study = spacetime_refinement_study(cfg, levels=2)
         assert np.allclose(study.errors, 0.0)
 

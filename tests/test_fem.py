@@ -13,8 +13,10 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, assemble_mass,
                         phi_integrals, prolong_structured, save_mesh,
                         triangulate_unit_square)
 from fracuq.fem import _MIDPOINT_BASIS, _element_geometry, band_ordered
+from fracuq.estimator import example_initial_gradient
 from fracuq.field import build_example_field, build_sine_table_field
-from oracles import element_midpoint_parts, element_midpoints, ritz_projection
+from oracles import (element_midpoint_parts, element_midpoints, example_initial,
+                     ritz_projection)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -52,7 +54,7 @@ def all_vertices_free(mesh):
 
 
 def stiffness(mesh, field, y):
-    return StiffnessAssembler(mesh, field).matrix(y)
+    return StiffnessAssembler(mesh, field, example_initial_gradient).matrix(y)
 
 
 def apply_functional(mesh, coeffs):
@@ -162,7 +164,7 @@ class TestStiffness:
     def test_affine_in_parameters(self):
         field = build_example_field(4)
         mesh = triangulate_unit_square(6)
-        asm = StiffnessAssembler(mesh, field)
+        asm = StiffnessAssembler(mesh, field, example_initial_gradient)
         rng = np.random.default_rng(5)
         y1 = rng.uniform(-0.5, 0.5, size=len(field))
         y2 = rng.uniform(-0.5, 0.5, size=len(field))
@@ -181,7 +183,7 @@ class TestStiffness:
 
     def test_short_parameter_vector_truncates(self):
         field = build_example_field(4)
-        asm = StiffnessAssembler(triangulate_unit_square(4), field)
+        asm = StiffnessAssembler(triangulate_unit_square(4), field, example_initial_gradient)
         y = np.array([0.3, -0.2])
         full = np.concatenate([y, np.zeros(len(field) - 2)])
         assert np.allclose(asm.matrix(y).toarray(), asm.matrix(full).toarray())
@@ -192,16 +194,15 @@ class TestStiffness:
         # dip below 0 at y = 1/2 while the level matrices stay positive
         # definite.  The stepper gives that sample NaN values, and only it.
         from fracuq.errors import SolverError
-        from fracuq.estimator import example_initial, example_initial_gradient
         from fracuq.tfrac import TrajectorySolver, graded_mesh
         field = build_sine_table_field(0.05, [(128, 1, 0.5)])
         assert field.declared_bounds[0] > 0
         mesh = triangulate_unit_square(3)
         y = np.array([[0.5], [0.1], [0.0]])
-        kbar = StiffnessAssembler(mesh, field).element_kappa(y)
+        kbar = StiffnessAssembler(mesh, field, example_initial_gradient).element_kappa(y)
         assert kbar[0].min() < 0 < kbar[1:].min()
         solver = TrajectorySolver(mesh, field, graded_mesh(1.0, 4, 2.0), 0.5, 1.0,
-                                  example_initial, example_initial_gradient)
+                                  example_initial_gradient)
         values = solver.functional_series(y)
         assert np.all(np.isnan(values[0]))
         assert np.all(np.isfinite(values[1:]))
@@ -250,7 +251,7 @@ class TestAffineParts:
     @pytest.mark.parametrize("case", ["q1", "q3", "q22", "shuffled", "repeated",
                                       "n12", "jittered"])
     def test_bitwise_equal_to_whole_table(self, case, tmp_path):
-        from fracuq.estimator import example_initial_gradient as grad_g
+        grad_g = example_initial_gradient
         if case == "shuffled":
             mesh, field = shuffled_mesh(tmp_path), build_example_field(3)
         elif case == "jittered":
@@ -265,22 +266,17 @@ class TestAffineParts:
             mesh, field = band_ordered(triangulate_unit_square(n_div)), build_example_field(q)
         psibar, r0, R = element_midpoint_parts(mesh, field, grad_g)
         asm = StiffnessAssembler(mesh, field, grad_g)
-        lazy = StiffnessAssembler(mesh, field)
         ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, len(field)))
         kbar = asm.kbar0 + ys @ psibar
         assert np.array_equal(asm.psibar, psibar)
         # bitwise, the sign of a zero included
         assert asm.psibar.tobytes() == psibar.tobytes()
-        assert asm._ritz[grad_g][1].tobytes() == R.tobytes()
+        assert asm.R.tobytes() == R.tobytes()
         assert np.array_equal(asm.matrix_data(asm.element_kappa(ys)),
                               (asm._spread @ kbar.T).T)
-        for parts in (asm._ritz[grad_g], lazy._ritz.get(grad_g)):
-            if parts is None:       # the lazy assembler builds its parts on first use
-                assert np.array_equal(lazy.ritz_rhs(ys, grad_g), r0 + ys @ R)
-                parts = lazy._ritz[grad_g]
-            assert np.array_equal(parts[0], r0)
-            assert np.array_equal(parts[1], R)
-        assert np.array_equal(asm.ritz_rhs(ys, grad_g), r0 + ys @ R)
+        assert np.array_equal(asm.r0, r0)
+        assert np.array_equal(asm.R, R)
+        assert np.array_equal(asm.ritz_rhs(ys), r0 + ys @ R)
 
     def test_basis_values_plain_formula(self):
         field = repeated_mode_field()
@@ -290,7 +286,7 @@ class TestAffineParts:
         assert np.array_equal(field.basis_values(x1, x2), plain)
 
     def test_set_up_memory(self):
-        from fracuq.estimator import example_initial_gradient as grad_g
+        grad_g = example_initial_gradient
         mesh = band_ordered(triangulate_unit_square(53))
         field = build_example_field(22)
         tracemalloc.start()
@@ -299,7 +295,7 @@ class TestAffineParts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = asm.psibar.nbytes + asm._ritz[grad_g][1].nbytes
+        kept = asm.psibar.nbytes + asm.R.nbytes
         assert peak < 2.5 * kept, f"peak {peak / 2**20:.1f} MiB for {kept / 2**20:.1f} MiB kept"
 
 
@@ -356,7 +352,6 @@ class TestFunctional:
         assert apply_functional(mesh, coeffs) == pytest.approx(val, abs=1e-8)
 
     def test_interpolant_of_normalised_initial(self):
-        from fracuq.estimator import example_initial
         mesh = triangulate_unit_square(64)
         v = mesh.vertices[mesh.interior_index >= 0]
         coeffs = example_initial(v[:, 0], v[:, 1])
@@ -365,26 +360,22 @@ class TestFunctional:
 
 class TestRitz:
     def test_galerkin_orthogonality(self):
-        from fracuq.estimator import example_initial, example_initial_gradient
         field = build_example_field(5)
         mesh = triangulate_unit_square(12)
         rng = np.random.default_rng(9)
         y = rng.uniform(-0.5, 0.5, size=len(field))
-        asm = StiffnessAssembler(mesh, field)
-        coeffs = ritz_projection(mesh, field, y, example_initial,
-                                 example_initial_gradient, assembler=asm)
-        resid = asm.matrix(y) @ coeffs - asm.ritz_rhs(y, example_initial_gradient)
+        asm = StiffnessAssembler(mesh, field, example_initial_gradient)
+        coeffs = ritz_projection(mesh, field, y, example_initial_gradient, assembler=asm)
+        resid = asm.matrix(y) @ coeffs - asm.ritz_rhs(y)
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_functional_of_projection_converges(self):
-        from fracuq.estimator import example_initial, example_initial_gradient
         field = build_example_field(3)
         y = np.full(len(field), 0.25)
         errs = []
         for n_div in (8, 16, 32):
             mesh = triangulate_unit_square(n_div)
-            coeffs = ritz_projection(mesh, field, y, example_initial,
-                                     example_initial_gradient)
+            coeffs = ritz_projection(mesh, field, y, example_initial_gradient)
             errs.append(abs(apply_functional(mesh, coeffs) - 1.0))
         # O(h^2): each halving of h divides the error by about 4
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.8)

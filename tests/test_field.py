@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracuq.errors import ConfigurationError, DomainError
+from fracuq.estimator import example_initial_gradient
 from fracuq.fem import StiffnessAssembler, load_mesh, triangulate_unit_square
 from fracuq.field import (SineRandomField, build_example_field,
                           build_sine_table_field, example_field_scale,
@@ -50,7 +51,6 @@ class TestBuildExampleField:
 
     def test_sort_by_norm(self):
         f = build_example_field(5, sort_by_norm=True)
-        assert f.sorted_by_norm
         assert np.all(np.diff(f.sup_norms) <= 0)
         # same multiset of terms as the default enumeration
         d = build_example_field(5)
@@ -77,7 +77,8 @@ def evaluate_kappa(f, x, y):
 
 def element_kappa(f, y):
     """The element averages of kappa that the solver assembles with."""
-    return StiffnessAssembler(triangulate_unit_square(4), f).element_kappa(y)
+    return StiffnessAssembler(triangulate_unit_square(4), f,
+                              example_initial_gradient).element_kappa(y)
 
 
 def tail_bound(f, z):

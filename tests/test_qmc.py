@@ -245,6 +245,16 @@ class TestCBC:
             rule = cbc_rule(b, m, beta, 12, gammas)
             assert [g.to_int() for g in rule.gen] == want, key
 
+    def test_effective_weights_match_column_loop(self):
+        # the per-column loop with Python's float ** int is the reference;
+        # numpy's power can differ from it in the last bit for large b
+        from fracuq.qmc import _effective_weights
+        for b, beta, dim in itertools.product((2, 3, 7, 251, 65521), (1, 2, 3, 4),
+                                              (1, 5, 12, 759)):
+            gam = 1.0 / np.arange(1, dim + 2, dtype=float) ** 1.7
+            loop = [gam[c // beta] * float(b) ** -(c % beta) for c in range(dim)]
+            assert _effective_weights(dim, beta, b, gam).tobytes() == np.array(loop).tobytes()
+
     def test_deterministic(self):
         g1 = cbc_construct(2, 5, 6, 3, [1.0 / (j + 1) for j in range(2)])
         g2 = cbc_construct(2, 5, 6, 3, [1.0 / (j + 1) for j in range(2)])
