@@ -216,17 +216,27 @@ def sample_points(config: RunConfig) -> np.ndarray:
     return config.rule.centered_points(shift=config.shift)[:, : config.z]
 
 
-_CHUNK_MAX = 8
+# a chunk holds up to 4096 unknowns (samples x dofs), or up to 8 samples
+# where that is more: small problems step many samples together, and large
+# ones share each level's Python calls among 8
+_CHUNK_DOFS = 4096
+_CHUNK_SAMPLES = 8
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """Fixed ranges of consecutive samples stepped together.
+def _chunks(n: int, d: int) -> list[tuple[int, int]]:
+    """Fixed ranges of consecutive samples stepped together, for n samples of d dofs.
 
-    An even number, 2 ceil(n / 16), of near-equal ranges of at most 8
-    samples, with boundaries floor(i n / count): two workers split them
-    evenly, and the ranges never depend on the thread count.
+    Samples of at most 4096 unknowns in all are one range.  More are cut
+    into an even number of near-equal ranges of at most max(8, 4096 // d)
+    samples, with boundaries floor(i n / count), so that two workers split
+    them evenly.  A mesh without interior dofs counts as d = 1.  The ranges
+    depend on n and d only, never on the thread count.
     """
-    count = 2 * max(1, math.ceil(n / (2 * _CHUNK_MAX)))
+    d = max(d, 1)
+    count = 1
+    if n * d > _CHUNK_DOFS:
+        count = math.ceil(n / max(_CHUNK_SAMPLES, _CHUNK_DOFS // d))
+        count += count % 2
     bounds = [i * n // count for i in range(count + 1)]
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
@@ -246,10 +256,13 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
     Samples are stepped in the fixed chunks of :func:`_chunks`, each writing
     its own preallocated rows, so the results and the later reduction order
     are independent of the thread count.  A chunk that raises fails all its
-    samples; a sample with a non-finite value fails on its own, named as
-    ill-posed when its element-averaged diffusivity is not positive.  Points
-    without coordinates (z = 0) are all the same deterministic problem: one
-    trajectory is stepped and its row fills every sample.
+    samples.  One bad sample can spoil its whole chunk through the shared
+    band factorization, so the non-finite samples of a chunk are stepped
+    again one at a time; a sample that is non-finite on its own fails,
+    named as ill-posed when its element-averaged diffusivity is not
+    positive.  Points without coordinates (z = 0) are all the same
+    deterministic problem: one trajectory is stepped and its row fills
+    every sample.
     """
     n = points.shape[0]
     if points.shape[1] == 0 and n > 1:
@@ -265,10 +278,18 @@ def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
         except FracUQError as exc:
             failures.extend((j, exc) for j in range(a, b))
             return
-        for j in a + np.flatnonzero(~np.all(np.isfinite(out[a:b]), axis=1)):
+        bad = a + np.flatnonzero(~np.all(np.isfinite(out[a:b]), axis=1))
+        if b - a > 1:
+            # one bad sample can spoil the whole chunk: step the non-finite
+            # samples again one at a time, so that only those that fail on
+            # their own are named
+            for j in bad:
+                work((int(j), int(j) + 1))
+            return
+        for j in bad:
             failures.append((int(j), SolverError(_failure_reason(solver, points[j]))))
 
-    chunks = _chunks(n)
+    chunks = _chunks(n, solver.mass.shape[0])
     if threads <= 1:
         for chunk in chunks:
             work(chunk)

@@ -310,7 +310,6 @@ class StiffnessAssembler:
     """
 
     def __init__(self, mesh: TriMesh, field, grad_g):
-        self.mesh = mesh
         area, grads = mesh._geometry
         # geometric element stiffness: area * grad_i . grad_j, shape (nt, 3, 3)
         k_geom = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)

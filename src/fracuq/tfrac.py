@@ -315,6 +315,12 @@ class _BandCholesky:
         return self.info.value == 0
 
 
+# levels per block of the direct history sum: the increments older than a
+# block enter all its levels through one matrix product, which reads them
+# once per block and not once per level
+_LEVEL_BLOCK = 32
+
+
 class TrajectorySolver:
     """Solves trajectories for many parameter vectors over shared discretisations.
 
@@ -412,6 +418,10 @@ class TrajectorySolver:
         if fast:
             s, kw = self.kernel.nodes, self.kernel.weights
             H = np.zeros((s.size, k * d))
+        else:
+            # far[i]: the history of level b0 + i from the increments before
+            # its block of _LEVEL_BLOCK levels b0, b0 + 1, ...
+            far = np.empty((min(_LEVEL_BLOCK, nt), k * d))
         for n in range(1, nt + 1):
             tau_n = tmesh.dt[n - 1]
             np.subtract(self.loads[n - 1], (D @ u).reshape(k, d), out=x.reshape(k, d))
@@ -421,7 +431,16 @@ class TrajectorySolver:
             if n > 1 and fast:
                 x -= (kw * _em1_over(s * tau_n)) @ H + W[n, n - 1] * mv[n - 2]
             elif n > 1:
-                x -= W[n, 1:n] @ mv[: n - 1]
+                # one product per block adds the older increments to all its
+                # levels; each level adds the increments of its own block
+                b0 = n - (n - 1) % _LEVEL_BLOCK
+                hist = W[n, b0:n] @ mv[b0 - 1: n - 1]
+                if b0 > 1:
+                    if n == b0:
+                        rows = W[b0: b0 + _LEVEL_BLOCK, 1:b0]
+                        np.matmul(rows, mv[: b0 - 1], out=far[: rows.shape[0]])
+                    hist += far[n - b0]
+                x -= hist
             np.multiply(self._mass_band, W[n, n], out=band)
             band += half_d
             if not cholesky():

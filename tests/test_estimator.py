@@ -9,8 +9,8 @@ import pytest
 
 from fracuq import estimator, fem
 from fracuq.errors import ConfigurationError, DomainError, SolverError
-from fracuq.estimator import (RunConfig, _functional_samples, build_solver,
-                              convergence_table,
+from fracuq.estimator import (RunConfig, _chunks, _functional_samples,
+                              build_solver, convergence_table,
                               default_qmc_weights, estimate,
                               example_initial_gradient, sample_points,
                               spacetime_refinement_study, truncation_study)
@@ -154,6 +154,35 @@ class TestSamplePoints:
         assert np.all(shifted == 0.0)
 
 
+class TestChunks:
+    def test_bench_shapes(self):
+        # desk-table and paper-scale keep the chunks of the 8-sample rule
+        assert _chunks(56, 529) == [(7 * i, 7 * i + 7) for i in range(8)]
+        assert _chunks(2, 2704) == [(0, 1), (1, 2)]
+        # long-history's 16 samples of 49 dofs step as one chunk
+        assert _chunks(16, 49) == [(0, 16)]
+        # criterion 2's 512 paper-scale samples keep 64 chunks of 8
+        assert _chunks(512, 2704) == [(8 * i, 8 * i + 8) for i in range(64)]
+
+    def test_no_samples_no_chunks(self):
+        assert _chunks(0, 25) == []
+
+    @pytest.mark.parametrize("d", [0, 1, 16, 25, 49, 529, 2047, 2049, 2704, 5000])
+    def test_even_count_bounded_size(self, d):
+        for n in range(1, 300):
+            chunks = _chunks(n, d)
+            bounds = [a for a, _ in chunks] + [n]
+            assert bounds[0] == 0 and [b for _, b in chunks] == bounds[1:]
+            sizes = np.diff(bounds)
+            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+            if n * max(d, 1) <= 4096:
+                assert chunks == [(0, n)]
+            else:
+                # an even count of chunks of at most 4096 dofs or 8 samples
+                assert len(chunks) % 2 == 0 or n == 1
+                assert sizes.max() <= max(8, 4096 // max(d, 1))
+
+
 class TestBuildSolver:
     def test_mesh_tables_built_once_per_mesh(self, monkeypatch):
         calls = collections.Counter()
@@ -169,13 +198,13 @@ class TestBuildSolver:
         for name in ("_pattern", "_element_geometry", "_edge_table"):
             monkeypatch.setattr(fem, name, counting(name))
         cfg = small_config()
-        solver = build_solver(cfg)
-        band_mesh = solver.assembler.mesh
-        assert band_mesh is not cfg.mesh
+        build_solver(cfg)
+        # the band mesh is the one other mesh the tables were built for
+        (band_id,) = {mesh_id for _, mesh_id in calls} - {id(cfg.mesh)}
         # RCM reads the input mesh's pattern; assembly shares the band mesh's
-        assert calls == {("_pattern", id(cfg.mesh)): 1, ("_pattern", id(band_mesh)): 1,
-                         ("_element_geometry", id(band_mesh)): 1,
-                         ("_edge_table", id(band_mesh)): 1}
+        assert calls == {("_pattern", id(cfg.mesh)): 1, ("_pattern", band_id): 1,
+                         ("_element_geometry", band_id): 1,
+                         ("_edge_table", band_id): 1}
 
 
 class TestEstimate:
@@ -235,7 +264,8 @@ class TestEstimate:
         assert np.allclose(series.mean, vals.mean(axis=0), atol=1e-15)
         assert np.allclose(series.std, vals.std(axis=0, ddof=1), rtol=1e-12)
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CHUNK_DOFS", 100)    # 2 chunks of 4 at d = 25
         cfg1 = small_config(m=3, threads=1)
         cfg8 = small_config(m=3, threads=8)
         s1 = estimate(cfg1)
@@ -256,15 +286,15 @@ class TestEstimate:
 
 
     def test_non_finite_samples_are_named_not_averaged(self):
-        cfg = small_config(m=3)           # N = 8 in chunks of 4
+        cfg = small_config(m=3)           # N = 8 in one chunk
         solver = build_solver(cfg)
         points = sample_points(cfg).copy()
         points[5, 1] = np.nan             # one NaN parameter poisons its chunk
-        with pytest.raises(SolverError, match="4 of 8") as info:
+        with pytest.raises(SolverError, match="1 of 8") as info:
             _functional_samples(solver, points, threads=2)
         message = str(info.value)
         assert "sample 5: non-finite" in message
-        assert "sample 3" not in message
+        assert message.count("sample ") == 1
 
     def test_non_finite_value_of_one_sample(self, monkeypatch):
         cfg = small_config(m=3)

@@ -10,6 +10,7 @@ import scipy.integrate as si
 import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn
 
+from fracuq import estimator
 from fracuq.errors import ConfigurationError, SolverError, ToleranceError
 from fracuq.estimator import _chunks, _functional_samples, example_initial_gradient
 from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
@@ -361,12 +362,24 @@ class TestChunkedStepping:
         u = solver.solve(y)
         assert np.max(np.abs(u @ solver.phi - ref)) <= 1e-12
 
-    def test_ragged_chunks_match_reference(self):
-        assert _chunks(5) == [(0, 2), (2, 5)]
+    def test_ragged_chunks_match_reference(self, monkeypatch):
+        # d = 25 fits 5 samples into one chunk; 100 dofs a chunk splits them
+        monkeypatch.setattr(estimator, "_CHUNK_DOFS", 100)
+        assert _chunks(5, 25) == [(0, 2), (2, 5)]
         got = _functional_samples(self.solver(), self.points, threads=1)
         for y, row in zip(self.points, got):
             ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
             assert np.max(np.abs(row - ref)) <= 1e-12
+
+    def test_level_blocks_match_reference(self):
+        # 70 levels: two full blocks of 32 after the first and a ragged one of 6
+        tmesh = graded_mesh(1.0, 70, 4.0)
+        solver = TrajectorySolver(self.mesh, self.field, tmesh, 0.5, 1.0,
+                                  example_initial_gradient)
+        ys = self.points[:3]
+        refs = [reference_series(self.mesh, self.field, tmesh, 0.5, y) for y in ys]
+        assert np.max(np.abs(solver.functional_series(ys) - refs)) <= 1e-12
+        assert np.max(np.abs(solver.solve(ys[0]) @ solver.phi - refs[0])) <= 1e-12
 
     def test_block_matches_single_samples(self):
         solver = self.solver(fast_history=True, fast_eps=1e-10)
@@ -375,10 +388,11 @@ class TestChunkedStepping:
         assert block.shape == (5, self.tmesh.n_steps + 1)
         assert np.allclose(block, single, rtol=1e-10, atol=1e-14)
 
-    def test_thread_count_does_not_change_bits(self):
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CHUNK_DOFS", 100)
         solver = self.solver()
         points = np.random.default_rng(22).uniform(-0.5, 0.5, size=(11, len(self.field)))
-        assert [b - a for a, b in _chunks(11)] == [5, 6]
+        assert [b - a for a, b in _chunks(11, 25)] == [5, 6]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # interleave the workers as often as possible
         try:
