@@ -232,9 +232,10 @@ def _emit_gnuplot(out_dir, prefix, csv_name):
 
 def _prepare(args):
     """Load and resolve the config of a config-driven command and write its
-    resolved-config echo; returns (cfg, run, out_dir, prefix)."""
+    resolved-config echo; returns (cfg, run, out_dir, prefix).  ``run`` is
+    also kept as ``args.run``, so that ``main`` can name the run's size."""
     cfg = load_config(args.config, args.set or ())
-    run = build_run_config(cfg, threads=args.threads)
+    run = args.run = build_run_config(cfg, threads=args.threads)
     out_dir = args.out or cfg["output"]["dir"]
     _echo_resolved(cfg, out_dir, run)
     return cfg, run, out_dir, cfg["output"]["prefix"]
@@ -461,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -473,6 +475,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[E_USAGE]: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # the direct history's weight matrix grows as n_steps^2, fast_history's state does not
+        run = getattr(args, "run", None)
+        size = ("" if run is None else
+                f" (n_steps = {run.n_steps}, {run.mesh.n_dofs} dofs, N = {run.n_samples})")
+        print(f"error[E_CONFIG]: the run{size} does not fit in memory: {exc}; "
+              "long histories fit with estimator.fast_history=true", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

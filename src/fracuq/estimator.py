@@ -148,8 +148,6 @@ class ExpectedValueSeries:
     std: np.ndarray
     n_samples: int
     z: int
-    h: float
-    n_steps: int
 
 
 @dataclass
@@ -166,7 +164,6 @@ class ConvergenceRow:
 class TruncationStudy:
     z: np.ndarray
     err_T: np.ndarray
-    value_ref: float
     z_ref: int
     slope: float
 
@@ -314,10 +311,7 @@ def _reduce_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.all(values == values[0]):
         return values[0].copy(), np.zeros(values.shape[1])
     mean = np.sum(values, axis=0) / n
-    if n > 1:
-        std = np.sqrt(np.sum((values - mean) ** 2, axis=0) / (n - 1))
-    else:
-        std = np.zeros_like(mean)
+    std = np.sqrt(np.sum((values - mean) ** 2, axis=0) / (n - 1))
     return mean, std
 
 
@@ -328,10 +322,8 @@ def estimate(config: RunConfig, solver: TrajectorySolver | None = None) -> Expec
     points = sample_points(config)
     values = _functional_samples(solver, points, config.threads)
     mean, std = _reduce_series(values)
-    return ExpectedValueSeries(
-        t=solver.tmesh.t.copy(), mean=mean, std=std,
-        n_samples=points.shape[0], z=config.z, h=config.mesh.h,
-        n_steps=config.n_steps)
+    return ExpectedValueSeries(t=solver.tmesh.t.copy(), mean=mean, std=std,
+                               n_samples=points.shape[0], z=config.z)
 
 
 def _rate(err_prev: float, err_cur: float, factor: float) -> float:
@@ -407,8 +399,7 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
                                  np.log(err[positive]), 1)[0])
     else:
         slope = math.nan
-    return TruncationStudy(z=np.array(z_list), err_T=err, value_ref=ref,
-                           z_ref=z_ref, slope=slope)
+    return TruncationStudy(z=np.array(z_list), err_T=err, z_ref=z_ref, slope=slope)
 
 
 def _interp_levels(t_fine: np.ndarray, t_coarse: np.ndarray,

@@ -447,16 +447,11 @@ def phi_integrals(mesh: TriMesh) -> np.ndarray:
     return mesh._scatter @ np.repeat(area / 3.0, 3)
 
 
-def _full_vertex_values(n_div: int, interior_coeffs: np.ndarray) -> np.ndarray:
-    vals = np.zeros((n_div + 1, n_div + 1))
-    vals[1:-1, 1:-1] = np.asarray(interior_coeffs).reshape(n_div - 1, n_div - 1)
-    return vals
-
-
 def eval_structured(n_div: int, interior_coeffs: np.ndarray,
                     x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate a P1 function on the structured mesh at arbitrary points."""
-    vals = _full_vertex_values(n_div, interior_coeffs)
+    vals = np.zeros((n_div + 1, n_div + 1))
+    vals[1:-1, 1:-1] = np.asarray(interior_coeffs).reshape(n_div - 1, n_div - 1)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     i = np.clip((x1 * n_div).astype(int), 0, n_div - 1)

@@ -127,12 +127,8 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64) -> BoundsRe
     X1, X2 = np.meshgrid(g, g, indexing="ij")
     x1, x2 = X1.ravel(), X2.ravel()
     k0 = field.kappa0(x1, x2)
-    z = len(field)
-    if z:
-        psi = field.basis_values(x1, x2)  # (z, npts)
-        half_abs = 0.5 * np.sum(np.abs(psi), axis=0)
-    else:
-        half_abs = np.zeros_like(k0)
+    psi = field.basis_values(x1, x2)  # (z, npts), empty rows for z = 0
+    half_abs = 0.5 * np.sum(np.abs(psi), axis=0)
     lo = k0 - half_abs
     hi = k0 + half_abs
 
@@ -141,10 +137,10 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64) -> BoundsRe
     bad_lo = np.flatnonzero(lo < kmin - 1e-14)
     bad_hi = np.flatnonzero(hi > kmax + 1e-14)
     for idx in bad_lo[:20]:
-        signs = -np.sign(psi[:, idx]) if z else np.array([])
+        signs = -np.sign(psi[:, idx])
         violations.append(((x1[idx], x2[idx]), 0.5 * signs, float(lo[idx])))
     for idx in bad_hi[:20]:
-        signs = np.sign(psi[:, idx]) if z else np.array([])
+        signs = np.sign(psi[:, idx])
         violations.append(((x1[idx], x2[idx]), 0.5 * signs, float(hi[idx])))
     return BoundsReport(observed_min=float(lo.min()), observed_max=float(hi.max()),
                         violations=violations)
@@ -177,12 +173,11 @@ def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):
     g = np.linspace(0.0, 1.0, resolution + 1)
     k0 = kappa0_const + kappa0_xy * g[:, None] * g[None, :]
     half_abs = np.zeros_like(k0)
-    if amp.size:
-        s1 = np.abs(_sine_rows(k, g, amp)(0, amp.size))
-        s2 = np.abs(_sine_rows(l, g)(0, amp.size))
-        for row1, row2 in zip(s1, s2):
-            half_abs += row1[:, None] * row2[None, :]
-        half_abs *= 0.5
+    s1 = np.abs(_sine_rows(k, g, amp)(0, amp.size))
+    s2 = np.abs(_sine_rows(l, g)(0, amp.size))
+    for row1, row2 in zip(s1, s2):
+        half_abs += row1[:, None] * row2[None, :]
+    half_abs *= 0.5
     return float((k0 - half_abs).min()), float((k0 + half_abs).max())
 
 

@@ -4,7 +4,7 @@ Levels t_n = (n tau)^gamma concentrate steps near t = 0.  Each step solves
 (w_nn M + D/2) V^n = F^n - D U^{n-1} - sum_{j<n} w_nj M V^j and the
 convolution weights come from exact antiderivative differences of the
 fractional kernel, evaluated in cancellation-safe form.  An optional
-exponential-sum surrogate accelerates the history sum.
+exponential-sum surrogate takes the history sum without the n^2 weights.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,6 @@ from .fem import (StiffnessAssembler, assemble_mass, band_ordered, load_vector,
 __all__ = [
     "GradedTimeMesh",
     "graded_mesh",
-    "history_weights",
     "weight_matrix",
     "TrajectorySolver",
     "ExpSumKernel",
@@ -40,8 +40,6 @@ class GradedTimeMesh:
 
     T: float
     n_steps: int
-    gamma: float
-    tau: float
     t: np.ndarray
     dt: np.ndarray
 
@@ -51,8 +49,7 @@ def graded_mesh(T: float, n_steps: int, gamma: float) -> GradedTimeMesh:
         raise ConfigurationError("need T > 0, n_steps >= 1, gamma >= 1")
     tau = T ** (1.0 / gamma) / n_steps
     t = (np.arange(n_steps + 1) * tau) ** gamma
-    return GradedTimeMesh(T=T, n_steps=n_steps, gamma=float(gamma), tau=tau,
-                          t=t, dt=np.diff(t))
+    return GradedTimeMesh(T=T, n_steps=n_steps, t=t, dt=np.diff(t))
 
 
 def _omega3(t, alpha: float):
@@ -138,23 +135,6 @@ def _pair_weights(tmesh: GradedTimeMesh, alpha: float, n: np.ndarray,
     return num / (tau_n * tau_j)
 
 
-def history_weights(tmesh: GradedTimeMesh, alpha: float, n: int) -> np.ndarray:
-    """Convolution weight row (w_n1, ..., w_nn) of the scheme.
-
-    The diagonal is w_{3-a}(tau_n)/tau_n^2; the rest is the one-row case of
-    :func:`_pair_weights`, the kernel :func:`weight_matrix` uses.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
-    if not 1 <= n <= tmesh.n_steps:
-        raise ConfigurationError(f"n={n} outside 1..{tmesh.n_steps}")
-    tau_n = tmesh.dt[n - 1: n]     # an array, as in weight_matrix, for the same bits
-    row = np.empty(n)
-    row[n - 1:] = _diagonal_weight(tau_n, alpha)
-    row[: n - 1] = _pair_weights(tmesh, alpha, np.full(n - 1, n), np.arange(1, n))
-    return row
-
-
 # pairs per call of _pair_weights in weight_matrix: enough to amortise the
 # numpy calls, few enough that the temporaries (up to 12 values per pair)
 # stay small; blocks of 32k pairs raised the peak RSS of a long-history run
@@ -165,7 +145,7 @@ def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
     """Lower-triangular weights W[n, j] = w_nj for 1 <= j <= n <= n_steps.
 
     The off-diagonal pairs are taken in row-major order, _PAIR_BLOCK at a
-    time, through the kernel of :func:`history_weights`.
+    time, through :func:`_pair_weights`.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
@@ -189,16 +169,9 @@ def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpSumKernel:
-    alpha: float
     nodes: np.ndarray
     weights: np.ndarray
-    t_min: float
-    t_max: float
     rel_err: float
-
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.exp(-np.outer(t, self.nodes)) @ self.weights
 
 
 def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
@@ -233,15 +206,13 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
         approx = np.exp(-np.outer(tc, nodes)) @ weights
         rel = float(np.max(np.abs(approx - target) / target))
         if rel <= 0.5 * eps:
-            return ExpSumKernel(alpha=alpha, nodes=nodes, weights=weights,
-                                t_min=t_min, t_max=t_max, rel_err=rel)
+            return ExpSumKernel(nodes=nodes, weights=weights, rel_err=rel)
         h *= 0.5
         pad += 1.0
 
 
 def _em1_over(x):
-    """(1 - exp(-x)) / x, accurate near 0."""
-    x = np.asarray(x, dtype=float)
+    """(1 - exp(-x)) / x of a float array, accurate near 0."""
     out = np.empty_like(x)
     small = np.abs(x) < 1e-8
     out[small] = 1.0 - 0.5 * x[small]
@@ -321,6 +292,68 @@ class _BandCholesky:
 _LEVEL_BLOCK = 32
 
 
+class _DirectHistory:
+    """History sums sum_{j<n} w_nj M V^j of one chunk, with every weight of W.
+
+    record(n, mx) takes in M V^n; subtract(n, x) removes the history of
+    level n from x.  :class:`_ExpSumHistory` has the same two methods.
+    """
+
+    def __init__(self, W: np.ndarray, size: int):
+        nt = W.shape[0] - 1
+        self.W = W
+        self.mv = np.empty((nt, size))
+        # far[i]: the history of level b0 + i from the increments before
+        # its block of _LEVEL_BLOCK levels b0, b0 + 1, ...
+        self.far = np.empty((min(_LEVEL_BLOCK, nt), size))
+
+    def subtract(self, n: int, x: np.ndarray) -> None:
+        if n == 1:
+            return
+        W, mv, far = self.W, self.mv, self.far
+        # one product per block adds the older increments to all its
+        # levels; each level adds the increments of its own block
+        b0 = n - (n - 1) % _LEVEL_BLOCK
+        hist = W[n, b0:n] @ mv[b0 - 1: n - 1]
+        if b0 > 1:
+            if n == b0:
+                rows = W[b0: b0 + _LEVEL_BLOCK, 1:b0]
+                np.matmul(rows, mv[: b0 - 1], out=far[: rows.shape[0]])
+            hist += far[n - b0]
+        x -= hist
+
+    def record(self, n: int, mx: np.ndarray) -> None:
+        self.mv[n - 1] = mx
+
+
+class _ExpSumHistory:
+    """History sums through the kernel's exponential sum; state O(terms k d).
+
+    H carries the terms j < n - 1 as exponential modes (their gaps t - s
+    are at least one step) and the adjacent term j = n - 1, where t - s can
+    vanish, is added directly with its weight w_sub[n - 2] = w_{n,n-1}.
+    """
+
+    def __init__(self, kernel: ExpSumKernel, dt: np.ndarray, w_sub: np.ndarray, size: int):
+        self.s, self.kw = kernel.nodes, kernel.weights
+        self.dt, self.w_sub = dt, w_sub
+        self.H = np.zeros((self.s.size, size))
+        self.last = None
+
+    def subtract(self, n: int, x: np.ndarray) -> None:
+        if n > 1:
+            x -= ((self.kw * _em1_over(self.s * self.dt[n - 1])) @ self.H
+                  + self.w_sub[n - 2] * self.last)
+
+    def record(self, n: int, mx: np.ndarray) -> None:
+        if n >= 2:
+            # fold V^{n-1} into the far field and decay to the next level
+            s, dt = self.s, self.dt
+            beta = _em1_over(s * dt[n - 2])
+            self.H = np.exp(-s * dt[n - 1])[:, None] * (self.H + beta[:, None] * self.last)
+        self.last = mx
+
+
 class TrajectorySolver:
     """Solves trajectories for many parameter vectors over shared discretisations.
 
@@ -355,7 +388,17 @@ class TrajectorySolver:
         self._dof[mesh.interior_index[inner]] = band_mesh.interior_index[inner]
         self.mass = assemble_mass(band_mesh)
         self.assembler = StiffnessAssembler(band_mesh, field, grad_g)
-        self.weights = weight_matrix(tmesh, alpha)
+        nt = tmesh.n_steps
+        self._w_diag = _diagonal_weight(tmesh.dt, alpha)
+        # the exponential sum needs dt.min() < T, so at least three levels;
+        # it reads only the weights w_{n,n-1} of W, and the direct sum all
+        if fast_history and nt >= 3:
+            kernel = exp_sum_kernel(alpha, float(tmesh.dt.min()), tmesh.T, fast_eps)
+            sub = np.arange(2, nt + 1)
+            self._history = partial(_ExpSumHistory, kernel, tmesh.dt,
+                                    _pair_weights(tmesh, alpha, sub, sub - 1))
+        else:
+            self._history = partial(_DirectHistory, weight_matrix(tmesh, alpha))
         t = tmesh.t
         self.loads = load_vector(band_mesh, f, t[:-1], t[1:])
         self._phi = phi_integrals(band_mesh)
@@ -371,9 +414,6 @@ class TrajectorySolver:
         self._band_slot = col[self._lower] * (self._kd + 1) + offset[self._lower]
         self._mass_band = np.zeros((d, self._kd + 1))
         self._mass_band.ravel()[self._band_slot] = self.mass.data[self._lower]
-        self.kernel = None
-        if fast_history and tmesh.n_steps >= 3:
-            self.kernel = exp_sum_kernel(alpha, float(tmesh.dt.min()), tmesh.T, fast_eps)
 
     def _march(self, Y: np.ndarray, keep_u: bool):
         """Step the k rows of Y (shape (k, z)) through every level together.
@@ -386,16 +426,14 @@ class TrajectorySolver:
         positive everywhere: the caller sees non-finite samples and never
         averages them.
         """
-        tmesh, asm = self.tmesh, self.assembler
-        nt = tmesh.n_steps
+        asm = self.assembler
+        nt = self.tmesh.n_steps
         k = Y.shape[0]
         d = self.mass.shape[0]
         kbar = asm.element_kappa(Y)
         ill_posed = ~np.all(kbar > 0.0, axis=1)
         d_data = asm.matrix_data(kbar)
         D = _block_diag(asm.indptr, asm.indices, d_data)
-        M = _block_diag(asm.indptr, asm.indices,
-                        np.broadcast_to(self.mass.data, (k, self.mass.nnz)))
         # the k blocks of D(y) stacked in lower band storage, (k, d, kd + 1)
         band = np.zeros((k, d, self._kd + 1))
         band.reshape(k, -1)[:, self._band_slot] = d_data[:, self._lower]
@@ -412,36 +450,11 @@ class TrajectorySolver:
         us = np.empty((nt + 1, k * d)) if keep_u else None
         if keep_u:
             us[0] = u
-        mv = np.empty((nt, k * d))
-        W = self.weights
-        fast = self.kernel is not None
-        if fast:
-            s, kw = self.kernel.nodes, self.kernel.weights
-            H = np.zeros((s.size, k * d))
-        else:
-            # far[i]: the history of level b0 + i from the increments before
-            # its block of _LEVEL_BLOCK levels b0, b0 + 1, ...
-            far = np.empty((min(_LEVEL_BLOCK, nt), k * d))
+        history = self._history(k * d)
         for n in range(1, nt + 1):
-            tau_n = tmesh.dt[n - 1]
             np.subtract(self.loads[n - 1], (D @ u).reshape(k, d), out=x.reshape(k, d))
-            # with fast history, H carries the terms j < n - 1 as exponential
-            # modes (their gaps t - s are at least one step) and the adjacent
-            # term j = n - 1, where t - s can vanish, is added directly
-            if n > 1 and fast:
-                x -= (kw * _em1_over(s * tau_n)) @ H + W[n, n - 1] * mv[n - 2]
-            elif n > 1:
-                # one product per block adds the older increments to all its
-                # levels; each level adds the increments of its own block
-                b0 = n - (n - 1) % _LEVEL_BLOCK
-                hist = W[n, b0:n] @ mv[b0 - 1: n - 1]
-                if b0 > 1:
-                    if n == b0:
-                        rows = W[b0: b0 + _LEVEL_BLOCK, 1:b0]
-                        np.matmul(rows, mv[: b0 - 1], out=far[: rows.shape[0]])
-                    hist += far[n - b0]
-                x -= hist
-            np.multiply(self._mass_band, W[n, n], out=band)
+            history.subtract(n, x)
+            np.multiply(self._mass_band, self._w_diag[n - 1], out=band)
             band += half_d
             if not cholesky():
                 x.fill(np.nan)
@@ -449,11 +462,7 @@ class TrajectorySolver:
             values[:, n] = u.reshape(k, d) @ self._phi
             if keep_u:
                 us[n] = u
-            mv[n - 1] = M @ x
-            if fast and n >= 2:
-                # fold V^{n-1} into the far field and decay to the next level
-                beta = _em1_over(s * tmesh.dt[n - 2])
-                H = np.exp(-s * tau_n)[:, None] * (H + beta[:, None] * mv[n - 2])
+            history.record(n, (self.mass @ x.reshape(k, d).T).T.ravel())
         values[ill_posed] = np.nan
         if keep_u:
             us = us.reshape(nt + 1, k, d)

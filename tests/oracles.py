@@ -12,7 +12,9 @@ built one column at a time, are the plain forms of what the package
 computes once per edge and for all columns at once; both must give the
 same bits.  Trial division by the schoolbook polynomial remainder is the
 oracle of the irreducibility test, which the package runs on digit rows.
-The generator of the uniform-mesh weights is the oracle of criterion 6.
+The generator of the uniform-mesh weights is the oracle of criterion 6,
+and the weight row of one level and the values of an exponential sum are
+the plain forms of what the stepper reads from its weight tables.
 """
 
 import struct
@@ -25,6 +27,7 @@ from fracuq.errors import ConfigurationError
 from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
 from fracuq.qmc import (_check_rule, _digits, _effective_weights, _laurent_digits,
                         classical_points, kernel_values)
+from fracuq.tfrac import GradedTimeMesh, _diagonal_weight, _pair_weights
 
 
 def example_initial(x1, x2):
@@ -49,6 +52,29 @@ def g_uniform(j, alpha):
     smooth = far ** e * (np.expm1(e * np.log1p(1.0 / far)) + np.expm1(e * np.log1p(-1.0 / far)))
     return np.where(j >= 2.0, smooth,
                     (j + 1.0) ** e - 2.0 * j ** e + np.maximum(j - 1.0, 0.0) ** e)
+
+
+def history_weights(tmesh: GradedTimeMesh, alpha: float, n: int) -> np.ndarray:
+    """Convolution weight row (w_n1, ..., w_nn) of the scheme.
+
+    The diagonal is w_{3-a}(tau_n)/tau_n^2; the rest is the one-row case of
+    :func:`_pair_weights`, the kernel :func:`weight_matrix` uses.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
+    if not 1 <= n <= tmesh.n_steps:
+        raise ConfigurationError(f"n={n} outside 1..{tmesh.n_steps}")
+    tau_n = tmesh.dt[n - 1: n]     # an array, as in weight_matrix, for the same bits
+    row = np.empty(n)
+    row[n - 1:] = _diagonal_weight(tau_n, alpha)
+    row[: n - 1] = _pair_weights(tmesh, alpha, np.full(n - 1, n), np.arange(1, n))
+    return row
+
+
+def exp_sum_values(kernel, t) -> np.ndarray:
+    """sum_i w_i exp(-s_i t) of an :class:`ExpSumKernel` at the times t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.exp(-np.outer(t, kernel.nodes)) @ kernel.weights
 
 
 def ritz_projection(mesh, field, y, grad_g, assembler=None) -> np.ndarray:

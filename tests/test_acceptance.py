@@ -25,9 +25,9 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
 from fracuq.field import build_example_field
 from fracuq.qmc import (GFPoly, PointSet, cbc_construct, classical_points,
                         default_modulus, interlace)
-from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, graded_mesh,
-                          history_weights, l2J_norm, weight_matrix)
-from oracles import figure_of_merit, g_uniform, ritz_projection
+from fracuq.tfrac import (_GL_RATIO, TrajectorySolver, graded_mesh, l2J_norm,
+                          weight_matrix)
+from oracles import figure_of_merit, g_uniform, history_weights, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracuq
 from fracuq.cli import load_config, main, write_field_dump
 from fracuq.errors import ConfigurationError, UsageError
 from fracuq.fem import load_mesh
@@ -312,6 +315,28 @@ class TestErrorPaths:
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
         self.assert_one_error_line(capsys, "E_DOMAIN")
         assert not list(out.glob("*-series.csv"))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_oversized_run_is_one_error_line(self, tmp_path):
+        # the direct history's weight matrix alone would take 29.1 TiB; the
+        # address-space cap is set in a child process, never in this one,
+        # and one BLAS thread keeps the child's own reservations small
+        cfg = write_config(tmp_path, space={"n_div": 4}, time={"n_steps": 2_000_000},
+                           qmc={"m": 1})
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))\n"
+                 "from fracuq.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(fracuq.__file__))
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", child, "estimate", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[E_CONFIG]"), proc.stderr
+        assert "n_steps = 2000000" in lines[0] and "estimator.fast_history" in lines[0]
+        assert "Traceback" not in proc.stderr
 
     def test_sample_with_nonpositive_element_diffusivity_fails(self, tmp_path, capsys):
         # sin(128 pi x1) vanishes at every node of the 129-point bounds grid,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.integrate as si
 import scipy.sparse.linalg as spla
 from scipy.special import gamma as gamma_fn
 
-from fracuq import estimator
+from fracuq import estimator, tfrac
 from fracuq.errors import ConfigurationError, SolverError, ToleranceError
 from fracuq.estimator import _chunks, _functional_samples, example_initial_gradient
 from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
@@ -18,8 +19,8 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
                         triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
 from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
-                          graded_mesh, history_weights, l2J_norm, weight_matrix)
-from oracles import g_uniform, ritz_projection
+                          graded_mesh, l2J_norm, weight_matrix)
+from oracles import exp_sum_values, g_uniform, history_weights, ritz_projection
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -188,7 +189,7 @@ class TestExpSumKernel:
         k = exp_sum_kernel(alpha, 1e-6, 1.0, eps)
         t = np.geomspace(1e-6, 1.0, 300)
         target = t ** (-alpha) / gamma_fn(1.0 - alpha)
-        assert np.max(np.abs(k(t) - target) / target) <= eps
+        assert np.max(np.abs(exp_sum_values(k, t) - target) / target) <= eps
 
     def test_term_budget_enforced(self):
         with pytest.raises(ToleranceError):
@@ -411,6 +412,83 @@ class TestChunkedStepping:
         monkeypatch.setattr(spla, "spsolve", refuse)
         monkeypatch.setattr(spla, "splu", refuse)
         assert np.max(np.abs(self.solver().functional_series(y) - ref)) <= 1e-12
+
+
+class TestHistorySums:
+    """Each history object against the sum it stands for, term by term."""
+
+    def setup_method(self):
+        self.field = build_example_field(3)
+        self.mesh = triangulate_unit_square(6)
+        # 70 levels: two full level blocks after the first and a ragged one
+        self.tmesh = graded_mesh(1.0, 70, 4.0)
+        self.W = weight_matrix(self.tmesh, 0.5)
+        self.mx = np.random.default_rng(31).normal(size=(70, 50))
+
+    def solver(self, **kw):
+        return TrajectorySolver(self.mesh, self.field, self.tmesh, 0.5, 1.0,
+                                example_initial_gradient, **kw)
+
+    def check(self, history, weight):
+        """Drive ``history`` as the stepper does; weight(n, j) is the
+        coefficient of M V^j in the history of level n."""
+        for n in range(1, 71):
+            x = np.zeros(50)
+            history.subtract(n, x)
+            terms = np.array([weight(n, j) * self.mx[j - 1] for j in range(1, n)])
+            ref = -terms.sum(axis=0) if n > 1 else np.zeros(50)
+            scale = np.abs(terms).sum(axis=0).max() if n > 1 else 1.0
+            assert np.max(np.abs(x - ref)) <= 1e-12 * scale, f"level {n}"
+            history.record(n, self.mx[n - 1].copy())
+
+    def test_direct_history(self):
+        history = self.solver()._history(50)
+        assert isinstance(history, tfrac._DirectHistory)
+        self.check(history, lambda n, j: self.W[n, j])
+
+    def test_exp_sum_history(self):
+        history = self.solver(fast_history=True)._history(50)
+        assert isinstance(history, tfrac._ExpSumHistory)
+        t, dt = self.tmesh.t, self.tmesh.dt
+        kernel = exp_sum_kernel(0.5, float(dt.min()), 1.0, 1e-8)
+        s, kw = kernel.nodes, kernel.weights
+
+        def em1_over(x):
+            return -np.expm1(-x) / x
+
+        def weight(n, j):
+            # the adjacent term exactly; the older ones through the kernel's
+            # exponential sum, integrated over I_n x I_j
+            if j == n - 1:
+                return self.W[n, j]
+            return np.sum(kw * em1_over(s * dt[n - 1]) * em1_over(s * dt[j - 1])
+                          * np.exp(-s * (t[n - 1] - t[j])))
+
+        self.check(history, weight)
+
+    def test_fast_history_builds_no_weight_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("weight matrix on the fast path")
+
+        monkeypatch.setattr(tfrac, "weight_matrix", refuse)
+        ys = np.random.default_rng(32).uniform(-0.5, 0.5, size=(3, len(self.field)))
+        assert np.all(np.isfinite(self.solver(fast_history=True).functional_series(ys)))
+
+    def test_fast_history_memory_has_no_square_term(self):
+        # 2000 levels: W alone is 32 MB, the fast path's state a few kB
+        mesh = triangulate_unit_square(3)
+        tmesh = graded_mesh(1.0, 2000, 4.0)
+        y = np.full(len(self.field), 0.1)
+        peaks = {}
+        for fast in (False, True):
+            tracemalloc.start()
+            try:
+                TrajectorySolver(mesh, self.field, tmesh, 0.5, 1.0, example_initial_gradient,
+                                 fast_history=fast).functional_series(y)
+                peaks[fast] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] < 8 * 2**20 < peaks[False], peaks
 
 
 def bandwidth(matrix) -> int:
