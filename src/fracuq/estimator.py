@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +61,14 @@ class RunConfig:
     """All ingredients of one estimation run, resolved once and then read-only.
 
     The spatial mesh is either a structured ``n_div`` subdivision of the
-    unit square or an explicit :class:`TriMesh`; the generating vector is
-    either supplied as ``rule`` or built by CBC with the default weights.
-    Construction validates the inputs and fills in what was left out:
-    ``mesh`` from ``n_div``, ``gamma`` as the usual grading 2/alpha,
-    ``grad_g`` as the gradient of the example initial profile, and ``rule``
-    when m >= 1 and z >= 1.  The initial data enter only through their
-    Ritz projection, which needs only ``grad_g``.  The field's declared
-    lower bound must be positive.
+    unit square or an explicit :class:`TriMesh`.  ``rule`` is a given
+    generating vector, or None; :func:`sample_points` builds a CBC rule
+    where none is given.  Construction validates the inputs and fills in
+    what was left out: ``mesh`` from ``n_div`` and ``gamma`` as the usual
+    grading 2/alpha.  The initial data enter only through their Ritz
+    projection, which needs only ``grad_g``, by default the gradient of the
+    example initial profile.  The field's declared lower bound must be
+    positive.
     """
 
     alpha: float
@@ -84,7 +84,7 @@ class RunConfig:
     beta: int = 3
     rule: InterlacedLatticeRule | None = None
     f: object = 1.0
-    grad_g: object = None
+    grad_g: object = example_initial_gradient
     fast_history: bool = False
     fast_eps: float = 1e-8
     threads: int = 1
@@ -115,17 +115,10 @@ class RunConfig:
                     f"generating vector covers {self.rule.z} coordinates, need {self.z}")
             if (self.rule.b, self.rule.m, self.rule.beta) != (self.b, self.m, self.beta):
                 raise ConfigurationError("generating vector (b, m, beta) mismatch")
-        resolved = {}
         if self.mesh is None:
-            resolved["mesh"] = triangulate_unit_square(self.n_div)
+            object.__setattr__(self, "mesh", triangulate_unit_square(self.n_div))
         if self.gamma is None:
-            resolved["gamma"] = 2.0 / self.alpha
-        if self.grad_g is None:
-            resolved["grad_g"] = example_initial_gradient
-        if self.rule is None and self.m >= 1 and self.z >= 1:
-            resolved["rule"] = _lattice_rule(self, self.m, self.z)
-        for name, value in resolved.items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, "gamma", 2.0 / self.alpha)
 
     @property
     def n_samples(self) -> int:
@@ -135,7 +128,7 @@ class RunConfig:
         return graded_mesh(self.T, self.n_steps, self.gamma)
 
     def qmc_rule(self) -> InterlacedLatticeRule | None:
-        """The rule of the N = b^m points (None when m = 0 or z = 0)."""
+        """The given rule, or None; builds nothing."""
         return self.rule
 
 
@@ -177,24 +170,19 @@ class RefinementStudy:
     orders: np.ndarray      # log2 of the ratios
 
 
-def _lattice_rule(config: RunConfig, m: int, z: int) -> InterlacedLatticeRule:
-    """config.rule when it has b^m points and covers z coordinates, otherwise
-    a CBC rule with the default weights."""
-    rule = config.rule
-    if rule is not None and rule.m == m and rule.z >= z:
-        return rule
-    return cbc_rule(config.b, m, config.beta, z, default_qmc_weights(config.field, z))
-
-
 def build_solver(config: RunConfig) -> TrajectorySolver:
     return TrajectorySolver(
         config.mesh, config.field, config.time_mesh(), config.alpha,
         config.f, config.grad_g, fast_history=config.fast_history, fast_eps=config.fast_eps)
 
 
-def sample_points(config: RunConfig) -> np.ndarray:
-    """Centered QMC points, shape (N, z).
+def sample_points(config: RunConfig, m: int | None = None,
+                  z: int | None = None) -> np.ndarray:
+    """Centered QMC points of N = b^m points in z coordinates, shape (N, z);
+    m and z default to the config's.
 
+    The points come from config.rule when it has b^m points and covers z
+    coordinates, and otherwise from a CBC rule with the default weights.
     Plain centering (x - 1/2) by default, so point 0 is the corner
     (-1/2, ..., -1/2); ``shift="digital-half"`` additionally applies a
     deterministic digital shift that moves point 0 to the centre, useful
@@ -203,14 +191,19 @@ def sample_points(config: RunConfig) -> np.ndarray:
     m = 0 is the single-point rule: just the origin of [0,1)^z; z = 0 (a
     deterministic field) repeats the empty parameter vector N times.
     """
-    if config.z == 0:
-        return np.zeros((config.n_samples, 0))
-    if config.m == 0:
-        ps = PointSet(np.zeros((1, config.z), dtype=np.int64), config.b, 1)
+    m = config.m if m is None else m
+    z = config.z if z is None else z
+    if z == 0:
+        return np.zeros((config.b ** m, 0))
+    if m == 0:
+        ps = PointSet(np.zeros((1, z), dtype=np.int64), config.b, 1)
         if config.shift == "digital-half":
             ps = digital_shift_half(ps)
         return shift_to_centered(ps)
-    return config.rule.centered_points(shift=config.shift)[:, : config.z]
+    rule = config.rule
+    if rule is None or rule.m != m or rule.z < z:
+        rule = cbc_rule(config.b, m, config.beta, z, default_qmc_weights(config.field, z))
+    return rule.centered_points(shift=config.shift)[:, :z]
 
 
 # a chunk holds up to 4096 unknowns (samples x dofs), or up to 8 samples
@@ -346,8 +339,7 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
         m = round(math.log(n) / math.log(config.b))
         if config.b ** m != n:
             raise ConfigurationError(f"N={n} is not a power of the base b={config.b}")
-        rule = _lattice_rule(config, m, config.z)
-        point_sets.append(rule.centered_points(shift=config.shift)[:, : config.z])
+        point_sets.append(sample_points(config, m=m))
     # every point set in one pass, so the chunks keep all workers busy
     values = _functional_samples(solver, np.concatenate(point_sets), config.threads)
     bounds = np.cumsum([0] + sizes)
@@ -384,8 +376,7 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
         raise ConfigurationError("z_ref must exceed every entry of z_list")
     if z_ref > len(config.field):
         raise ConfigurationError("z_ref exceeds the field basis length")
-    rule = _lattice_rule(config, config.m, z_ref)
-    points = rule.centered_points(shift=config.shift)[:, :z_ref]
+    points = sample_points(config, z=z_ref)
     solver = build_solver(config)
     values_T = {}
     for z in z_list + [z_ref]:
@@ -434,11 +425,9 @@ def spacetime_refinement_study(config: RunConfig, levels: int = 3,
     n_steps = [config.n_steps * 2 ** i for i in range(levels)]
     trajectories = []
     for nd, nt in zip(n_divs, n_steps):
-        mesh = triangulate_unit_square(nd)
-        tmesh = graded_mesh(config.T, nt, config.gamma)
-        solver = TrajectorySolver(mesh, config.field, tmesh, config.alpha,
-                                  config.f, config.grad_g)
-        trajectories.append((mesh, tmesh, solver.solve(y)))
+        level = replace(config, n_div=nd, mesh=None, n_steps=nt)
+        solver = build_solver(level)
+        trajectories.append((level.mesh, solver.tmesh, solver.solve(y)))
     fine_mesh, fine_tmesh, u_ref = trajectories[-1]
     mass_fine = assemble_mass(fine_mesh)
     errors = []

@@ -77,12 +77,9 @@ class SineRandomField:
     def kappa0(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         return self.kappa0_const + self.kappa0_xy * np.asarray(x1) * np.asarray(x2)
 
-    def basis_values(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at the given points, shape (z, npts), C order."""
-        return np.ascontiguousarray(self.basis_rows(x1, x2)(0, len(self)))
-
     def basis_rows(self, x1: np.ndarray, x2: np.ndarray):
-        """Function (a, b) -> the values basis_values(x1, x2)[a:b].
+        """Function (a, b) -> the values of basis functions a..b-1 at the
+        given points, shape (b - a, npts).
 
         The sines are evaluated here, once per distinct (mode number,
         coordinate) pair; each call only gathers and multiplies its rows,
@@ -107,43 +104,23 @@ class SineRandomField:
 class BoundsReport:
     observed_min: float
     observed_max: float
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    ok: bool
 
 
 def verify_bounds(field: SineRandomField, grid_resolution: int = 64) -> BoundsReport:
     """Check the declared kappa bounds on a tensor grid of x-points.
 
-    At each grid point the extremes over y are attained at y_j = +-1/2 with
-    signs matched to psi_j(x), so the grid extremes are the observed range.
-    Violations are reported, not raised.
+    The observed range is that of :func:`_kappa_range` on the
+    (grid_resolution + 1)^2 grid; a violation is reported, not raised.
     """
     if grid_resolution < 2:
         raise ConfigurationError("grid_resolution must be >= 2")
-    g = np.linspace(0.0, 1.0, grid_resolution + 1)
-    X1, X2 = np.meshgrid(g, g, indexing="ij")
-    x1, x2 = X1.ravel(), X2.ravel()
-    k0 = field.kappa0(x1, x2)
-    psi = field.basis_values(x1, x2)  # (z, npts), empty rows for z = 0
-    half_abs = 0.5 * np.sum(np.abs(psi), axis=0)
-    lo = k0 - half_abs
-    hi = k0 + half_abs
-
+    lo, hi = _kappa_range(field.kappa0_const, field.kappa0_xy, field.k, field.l,
+                          field.amp, grid_resolution)
     kmin, kmax = field.declared_bounds
-    violations = []
-    bad_lo = np.flatnonzero(lo < kmin - 1e-14)
-    bad_hi = np.flatnonzero(hi > kmax + 1e-14)
-    for idx in bad_lo[:20]:
-        signs = -np.sign(psi[:, idx])
-        violations.append(((x1[idx], x2[idx]), 0.5 * signs, float(lo[idx])))
-    for idx in bad_hi[:20]:
-        signs = np.sign(psi[:, idx])
-        violations.append(((x1[idx], x2[idx]), 0.5 * signs, float(hi[idx])))
-    return BoundsReport(observed_min=float(lo.min()), observed_max=float(hi.max()),
-                        violations=violations)
+    lo, hi = float(lo.min()), float(hi.max())
+    return BoundsReport(observed_min=lo, observed_max=hi,
+                        ok=lo >= kmin - 1e-14 and hi <= kmax + 1e-14)
 
 
 def _sine_rows(modes, x, scale=None):
@@ -163,22 +140,21 @@ def _sine_rows(modes, x, scale=None):
     return lambda a, b: table[:, a:b].take(x_inv, axis=0).T
 
 
-def _declare_bounds(kappa0_const, kappa0_xy, k, l, amp, resolution=128):
-    """Numerical lower/upper bounds of kappa over x and worst-case y.
+def _kappa_range(kappa0_const, kappa0_xy, k, l, amp, resolution):
+    """kappa0 -+ (1/2) sum_j |psi_j|, the extremes of kappa over y, at every
+    point of the (resolution + 1)^2 tensor grid of the unit square.
 
-    On the tensor grid |amp_j sin(k_j pi x1) sin(l_j pi x2)| is a product of
-    one table per coordinate; the terms are summed in index order, the same
-    sum as evaluating every basis function at every grid point.
+    At each x the extremes are attained at y_j = +-1/2 with signs matched to
+    psi_j(x).  On the grid |amp_j sin(k_j pi x1) sin(l_j pi x2)| is a
+    product of one sine table per coordinate, so the sum over j is one
+    matrix product of the two tables.
     """
     g = np.linspace(0.0, 1.0, resolution + 1)
     k0 = kappa0_const + kappa0_xy * g[:, None] * g[None, :]
-    half_abs = np.zeros_like(k0)
     s1 = np.abs(_sine_rows(k, g, amp)(0, amp.size))
     s2 = np.abs(_sine_rows(l, g)(0, amp.size))
-    for row1, row2 in zip(s1, s2):
-        half_abs += row1[:, None] * row2[None, :]
-    half_abs *= 0.5
-    return float((k0 - half_abs).min()), float((k0 + half_abs).max())
+    half_abs = 0.5 * (s1.T @ s2)
+    return k0 - half_abs, k0 + half_abs
 
 
 def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
@@ -207,39 +183,25 @@ def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
     if sort_by_norm:
         order = np.argsort(-amp, kind="stable")
         k, l, amp = k[order], l[order], amp[order]
-    bounds = _declare_bounds(0.2, 0.1, k, l, amp)
-    return SineRandomField(
-        kappa0_const=0.2,
-        kappa0_xy=0.1,
-        k=k,
-        l=l,
-        amp=amp,
-        declared_bounds=bounds,
-    )
+    return build_sine_table_field(0.2, np.column_stack([k, l, amp]), kappa0_xy=0.1)
 
 
 def build_sine_table_field(kappa0_const: float, coeffs,
                            kappa0_xy: float = 0.0) -> SineRandomField:
-    """Field from an explicit table of (k, l, amplitude) rows, in given order."""
+    """Field from an explicit table of (k, l, amplitude) rows, in given order.
+
+    The declared bounds are the range of :func:`_kappa_range` on the 129^2 grid.
+    """
     rows = np.asarray(coeffs, dtype=float)
     if rows.size == 0:
-        k = np.zeros(0, dtype=np.int64)
-        l = np.zeros(0, dtype=np.int64)
-        amp = np.zeros(0)
-    else:
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ConfigurationError("coeffs must be rows of (k, l, amplitude)")
-        k = rows[:, 0].astype(np.int64)
-        l = rows[:, 1].astype(np.int64)
-        amp = rows[:, 2].copy()
-        if np.any(k < 1) or np.any(l < 1):
-            raise ConfigurationError("mode numbers k, l must be >= 1")
-    bounds = _declare_bounds(kappa0_const, kappa0_xy, k, l, amp)
-    return SineRandomField(
-        kappa0_const=kappa0_const,
-        kappa0_xy=kappa0_xy,
-        k=k,
-        l=l,
-        amp=amp,
-        declared_bounds=bounds,
-    )
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ConfigurationError("coeffs must be rows of (k, l, amplitude)")
+    k = rows[:, 0].astype(np.int64)
+    l = rows[:, 1].astype(np.int64)
+    amp = rows[:, 2].copy()
+    if np.any(k < 1) or np.any(l < 1):
+        raise ConfigurationError("mode numbers k, l must be >= 1")
+    lo, hi = _kappa_range(kappa0_const, kappa0_xy, k, l, amp, 128)
+    return SineRandomField(kappa0_const=kappa0_const, kappa0_xy=kappa0_xy, k=k, l=l,
+                           amp=amp, declared_bounds=(float(lo.min()), float(hi.max())))

@@ -6,11 +6,13 @@ interpolate and differentiate; the Ritz projection by a sparse direct
 solve is the oracle of criterion 4 and of the stepper's initial level, the
 figure of merit evaluated from the points is the oracle of the FFT-based
 CBC search (criterion 8), and the dump reader checks the binary files that
-``fracuq solve --dump-fields`` writes.  The affine parts of the stiffness
-set-up from the basis at every element midpoint, and the lattice points
-built one column at a time, are the plain forms of what the package
-computes once per edge and for all columns at once; both must give the
-same bits.  Trial division by the schoolbook polynomial remainder is the
+``fracuq solve --dump-fields`` writes.  The table of every basis function
+at every point is the plain form of what the package reduces in blocks of
+modes or as a product of per-coordinate sine tables.  The affine parts of
+the stiffness set-up from the basis at every element midpoint, and the
+lattice points built one column at a time, are the plain forms of what the
+package computes once per edge and for all columns at once; both must give
+the same bits.  Trial division by the schoolbook polynomial remainder is the
 oracle of the irreducibility test, which the package runs on digit rows.
 The generator of the uniform-mesh weights is the oracle of criterion 6,
 and the weight row of one level and the values of an exponential sum are
@@ -87,6 +89,12 @@ def ritz_projection(mesh, field, y, grad_g, assembler=None) -> np.ndarray:
     return spla.spsolve(D.tocsc(), assembler.ritz_rhs(y))
 
 
+def basis_values(field, x1, x2) -> np.ndarray:
+    """Values of all basis functions of ``field`` at the given points,
+    shape (z, npts), C order."""
+    return np.ascontiguousarray(field.basis_rows(x1, x2)(0, len(field)))
+
+
 def element_midpoints(mesh) -> np.ndarray:
     """Edge midpoints of every element, (nt, 3, 2): midpoint q is opposite vertex q."""
     v = mesh.vertices[mesh.triangles]
@@ -99,7 +107,7 @@ def element_midpoint_parts(mesh, field, grad_g):
     nt = mesh.n_triangles
     mid = element_midpoints(mesh)
     x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
-    psi = field.basis_values(x1, x2)
+    psi = basis_values(field, x1, x2)
     q = psi.T.reshape(nt, 3, psi.shape[0])
     psibar = ((q[:, 0] + q[:, 1] + q[:, 2]) / 3.0).T
     area, grads = _element_geometry(mesh)

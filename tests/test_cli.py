@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fracuq
-from fracuq.cli import load_config, main, write_field_dump
+from fracuq import estimator
+from fracuq.cli import build_run_config, load_config, main, write_field_dump
 from fracuq.errors import ConfigurationError, UsageError
 from fracuq.fem import load_mesh
 from oracles import read_field_dump
@@ -202,6 +203,72 @@ class TestStudyCommands:
         lines = (tmp_path / "out" / "t-refine.csv").read_text().strip().split("\n")
         assert lines[0] == "level,n_div,n_steps,err_L2J,ratio,order"
         assert len(lines) == 2
+
+
+class TestRuleBuilding:
+    """A CBC rule is built where points are drawn, never with the config."""
+
+    @pytest.fixture
+    def cbc_calls(self, monkeypatch):
+        calls = []
+        cbc = estimator.cbc_rule
+
+        def counted(b, m, *args, **kwargs):
+            calls.append(m)
+            return cbc(b, m, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "cbc_rule", counted)
+        return calls
+
+    def test_construction_builds_none(self, tmp_path, cbc_calls):
+        run = build_run_config(load_config(write_config(tmp_path)))
+        assert run.qmc_rule() is None
+        assert cbc_calls == []
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["solve"], []),
+        (["check"], []),
+        (["refine", "--levels", "2"], []),
+        (["estimate"], [2]),
+        (["truncation", "--z", "1,2", "--zref", "3"], [2]),
+        # the desk-table shape: N = 8, 16 and the reference 32
+        (["table", "--N", "8,16", "--Nref", "32"], [3, 4, 5]),
+    ], ids=["solve", "check", "refine", "estimate", "truncation", "table"])
+    def test_calls_per_command(self, tmp_path, capsys, cbc_calls, argv, calls):
+        cfg = write_config(tmp_path)
+        assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 0
+        assert cbc_calls == calls
+
+
+class TestThreads:
+    """--threads beats estimator.threads, which beats FRACUQ_THREADS."""
+
+    @staticmethod
+    def echoed(tmp_path, argv=(), **sections):
+        cfg = write_config(tmp_path, **sections)
+        assert main(["check", "--config", cfg, *argv]) == 0
+        echo = tmp_path / "out" / "t-resolved-config.json"
+        return json.loads(echo.read_text())["estimator"]["threads"]
+
+    def test_environment_when_nothing_else_is_set(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FRACUQ_THREADS", raising=False)
+        assert self.echoed(tmp_path) == 1
+        monkeypatch.setenv("FRACUQ_THREADS", "3")
+        assert self.echoed(tmp_path) == 3
+
+    def test_precedence(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRACUQ_THREADS", "3")
+        assert self.echoed(tmp_path, estimator={"threads": 5}) == 5
+        assert self.echoed(tmp_path, ["--threads", "2"], estimator={"threads": 5}) == 2
+        assert self.echoed(tmp_path, ["--threads", "2"]) == 2
+
+    def test_bad_environment_value_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRACUQ_THREADS", "abc")
+        cfg = write_config(tmp_path)
+        assert main(["check", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error[") == 1 and err.count("\n") == 1
+        assert err.startswith("error[E_CONFIG]: FRACUQ_THREADS = 'abc'")
 
 
 class TestCheckCommand:

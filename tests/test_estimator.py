@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fracuq import estimator, fem
+from fracuq import estimator, fem, tfrac
 from fracuq.errors import ConfigurationError, DomainError, SolverError
 from fracuq.estimator import (RunConfig, _chunks, _functional_samples,
                               build_solver, convergence_table,
@@ -125,18 +125,14 @@ class TestRunConfig:
     def test_resolved_at_construction(self, cbc_calls):
         from fracuq.qmc import cbc_rule
         cfg = small_config(m=3, gamma=None, alpha=0.4)
-        assert cbc_calls == [3]
-        assert cfg.qmc_rule() is cfg.qmc_rule() is cfg.rule
-        assert cbc_calls == [3]
         assert cfg.mesh.n_vertices == 7 ** 2
         assert cfg.gamma == pytest.approx(5.0)
         assert cfg.grad_g is example_initial_gradient
-        w = default_qmc_weights(cfg.field, cfg.z)
-        assert cfg.rule.gen == cbc_rule(2, 3, 2, 3, w).gen
-        # m = 0 (one point) and z = 0 (a deterministic field) need no rule
-        assert small_config(m=0).rule is None
-        assert small_config(field=build_sine_table_field(0.25, []), z=0).rule is None
-        assert cbc_calls == [3]
+        # construction builds no rule: qmc_rule() is the given rule or None
+        assert cfg.rule is None and cfg.qmc_rule() is None
+        given = cbc_rule(2, 3, 2, 3, [1.0, 0.5, 0.25])
+        assert small_config(m=3, rule=given).qmc_rule() is given
+        assert cbc_calls == []
 
 
 class TestSamplePoints:
@@ -152,6 +148,34 @@ class TestSamplePoints:
         assert np.all(pts == -0.5)
         shifted = sample_points(small_config(m=0, shift="digital-half"))
         assert np.all(shifted == 0.0)
+
+    def test_rule_chosen_where_points_are_drawn(self, cbc_calls):
+        from fracuq.qmc import cbc_rule
+        cfg = small_config(m=3)
+        w = default_qmc_weights(cfg.field, 3)
+        built = cbc_rule(2, 3, 2, 3, w).centered_points()
+        assert sample_points(cfg).tobytes() == built.tobytes()
+        assert cbc_calls == [3]
+        # a given rule serves its own m and any z it covers, without a search
+        given = cbc_rule(2, 3, 2, 3, [1.0, 0.5, 0.25])
+        with_rule = small_config(m=3, rule=given)
+        assert np.array_equal(sample_points(with_rule, z=2), given.centered_points()[:, :2])
+        assert cbc_calls == [3]
+        # other m are searched with the default weights
+        assert sample_points(with_rule, m=2).shape == (4, 3)
+        assert cbc_calls == [3, 2]
+
+    def test_fewer_coordinates_are_a_prefix(self):
+        # CBC is greedy: the rule of z columns starts with the rule of fewer,
+        # so a truncation study may draw its points in z_ref coordinates
+        cfg = small_config(field=build_example_field(3), z=6, m=4)
+        assert (sample_points(cfg, z=4).tobytes()
+                == np.ascontiguousarray(sample_points(cfg)[:, :4]).tobytes())
+
+    def test_deterministic_field_repeats_the_empty_vector(self):
+        cfg = small_config(field=build_sine_table_field(0.25, []), z=0, m=3)
+        assert sample_points(cfg).shape == (8, 0)
+        assert sample_points(cfg, m=1).shape == (2, 0)
 
 
 class TestChunks:
@@ -322,12 +346,24 @@ class TestConvergenceTable:
         assert rows[1].rate_T > 0
 
     def test_desk_table_builds_three_rules(self, cbc_calls):
-        # N = 8, 16 and the reference 32 = 2^m: the rule resolved with the
-        # config serves N = 32, and only N = 8 and 16 need a CBC search
+        # N = 8, 16 and the reference 32: one CBC search per N, in
+        # increasing N, where its points are drawn
         cfg = small_config(field=build_example_field(3), m=5, n_steps=3, n_div=4)
         rows = convergence_table(cfg, [8, 16], 32)
         assert [r.n_samples for r in rows] == [8, 16]
-        assert cbc_calls == [5, 3, 4]
+        assert cbc_calls == [3, 4, 5]
+
+    def test_single_point_and_deterministic_field(self, cbc_calls):
+        # N = 1 is the single-point rule, and z = 0 needs no rule at all
+        cfg = small_config(m=2, n_steps=3, n_div=4)
+        rows = convergence_table(cfg, [1, 2], 4)
+        assert [r.n_samples for r in rows] == [1, 2]
+        assert cbc_calls == [1, 2]
+        det = small_config(field=build_sine_table_field(0.25, [(1, 1, 0.1)]), z=0,
+                           n_steps=3, n_div=4)
+        rows = convergence_table(det, [2], 4)
+        assert rows[0].err_T == 0.0 and rows[0].err_L2J == 0.0
+        assert cbc_calls == [1, 2]
 
     def test_nref_validation(self):
         cfg = small_config()
@@ -345,6 +381,13 @@ class TestTruncationStudy:
         assert np.all(study.err_T >= 0)
         assert study.err_T[0] > study.err_T[-1]
         assert study.slope < 0
+
+    def test_single_point(self, cbc_calls):
+        # m = 0: the one point is the corner of the parameter box
+        cfg = small_config(m=0, n_steps=3, n_div=4)
+        study = truncation_study(cfg, [1, 2], 3)
+        assert study.err_T.shape == (2,) and np.all(study.err_T > 0)
+        assert cbc_calls == []
 
     def test_validation(self):
         cfg = small_config()
@@ -366,6 +409,18 @@ class TestRefinementStudy:
         study = spacetime_refinement_study(cfg, levels=3)
         assert study.errors[0] > study.errors[1] > 0
         assert 3.2 <= study.ratios[0] <= 4.8
+
+    def test_fast_history_is_kept(self, monkeypatch):
+        # every level is built from the config, so fast_history steps
+        # without the direct history's weight matrix
+        direct = spacetime_refinement_study(small_config(n_div=4), levels=2)
+
+        def no_weight_matrix(*args):
+            raise AssertionError("weight_matrix called")
+
+        monkeypatch.setattr(tfrac, "weight_matrix", no_weight_matrix)
+        fast = spacetime_refinement_study(small_config(n_div=4, fast_history=True), levels=2)
+        assert fast.errors == pytest.approx(direct.errors, rel=1e-8)
 
     def test_requires_structured_mesh(self):
         mesh = triangulate_unit_square(4)

@@ -6,9 +6,10 @@ import pytest
 from fracuq.errors import ConfigurationError, DomainError
 from fracuq.estimator import example_initial_gradient
 from fracuq.fem import StiffnessAssembler, load_mesh, triangulate_unit_square
-from fracuq.field import (SineRandomField, build_example_field,
+from fracuq.field import (SineRandomField, _kappa_range, build_example_field,
                           build_sine_table_field, example_field_scale,
                           verify_bounds, zeta)
+from oracles import basis_values
 
 
 def brute_zeta(s, terms=10**7):
@@ -64,14 +65,14 @@ class TestBuildExampleField:
         f = build_example_field(4)
         x1 = 1.0 / (2.0 * f.k)
         x2 = 1.0 / (2.0 * f.l)
-        vals = np.array([f.basis_values(np.array([a]), np.array([b]))[j, 0]
+        vals = np.array([basis_values(f, np.array([a]), np.array([b]))[j, 0]
                          for j, (a, b) in enumerate(zip(x1, x2))])
         assert np.allclose(np.abs(vals), f.sup_norms, atol=1e-10)
 
 
 def evaluate_kappa(f, x, y):
     """kappa at one point x = (x1, x2) for the parameter vector y."""
-    psi = f.basis_values(np.array([x[0]]), np.array([x[1]]))[: len(y), 0]
+    psi = basis_values(f, np.array([x[0]]), np.array([x[1]]))[: len(y), 0]
     return float(f.kappa0(x[0], x[1]) + np.asarray(y) @ psi)
 
 
@@ -179,6 +180,43 @@ class TestVerifyBounds:
         report = verify_bounds(bad, grid_resolution=32)
         assert not report.ok
         assert report.observed_min == pytest.approx(-0.05, abs=1e-3)
+
+
+class TestKappaRange:
+    """The range product |S1|^T |S2| against the whole basis table on the
+    129^2 grid the declared bounds are taken on."""
+
+    @staticmethod
+    def table_range(f, resolution=128):
+        g = np.linspace(0.0, 1.0, resolution + 1)
+        x1, x2 = (X.ravel() for X in np.meshgrid(g, g, indexing="ij"))
+        k0 = f.kappa0(x1, x2)
+        half_abs = 0.5 * np.abs(basis_values(f, x1, x2)).sum(axis=0)
+        shape = (resolution + 1, resolution + 1)
+        return (k0 - half_abs).reshape(shape), (k0 + half_abs).reshape(shape)
+
+    @pytest.mark.parametrize("f", [
+        build_example_field(22),
+        # repeated (k, l) pairs, mixed signs and a mean field varying in x
+        build_sine_table_field(0.6, [(2, 1, 0.05), (2, 1, -0.03), (1, 3, 0.02),
+                                     (5, 3, 0.01), (1, 3, -0.04), (2, 1, 0.05)],
+                               kappa0_xy=0.2),
+    ], ids=["q22", "repeated-modes"])
+    def test_matches_basis_table(self, f):
+        lo, hi = _kappa_range(f.kappa0_const, f.kappa0_xy, f.k, f.l, f.amp, 128)
+        lo_ref, hi_ref = self.table_range(f)
+        assert lo.shape == hi.shape == (129, 129)
+        assert np.max(np.abs(lo - lo_ref)) <= 1e-15
+        assert np.max(np.abs(hi - hi_ref)) <= 1e-15
+        assert f.declared_bounds == (float(lo.min()), float(hi.max()))
+
+    def test_no_terms_is_kappa0(self):
+        f = build_sine_table_field(0.4, [], kappa0_xy=0.3)
+        lo, hi = _kappa_range(f.kappa0_const, f.kappa0_xy, f.k, f.l, f.amp, 128)
+        g = np.linspace(0.0, 1.0, 129)
+        k0 = 0.4 + 0.3 * g[:, None] * g[None, :]
+        assert np.array_equal(lo, k0) and np.array_equal(hi, k0)
+        assert f.declared_bounds == (k0.min(), k0.max())
 
 
 class TestSineTableField:
