@@ -371,7 +371,7 @@ def cmd_refine(args) -> int:
 
 def cmd_check(args) -> int:
     _, run, _, _ = _prepare(args)
-    mesh = run.mesh
+    mesh = run.space_mesh
     print(f"alpha = {run.alpha}")
     print(f"T = {run.T}")
     print(f"gamma = {run.gamma}")
@@ -379,8 +379,12 @@ def cmd_check(args) -> int:
     print(f"z = {run.z}")
     print(f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})")
     print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_dofs} interior dofs, h = {mesh.h:.6g}")
-    report = verify_bounds(run.field, grid_resolution=64)
-    print(f"kappa observed range: "
+    # the solver evaluates kappa at the vertices and edge midpoints of the
+    # structured mesh, all on the (2 n_div + 1)^2 grid; for a loaded mesh,
+    # 127 intervals share only the corners with the 129^2 declaring grid
+    resolution = 2 * run.n_div if run.n_div is not None else 127
+    report = verify_bounds(run.field, grid_resolution=resolution)
+    print(f"kappa observed range on the {resolution + 1}^2 grid: "
           f"[{report.observed_min:.6g}, {report.observed_max:.6g}]")
     print(f"declared bounds: [{run.field.declared_bounds[0]:.6g}, "
           f"{run.field.declared_bounds[1]:.6g}]")
@@ -479,7 +483,7 @@ def main(argv=None) -> int:
         # the direct history's weight matrix grows as n_steps^2, fast_history's state does not
         run = getattr(args, "run", None)
         size = ("" if run is None else
-                f" (n_steps = {run.n_steps}, {run.mesh.n_dofs} dofs, N = {run.n_samples})")
+                f" (n_steps = {run.n_steps}, {run.space_mesh.n_dofs} dofs, N = {run.n_samples})")
         print(f"error[E_CONFIG]: the run{size} does not fit in memory: {exc}; "
               "long histories fit with estimator.fast_history=true", file=sys.stderr)
         return 1

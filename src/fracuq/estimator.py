@@ -9,6 +9,7 @@ and space-time refinement studies built on the same machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,14 +62,16 @@ class RunConfig:
     """All ingredients of one estimation run, resolved once and then read-only.
 
     The spatial mesh is either a structured ``n_div`` subdivision of the
-    unit square or an explicit :class:`TriMesh`.  ``rule`` is a given
-    generating vector, or None; :func:`sample_points` builds a CBC rule
-    where none is given.  Construction validates the inputs and fills in
-    what was left out: ``mesh`` from ``n_div`` and ``gamma`` as the usual
-    grading 2/alpha.  The initial data enter only through their Ritz
-    projection, which needs only ``grad_g``, by default the gradient of the
-    example initial profile.  The field's declared lower bound must be
-    positive.
+    unit square or an explicit :class:`TriMesh` given as ``mesh``;
+    :attr:`space_mesh` is the mesh of either kind, built on first use.
+    ``rule`` is a given generating vector, or None; :func:`sample_points`
+    builds a CBC rule where none is given.  Construction validates the
+    inputs and fills in ``gamma`` as the usual grading 2/alpha when it was
+    left out.  ``n_div`` and ``mesh`` stay as given, so
+    ``dataclasses.replace`` works on a constructed config.  The initial
+    data enter only through their Ritz projection, which needs only
+    ``grad_g``, by default the gradient of the example initial profile.
+    The field's declared lower bound must be positive.
     """
 
     alpha: float
@@ -115,10 +118,13 @@ class RunConfig:
                     f"generating vector covers {self.rule.z} coordinates, need {self.z}")
             if (self.rule.b, self.rule.m, self.rule.beta) != (self.b, self.m, self.beta):
                 raise ConfigurationError("generating vector (b, m, beta) mismatch")
-        if self.mesh is None:
-            object.__setattr__(self, "mesh", triangulate_unit_square(self.n_div))
         if self.gamma is None:
             object.__setattr__(self, "gamma", 2.0 / self.alpha)
+
+    @functools.cached_property
+    def space_mesh(self) -> TriMesh:
+        """The mesh given, or the structured mesh of ``n_div``."""
+        return self.mesh if self.mesh is not None else triangulate_unit_square(self.n_div)
 
     @property
     def n_samples(self) -> int:
@@ -172,7 +178,7 @@ class RefinementStudy:
 
 def build_solver(config: RunConfig) -> TrajectorySolver:
     return TrajectorySolver(
-        config.mesh, config.field, config.time_mesh(), config.alpha,
+        config.space_mesh, config.field, config.time_mesh(), config.alpha,
         config.f, config.grad_g, fast_history=config.fast_history, fast_eps=config.fast_eps)
 
 
@@ -425,9 +431,9 @@ def spacetime_refinement_study(config: RunConfig, levels: int = 3,
     n_steps = [config.n_steps * 2 ** i for i in range(levels)]
     trajectories = []
     for nd, nt in zip(n_divs, n_steps):
-        level = replace(config, n_div=nd, mesh=None, n_steps=nt)
+        level = replace(config, n_div=nd, n_steps=nt)
         solver = build_solver(level)
-        trajectories.append((level.mesh, solver.tmesh, solver.solve(y)))
+        trajectories.append((level.space_mesh, solver.tmesh, solver.solve(y)))
     fine_mesh, fine_tmesh, u_ref = trajectories[-1]
     mass_fine = assemble_mass(fine_mesh)
     errors = []

@@ -16,7 +16,8 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_lapack, solve_triangular
+from scipy.linalg.blas import dger as _dger
 from scipy.special import gamma as gamma_fn
 
 from .errors import ConfigurationError, SolverError, ToleranceError
@@ -180,8 +181,11 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
     [t_min, t_max].
 
     Trapezoidal discretisation of t^(-a) = sin(pi a)/pi * int e^(a x)
-    exp(-t e^x) dx after s = e^x; the step is halved and the window widened
-    until a geometric check grid meets eps/2.
+    exp(-t e^x) dx after s = e^x.  The step shrinks by a tenth and the
+    window widens by a quarter on each side until a geometric check grid
+    meets eps/2: the error falls by about an order of magnitude per 0.05 of
+    step near h = 0.5, so halving the step would land far below target
+    with twice the terms.
     """
     if eps <= 0 or not 0 < alpha < 1 or not 0 < t_min < t_max:
         raise ConfigurationError("invalid exponential-sum parameters")
@@ -193,7 +197,7 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
     tc = np.geomspace(t_min, t_max, n_check)
     target = tc ** (-alpha) / gamma_fn(1.0 - alpha)
     h = 1.0
-    pad = 2.0
+    pad = 1.0
     while True:
         x_lo = (math.log(eps * alpha / 8.0) + math.log(t_max) * alpha) / alpha - pad
         x_hi = math.log((math.log(8.0 / eps) + 40.0) / t_min) + pad
@@ -207,8 +211,8 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
         rel = float(np.max(np.abs(approx - target) / target))
         if rel <= 0.5 * eps:
             return ExpSumKernel(nodes=nodes, weights=weights, rel_err=rel)
-        h *= 0.5
-        pad += 1.0
+        h *= 0.9
+        pad += 0.25
 
 
 def _em1_over(x):
@@ -332,13 +336,14 @@ class _ExpSumHistory:
     H carries the terms j < n - 1 as exponential modes (their gaps t - s
     are at least one step) and the adjacent term j = n - 1, where t - s can
     vanish, is added directly with its weight w_sub[n - 2] = w_{n,n-1}.
+    H is updated in place, so a level allocates nothing of its size.
     """
 
     def __init__(self, kernel: ExpSumKernel, dt: np.ndarray, w_sub: np.ndarray, size: int):
         self.s, self.kw = kernel.nodes, kernel.weights
         self.dt, self.w_sub = dt, w_sub
         self.H = np.zeros((self.s.size, size))
-        self.last = None
+        self.last = np.empty(size)
 
     def subtract(self, n: int, x: np.ndarray) -> None:
         if n > 1:
@@ -347,11 +352,151 @@ class _ExpSumHistory:
 
     def record(self, n: int, mx: np.ndarray) -> None:
         if n >= 2:
-            # fold V^{n-1} into the far field and decay to the next level
+            # fold V^{n-1} into the far field, H += beta last^T as one
+            # rank-one update of H's transpose, then decay to the next level
             s, dt = self.s, self.dt
-            beta = _em1_over(s * dt[n - 2])
-            self.H = np.exp(-s * dt[n - 1])[:, None] * (self.H + beta[:, None] * self.last)
-        self.last = mx
+            _dger(1.0, self.last, _em1_over(s * dt[n - 2]), a=self.H.T, overwrite_a=1)
+            self.H *= np.exp(-s * dt[n - 1])[:, None]
+        self.last[:] = mx
+
+
+class _BandLevels:
+    """Level solves of one chunk in LAPACK band storage: each level writes
+    w_nn M + D/2 for its k blocks and makes one ``dpbsv`` for all of them.
+
+    The stepper drives it, as it drives :class:`_ModalLevels`, through six
+    calls on flat (k d,) coefficient vectors: ``initial`` solves D U^0 = r,
+    ``residual`` gives F^n - D U^{n-1} in the object's own buffer x,
+    ``solve`` turns that x, less the history, into V^n in place, ``mass``
+    gives M V^n for the history and ``functional`` the values L(U).
+    ``nodal`` maps stored coefficients back to the band numbering.  A
+    factorization that fails (a matrix that is not positive definite, or
+    not finite) makes the whole chunk NaN.
+    """
+
+    def __init__(self, solver: "TrajectorySolver", d_data: np.ndarray):
+        asm = solver.assembler
+        self.solver = solver
+        k = d_data.shape[0]
+        self.shape = (k, solver.mass.shape[0])
+        self.D = _block_diag(asm.indptr, asm.indices, d_data)
+        # the k blocks of D(y) stacked in lower band storage, (k, d, kd + 1)
+        self.band = np.zeros(self.shape + (solver._kd + 1,))
+        self.band.reshape(k, -1)[:, solver._band_slot] = d_data[:, solver._lower]
+        self.half_d = 0.5 * self.band
+        # x is the right-hand side going into each band solve and the
+        # solution coming out of it
+        self.x = np.empty(self.band.shape[0] * self.band.shape[1])
+        self._cholesky = _BandCholesky(self.band.reshape(self.x.size, solver._kd + 1),
+                                       self.x)
+
+    def _solve(self) -> None:
+        if not self._cholesky():
+            self.x.fill(np.nan)
+
+    def initial(self, rhs: np.ndarray) -> np.ndarray:
+        self.x[:] = rhs.ravel()
+        self._solve()
+        return self.x.copy()
+
+    def residual(self, n: int, u: np.ndarray) -> np.ndarray:
+        np.subtract(self.solver.loads[n - 1], (self.D @ u).reshape(self.shape),
+                    out=self.x.reshape(self.shape))
+        return self.x
+
+    def solve(self, n: int, x: np.ndarray) -> None:
+        np.multiply(self.solver._mass_band, self.solver._w_diag[n - 1], out=self.band)
+        self.band += self.half_d
+        self._solve()
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        return (self.solver.mass @ x.reshape(self.shape).T).T.ravel()
+
+    def functional(self, u: np.ndarray) -> np.ndarray:
+        return u.reshape(self.shape) @ self.solver._phi
+
+    def nodal(self, us: np.ndarray) -> np.ndarray:
+        return us
+
+
+class _ModalLevels:
+    """Level solves of one chunk in the eigenbasis of each (D(y_i), M).
+
+    With D V = M V diag(lam) and V^T M V = I, found from M = L L^T and the
+    symmetric eigenproblem of L^-1 D L^-T, coefficients c with U = V c turn
+    D U into lam c, M U into c and every level matrix into the diagonal
+    w_nn + lam / 2.  A level is then a few elementwise operations on k d
+    numbers, against a band write, a ``dpbsv`` and two sparse products on
+    the band path; the set-up costs one dense d x d eigendecomposition per
+    sample.  Same calls as :class:`_BandLevels`.  A chunk with an
+    eigenvalue that is not positive and finite, or a D that is not finite
+    (which is not handed to ``eigh``: numpy versions differ in whether it
+    then raises or returns NaN), is NaN as a whole, as a failed band
+    factorization is.
+    """
+
+    def __init__(self, solver: "TrajectorySolver", d_data: np.ndarray):
+        asm = solver.assembler
+        self.solver = solver
+        k, d = self.shape = (d_data.shape[0], solver.mass.shape[0])
+        lam = np.full(self.shape, np.nan)
+        V = np.zeros((k, d, d))
+        if np.all(np.isfinite(d_data)):
+            L_inv = solve_triangular(np.linalg.cholesky(solver.mass.toarray()),
+                                     np.eye(d), lower=True)
+            # one sample at a time, so that the set-up holds V and a few
+            # d x d arrays, never k of each
+            D = np.zeros((d, d))
+            for i in range(k):
+                D[asm.indices, solver._pattern_col] = d_data[i]
+                lam[i], Q = np.linalg.eigh(L_inv @ D @ L_inv.T)
+                np.matmul(L_inv.T, Q, out=V[i])
+            if not np.all(np.isfinite(lam) & (lam > 0.0)):
+                lam.fill(np.nan)
+        # flat (k d,) like the coefficients, as are the loads below
+        self.lam, self.V = lam.ravel(), V
+        self.half_lam = 0.5 * self.lam
+        self.phi = solver._phi @ V
+        # V^T F^n per sample; one product for all levels when the load is
+        # one row broadcast over the levels (a constant f)
+        loads = solver.loads
+        self._load = (loads[0] @ V).ravel() if loads.strides[0] == 0 else None
+        self.x = np.empty(k * d)
+
+    def initial(self, rhs: np.ndarray) -> np.ndarray:
+        return np.matmul(rhs[:, None, :], self.V).ravel() / self.lam
+
+    def residual(self, n: int, u: np.ndarray) -> np.ndarray:
+        load = self._load
+        if load is None:
+            load = (self.solver.loads[n - 1] @ self.V).ravel()
+        np.multiply(self.lam, u, out=self.x)
+        np.subtract(load, self.x, out=self.x)
+        return self.x
+
+    def solve(self, n: int, x: np.ndarray) -> None:
+        x /= self.half_lam + self.solver._w_diag[n - 1]
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def functional(self, u: np.ndarray) -> np.ndarray:
+        return np.einsum("kd,kd->k", self.phi, u.reshape(self.shape))
+
+    def nodal(self, us: np.ndarray) -> np.ndarray:
+        """U^n = V c^n for coefficients of shape (n_levels, k, d)."""
+        return np.einsum("kij,nkj->nki", self.V, us)
+
+
+def _level_solver(d: int, n_steps: int) -> type:
+    """The level solver for d dofs and n_steps levels.
+
+    The modal one pays a dense eigendecomposition per sample, O(d^3), to
+    make every level O(d); the band one pays a band factorization and
+    Python calls at every level.  The two break even at about as many
+    levels as dofs (the README gives the measured crossover).
+    """
+    return _ModalLevels if n_steps >= d else _BandLevels
 
 
 class TrajectorySolver:
@@ -364,13 +509,15 @@ class TrajectorySolver:
 
     The solver numbers the dofs in reverse Cuthill-McKee order
     (:func:`band_ordered`), so every level matrix w_nn M + D(y)/2 is a band
-    matrix.  A block of k parameter vectors is stepped together: each level
-    makes one band Cholesky factor-and-solve of the k stacked blocks, so the
-    per-step cost of the Python layer is shared by k samples.  ``mass``,
-    ``assembler`` and ``loads`` are in that band numbering; ``phi`` and
-    :meth:`solve` use the numbering of ``mesh``.  The stepping starts from
-    the Ritz projection of the initial data, which needs only their
-    gradient ``grad_g``.
+    matrix.  A block of k parameter vectors is stepped together, so the
+    per-step cost of the Python layer is shared by k samples.  Each level
+    makes one band Cholesky factor-and-solve of the k stacked blocks
+    (:class:`_BandLevels`) or, where the levels outnumber the dofs, one
+    division per mode in each sample's eigenbasis (:class:`_ModalLevels`).
+    ``mass``, ``assembler`` and ``loads`` are in the band numbering;
+    ``phi`` and :meth:`solve` use the numbering of ``mesh``.  The stepping
+    starts from the Ritz projection of the initial data, which needs only
+    their gradient ``grad_g``.
     """
 
     # the one linear solver; traced benchmark runs record it as their label
@@ -407,24 +554,24 @@ class TrajectorySolver:
         # lower band storage, flattened (column, offset below the diagonal)
         asm = self.assembler
         d = self.mass.shape[0]
-        col = np.repeat(np.arange(d), np.diff(asm.indptr))
-        offset = asm.indices - col
+        self._pattern_col = np.repeat(np.arange(d), np.diff(asm.indptr))
+        offset = asm.indices - self._pattern_col
         self._lower = offset >= 0
         self._kd = int(offset.max(initial=0))
-        self._band_slot = col[self._lower] * (self._kd + 1) + offset[self._lower]
+        self._band_slot = self._pattern_col[self._lower] * (self._kd + 1) + offset[self._lower]
         self._mass_band = np.zeros((d, self._kd + 1))
         self._mass_band.ravel()[self._band_slot] = self.mass.data[self._lower]
+        self._levels = _level_solver(d, nt)
 
     def _march(self, Y: np.ndarray, keep_u: bool):
         """Step the k rows of Y (shape (k, z)) through every level together.
 
         Returns the functional values, shape (k, n_steps + 1), and with
         ``keep_u`` the band-numbered coefficients, shape (n_steps + 1, k, d).
-        A band factorization that fails (a level matrix that is not
-        positive definite, or not finite) makes every value of the block
-        NaN, and so does a row whose element-averaged diffusivity is not
-        positive everywhere: the caller sees non-finite samples and never
-        averages them.
+        A level solve that fails makes every value of the block NaN, and so
+        does a row whose element-averaged diffusivity is not positive
+        everywhere: the caller sees non-finite samples and never averages
+        them.
         """
         asm = self.assembler
         nt = self.tmesh.n_steps
@@ -432,40 +579,26 @@ class TrajectorySolver:
         d = self.mass.shape[0]
         kbar = asm.element_kappa(Y)
         ill_posed = ~np.all(kbar > 0.0, axis=1)
-        d_data = asm.matrix_data(kbar)
-        D = _block_diag(asm.indptr, asm.indices, d_data)
-        # the k blocks of D(y) stacked in lower band storage, (k, d, kd + 1)
-        band = np.zeros((k, d, self._kd + 1))
-        band.reshape(k, -1)[:, self._band_slot] = d_data[:, self._lower]
-        half_d = 0.5 * band
-        # x is the right-hand side going into each band solve and the
-        # solution coming out of it
-        x = asm.ritz_rhs(Y).ravel()
-        cholesky = _BandCholesky(band.reshape(k * d, self._kd + 1), x)
-        if not cholesky():
-            x.fill(np.nan)
-        u = x.copy()
+        levels = self._levels(self, asm.matrix_data(kbar))
+        u = levels.initial(asm.ritz_rhs(Y))
         values = np.empty((k, nt + 1))
-        values[:, 0] = u.reshape(k, d) @ self._phi
+        values[:, 0] = levels.functional(u)
         us = np.empty((nt + 1, k * d)) if keep_u else None
         if keep_u:
             us[0] = u
         history = self._history(k * d)
         for n in range(1, nt + 1):
-            np.subtract(self.loads[n - 1], (D @ u).reshape(k, d), out=x.reshape(k, d))
+            x = levels.residual(n, u)
             history.subtract(n, x)
-            np.multiply(self._mass_band, self._w_diag[n - 1], out=band)
-            band += half_d
-            if not cholesky():
-                x.fill(np.nan)
+            levels.solve(n, x)
             u += x
-            values[:, n] = u.reshape(k, d) @ self._phi
+            values[:, n] = levels.functional(u)
             if keep_u:
                 us[n] = u
-            history.record(n, (self.mass @ x.reshape(k, d).T).T.ravel())
+            history.record(n, levels.mass(x))
         values[ill_posed] = np.nan
         if keep_u:
-            us = us.reshape(nt + 1, k, d)
+            us = levels.nodal(us.reshape(nt + 1, k, d))
             us[:, ill_posed] = np.nan
         return values, us
 

@@ -282,6 +282,25 @@ class TestCheckCommand:
         assert "N = 4 (b = 2, m = 2, beta = 2)" in out
         assert "bounds check: ok" in out
 
+    def test_bounds_checked_off_the_declaring_grid(self, tmp_path, capsys):
+        # kappa = 0.6 + 0.1 x1 x2 + y sin(3 pi x1) sin(3 pi x2) is lowest near
+        # x = (1/6, 1/6), which the 129^2 grid of the declared bounds misses
+        # and the 13^2 grid of the n_div = 6 mesh holds
+        field = {"type": "sine-table", "kappa0_const": 0.6, "kappa0_xy": 0.1,
+                 "coeffs": [[3, 3, 1.0]]}
+        cfg = write_config(tmp_path, field=field)
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "kappa observed range on the 13^2 grid: [0.102778," in out
+        assert "bounds check: observed range exceeds the declared bounds" in out
+        # a loaded mesh is checked on the 128^2 grid, which shares only its
+        # corners with the declaring grid
+        mesh_path = tmp_path / "mesh.txt"
+        assert main(["mesh", "--ndiv", "6", "--out", str(mesh_path)]) == 0
+        assert main(["check", "--config", cfg, "--set", f"space.mesh_path={mesh_path}"]) == 0
+        out = capsys.readouterr().out
+        assert "on the 128^2 grid" in out and "exceeds the declared bounds" in out
+
     def test_override_changes_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["check", "--config", cfg, "--set", "qmc.m=5"]) == 0

@@ -115,6 +115,18 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             small_config(field=field, z=1)
 
+    def test_replace_on_a_constructed_config(self):
+        cfg = small_config()
+        fast = dataclasses.replace(cfg, fast_history=True)
+        assert fast.fast_history and fast.n_div == cfg.n_div and fast.mesh is None
+        finer = dataclasses.replace(cfg, n_div=8)
+        assert finer.space_mesh.n_vertices == 9 ** 2
+        assert cfg.space_mesh.n_vertices == 7 ** 2
+        loaded = dataclasses.replace(cfg, n_div=None, mesh=triangulate_unit_square(4))
+        assert loaded.space_mesh is loaded.mesh
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            dataclasses.replace(cfg, mesh=triangulate_unit_square(4))
+
     def test_frozen(self):
         cfg = small_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -125,7 +137,7 @@ class TestRunConfig:
     def test_resolved_at_construction(self, cbc_calls):
         from fracuq.qmc import cbc_rule
         cfg = small_config(m=3, gamma=None, alpha=0.4)
-        assert cfg.mesh.n_vertices == 7 ** 2
+        assert cfg.space_mesh.n_vertices == 7 ** 2
         assert cfg.gamma == pytest.approx(5.0)
         assert cfg.grad_g is example_initial_gradient
         # construction builds no rule: qmc_rule() is the given rule or None
@@ -224,9 +236,9 @@ class TestBuildSolver:
         cfg = small_config()
         build_solver(cfg)
         # the band mesh is the one other mesh the tables were built for
-        (band_id,) = {mesh_id for _, mesh_id in calls} - {id(cfg.mesh)}
+        (band_id,) = {mesh_id for _, mesh_id in calls} - {id(cfg.space_mesh)}
         # RCM reads the input mesh's pattern; assembly shares the band mesh's
-        assert calls == {("_pattern", id(cfg.mesh)): 1, ("_pattern", band_id): 1,
+        assert calls == {("_pattern", id(cfg.space_mesh)): 1, ("_pattern", band_id): 1,
                          ("_element_geometry", band_id): 1,
                          ("_edge_table", band_id): 1}
 

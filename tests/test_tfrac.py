@@ -191,6 +191,15 @@ class TestExpSumKernel:
         target = t ** (-alpha) / gamma_fn(1.0 - alpha)
         assert np.max(np.abs(exp_sum_values(k, t) - target) / target) <= eps
 
+    def test_few_terms_near_target(self):
+        # the step is refined finely enough to stop near eps/2, not far below
+        # it with twice the terms (a halved step gave 315 and 360 terms)
+        for n_steps, terms in ((400, 160), (6400, 183)):
+            t_min = float(graded_mesh(1.0, n_steps, 4.0).dt.min())
+            k = exp_sum_kernel(0.5, t_min, 1.0, 1e-8)
+            assert k.nodes.size == terms
+            assert 5e-10 < k.rel_err <= 5e-9
+
     def test_term_budget_enforced(self):
         with pytest.raises(ToleranceError):
             exp_sum_kernel(0.5, 1e-12, 1.0, 1e-14, max_terms=20)
@@ -548,3 +557,112 @@ class TestBandOrdering:
         solver._mass_band = -solver._mass_band
         values = solver.functional_series(np.array([0.5]))
         assert np.isfinite(values[0]) and np.all(np.isnan(values[1:]))
+
+
+class TestModalLevels:
+    """The modal level solver against the band one, forced through the
+    solver's private ``_levels``, and the rule that picks between them."""
+
+    def setup_method(self):
+        self.field = build_example_field(3)
+        self.mesh = triangulate_unit_square(8)          # d = 49
+        self.points = np.random.default_rng(51).uniform(
+            -0.5, 0.5, size=(3, len(self.field)))
+
+    def pair(self, n_steps, **kw):
+        """Two solvers of one problem, one per level solver."""
+        solvers = []
+        for levels in (tfrac._BandLevels, tfrac._ModalLevels):
+            solver = TrajectorySolver(self.mesh, self.field, graded_mesh(1.0, n_steps, 4.0),
+                                      0.5, 1.0, example_initial_gradient, **kw)
+            solver._levels = levels
+            solvers.append(solver)
+        return solvers
+
+    @pytest.mark.parametrize("n_steps", [70, 400])
+    def test_functional_series_matches_band(self, n_steps):
+        band, modal = self.pair(n_steps)
+        ref = band.functional_series(self.points)
+        assert np.max(np.abs(modal.functional_series(self.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_solve_matches_band(self):
+        band, modal = self.pair(70)
+        ref = band.solve(self.points[0])
+        assert np.max(np.abs(modal.solve(self.points[0]) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fast_history_matches_band(self):
+        band, modal = self.pair(400, fast_history=True)
+        ref = band.functional_series(self.points)
+        assert np.max(np.abs(modal.functional_series(self.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_time_dependent_load_matches_band(self):
+        # a load that differs per level is projected at every level
+        solvers = []
+        for levels in (tfrac._BandLevels, tfrac._ModalLevels):
+            solver = TrajectorySolver(self.mesh, self.field, graded_mesh(1.0, 70, 4.0), 0.5,
+                                      lambda x1, x2, t: np.sin(3.0 * t) + x1 * x2,
+                                      example_initial_gradient)
+            solver._levels = levels
+            solvers.append(solver)
+        ref = solvers[0].functional_series(self.points)
+        assert np.max(np.abs(solvers[1].functional_series(self.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("levels", ["_BandLevels", "_ModalLevels"])
+    def test_mesh_without_interior_dofs(self, levels):
+        solver = TrajectorySolver(triangulate_unit_square(1), self.field,
+                                  graded_mesh(1.0, 5, 4.0), 0.5, 1.0, example_initial_gradient)
+        solver._levels = getattr(tfrac, levels)
+        assert np.array_equal(solver.functional_series(self.points), np.zeros((3, 6)))
+        assert solver.solve(self.points[0]).shape == (6, 0)
+
+    def test_ill_posed_and_nan_rows_spoil_the_chunk(self):
+        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at y = -1/2
+        field = build_sine_table_field(0.05, [[1, 1, 0.5]])
+        solver = TrajectorySolver(triangulate_unit_square(4), field, graded_mesh(1.0, 10, 4.0),
+                                  0.5, 1.0, example_initial_gradient)
+        assert solver._levels is tfrac._ModalLevels             # d = 9, 10 levels
+        assert np.all(np.isnan(solver.functional_series(np.array([[0.5], [-0.5]]))))
+        assert np.all(np.isnan(solver.functional_series(np.array([[0.5], [np.nan]]))))
+        assert np.all(np.isfinite(solver.functional_series(np.array([0.5]))))
+        with pytest.raises(SolverError, match="non-finite"):
+            solver.solve(np.array([-0.5]))
+        with pytest.raises(SolverError, match="non-finite"):
+            solver.solve(np.array([np.nan]))
+
+    def test_estimator_names_only_the_bad_samples(self):
+        field = build_sine_table_field(0.05, [[1, 1, 0.5]])
+        solver = TrajectorySolver(triangulate_unit_square(4), field, graded_mesh(1.0, 10, 4.0),
+                                  0.5, 1.0, example_initial_gradient)
+        points = np.array([[0.5], [-0.5], [0.25], [np.nan], [0.0]])
+        with pytest.raises(SolverError, match="2 of 5") as info:
+            _functional_samples(solver, points, threads=1)
+        message = str(info.value)
+        assert "sample 1: element-averaged diffusivity <= 0" in message
+        assert "sample 3: non-finite" in message
+        assert message.count("sample ") == 2
+
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_CHUNK_DOFS", 200)
+        assert _chunks(11, 49) == [(0, 5), (5, 11)]
+        solver = TrajectorySolver(self.mesh, self.field, graded_mesh(1.0, 60, 4.0), 0.5, 1.0,
+                                  example_initial_gradient)
+        assert solver._levels is tfrac._ModalLevels
+        points = np.random.default_rng(52).uniform(-0.5, 0.5, size=(11, len(self.field)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_functional_samples(solver, points, threads) for threads in (1, 2)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("name, n_div, n_steps, modal", [
+        ("desk-table", 24, 50, False),
+        ("paper-scale and criterion 2", 53, 150, False),
+        ("long-history and criterion 10", 8, 400, True),
+        ("band test of an indefinite level matrix", 8, 10, False),
+    ])
+    def test_path_of_the_benchmark_and_criteria_shapes(self, name, n_div, n_steps, modal):
+        d = triangulate_unit_square(n_div).n_dofs
+        expected = tfrac._ModalLevels if modal else tfrac._BandLevels
+        assert tfrac._level_solver(d, n_steps) is expected, name
