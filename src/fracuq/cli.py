@@ -169,7 +169,7 @@ def _echo_resolved(cfg: dict, out_dir: str, run: RunConfig) -> str:
     resolved = copy.deepcopy(cfg)
     resolved["estimator"]["threads"] = run.threads
     if resolved["time"]["gamma"] is None:
-        resolved["time"]["gamma"] = run.gamma
+        resolved["time"]["gamma"] = run.grading
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{cfg['output']['prefix']}-resolved-config.json")
     with open(path, "w") as fh:
@@ -252,7 +252,7 @@ def cmd_mesh(args) -> int:
 def cmd_points(args) -> int:
     if os.path.exists(args.genvec):
         rule = load_gen_vector(args.genvec)
-        if (rule.b, rule.m, rule.beta) != (args.b, args.m, args.beta) or rule.z < args.z:
+        if not rule.serves(args.b, args.m, args.beta, args.z):
             raise ConfigurationError(
                 f"generating vector {args.genvec} is for (b={rule.b}, m={rule.m}, "
                 f"beta={rule.beta}, z={rule.z})")
@@ -374,7 +374,7 @@ def cmd_check(args) -> int:
     mesh = run.space_mesh
     print(f"alpha = {run.alpha}")
     print(f"T = {run.T}")
-    print(f"gamma = {run.gamma}")
+    print(f"gamma = {run.grading}")
     print(f"n_steps = {run.n_steps}")
     print(f"z = {run.z}")
     print(f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})")

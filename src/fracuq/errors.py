@@ -31,7 +31,8 @@ class ValidationError(FracUQError):
 
 
 class SolverError(FracUQError):
-    """A linear solve failed to converge; message carries the residual."""
+    """A trajectory gave non-finite values (every solve is direct); an
+    estimate's message names the failing samples and why they failed."""
 
     code = "E_SOLVER"
 

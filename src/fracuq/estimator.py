@@ -21,7 +21,7 @@ from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
 from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule, check_rule_shape,
-                  digital_shift_half, shift_to_centered)
+                  shift_to_centered)
 from .tfrac import GradedTimeMesh, TrajectorySolver, graded_mesh, l2J_norm
 
 __all__ = [
@@ -66,12 +66,12 @@ class RunConfig:
     :attr:`space_mesh` is the mesh of either kind, built on first use.
     ``rule`` is a given generating vector, or None; :func:`sample_points`
     builds a CBC rule where none is given.  Construction validates the
-    inputs and fills in ``gamma`` as the usual grading 2/alpha when it was
-    left out.  ``n_div`` and ``mesh`` stay as given, so
-    ``dataclasses.replace`` works on a constructed config.  The initial
-    data enter only through their Ritz projection, which needs only
-    ``grad_g``, by default the gradient of the example initial profile.
-    The field's declared lower bound must be positive.
+    inputs and writes none of them: ``gamma``, ``n_div`` and ``mesh`` stay
+    as given, and :attr:`grading` is ``gamma``, or the usual 2/alpha where
+    it was left out, so ``dataclasses.replace`` works on a constructed
+    config.  The initial data enter only through their Ritz projection,
+    which needs only ``grad_g``, by default the gradient of the example
+    initial profile.  The field's declared lower bound must be positive.
     """
 
     alpha: float
@@ -98,6 +98,10 @@ class RunConfig:
             raise ConfigurationError("alpha must lie in (0, 1)")
         if self.n_steps < 1 or self.m < 0 or self.T <= 0.0:
             raise ConfigurationError("n_steps, m, T must be positive")
+        if not self.grading >= 1.0:
+            raise ConfigurationError(f"the time grading gamma = {self.grading} must be >= 1")
+        if not self.fast_eps > 0.0:
+            raise ConfigurationError(f"fast_eps = {self.fast_eps} must be positive")
         if self.z < 0 or self.z > len(self.field):
             raise ConfigurationError(
                 f"truncation z={self.z} exceeds the field basis ({len(self.field)})")
@@ -112,14 +116,11 @@ class RunConfig:
             raise DomainError(
                 f"the field's declared lower bound {self.field.declared_bounds[0]:.6g} "
                 "is not positive")
-        if self.rule is not None:
-            if self.rule.z < self.z:
-                raise ConfigurationError(
-                    f"generating vector covers {self.rule.z} coordinates, need {self.z}")
-            if (self.rule.b, self.rule.m, self.rule.beta) != (self.b, self.m, self.beta):
-                raise ConfigurationError("generating vector (b, m, beta) mismatch")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 2.0 / self.alpha)
+        rule = self.rule
+        if rule is not None and not rule.serves(self.b, self.m, self.beta, self.z):
+            raise ConfigurationError(
+                f"generating vector (b, m, beta, z) = {(rule.b, rule.m, rule.beta, rule.z)} "
+                f"does not serve {(self.b, self.m, self.beta, self.z)}")
 
     @functools.cached_property
     def space_mesh(self) -> TriMesh:
@@ -127,11 +128,16 @@ class RunConfig:
         return self.mesh if self.mesh is not None else triangulate_unit_square(self.n_div)
 
     @property
+    def grading(self) -> float:
+        """The time-mesh grading: ``gamma`` as given, or 2/alpha."""
+        return 2.0 / self.alpha if self.gamma is None else self.gamma
+
+    @property
     def n_samples(self) -> int:
         return self.b ** self.m
 
     def time_mesh(self) -> GradedTimeMesh:
-        return graded_mesh(self.T, self.n_steps, self.gamma)
+        return graded_mesh(self.T, self.n_steps, self.grading)
 
     def qmc_rule(self) -> InterlacedLatticeRule | None:
         """The given rule, or None; builds nothing."""
@@ -202,12 +208,10 @@ def sample_points(config: RunConfig, m: int | None = None,
     if z == 0:
         return np.zeros((config.b ** m, 0))
     if m == 0:
-        ps = PointSet(np.zeros((1, z), dtype=np.int64), config.b, 1)
-        if config.shift == "digital-half":
-            ps = digital_shift_half(ps)
-        return shift_to_centered(ps)
+        return shift_to_centered(PointSet(np.zeros((1, z), dtype=np.int64), config.b, 1),
+                                 config.shift)
     rule = config.rule
-    if rule is None or rule.m != m or rule.z < z:
+    if rule is None or not rule.serves(config.b, m, config.beta, z):
         rule = cbc_rule(config.b, m, config.beta, z, default_qmc_weights(config.field, z))
     return rule.centered_points(shift=config.shift)[:, :z]
 
@@ -314,10 +318,9 @@ def _reduce_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def estimate(config: RunConfig, solver: TrajectorySolver | None = None) -> ExpectedValueSeries:
+def estimate(config: RunConfig) -> ExpectedValueSeries:
     """QMC estimate of E(L(u(t_n))) with per-level standard deviations."""
-    if solver is None:
-        solver = build_solver(config)
+    solver = build_solver(config)
     points = sample_points(config)
     values = _functional_samples(solver, points, config.threads)
     mean, std = _reduce_series(values)
@@ -335,6 +338,8 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
     """Errors and observed rates of the N-point estimates against an
     N_ref-point reference sharing the same mesh, time grid and truncation."""
     N_list = [int(n) for n in N_list]
+    if not N_list or min(N_list) < 1:
+        raise ConfigurationError("the sample counts N must be a nonempty list of N >= 1")
     if N_ref <= max(N_list):
         raise ConfigurationError("N_ref must exceed every entry of N_list")
     solver = build_solver(config)
@@ -375,9 +380,12 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
 
     A single point set in z_ref coordinates is used throughout; smaller z
     simply drops the trailing coordinates, so the comparison isolates the
-    truncation error.
+    truncation error.  z = 0, the mean field alone, has an error but no
+    logarithm, so it stays out of the fitted slope.
     """
     z_list = sorted(int(z) for z in z_list)
+    if not z_list or z_list[0] < 0:
+        raise ConfigurationError("the truncations z must be a nonempty list of z >= 0")
     if z_ref <= max(z_list):
         raise ConfigurationError("z_ref must exceed every entry of z_list")
     if z_ref > len(config.field):
@@ -387,16 +395,16 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
     values_T = {}
     for z in z_list + [z_ref]:
         values = _functional_samples(solver, points[:, :z], config.threads)
-        values_T[z] = float(np.sum(values[:, -1]) / values.shape[0])
+        values_T[z] = float(_reduce_series(values)[0][-1])
     ref = values_T[z_ref]
     err = np.array([abs(values_T[z] - ref) for z in z_list])
-    positive = err > 0
-    if np.count_nonzero(positive) >= 2:
-        slope = float(np.polyfit(np.log(np.array(z_list, dtype=float)[positive]),
-                                 np.log(err[positive]), 1)[0])
+    zs = np.array(z_list)
+    fit = (err > 0) & (zs > 0)
+    if np.count_nonzero(fit) >= 2:
+        slope = float(np.polyfit(np.log(zs[fit]), np.log(err[fit]), 1)[0])
     else:
         slope = math.nan
-    return TruncationStudy(z=np.array(z_list), err_T=err, z_ref=z_ref, slope=slope)
+    return TruncationStudy(z=zs, err_T=err, z_ref=z_ref, slope=slope)
 
 
 def _interp_levels(t_fine: np.ndarray, t_coarse: np.ndarray,

@@ -8,7 +8,7 @@ built-in example field and user-supplied coefficient tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,10 @@ class SineRandomField:
     l: np.ndarray
     amp: np.ndarray
     declared_bounds: tuple[float, float]
-    sup_norms: np.ndarray = dc_field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sup_norms", np.abs(self.amp))
+    @property
+    def sup_norms(self) -> np.ndarray:
+        return np.abs(self.amp)
 
     def __len__(self) -> int:
         return self.amp.size

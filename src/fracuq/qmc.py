@@ -314,8 +314,16 @@ def interlace(raw: PointSet, beta: int) -> PointSet:
     return PointSet(spread @ b ** np.arange(beta - 1, -1, -1, dtype=np.int64), b, beta * m)
 
 
-def shift_to_centered(points: PointSet) -> np.ndarray:
-    """Map every coordinate t -> t - 1/2, landing in [-1/2, 1/2)."""
+def shift_to_centered(points: PointSet, shift: str = "none") -> np.ndarray:
+    """Map every coordinate t -> t - 1/2, landing in [-1/2, 1/2).
+
+    ``shift="digital-half"`` applies :func:`digital_shift_half` first,
+    which keeps the corner (-1/2, ..., -1/2) out of the sample set.
+    """
+    if shift == "digital-half":
+        points = digital_shift_half(points)
+    elif shift != "none":
+        raise ConfigurationError(f"unknown shift mode {shift!r}")
     return points.values - 0.5
 
 
@@ -465,9 +473,9 @@ class InterlacedLatticeRule:
         check_rule_shape(self.b, self.m, self.beta)
         _check_rule(self.b, self.m, self.p, list(self.gen))
 
-    @property
-    def n_points(self) -> int:
-        return self.b ** self.m
+    def serves(self, b: int, m: int, beta: int, z: int) -> bool:
+        """Whether the rule has b^m points of order beta in at least z coordinates."""
+        return (self.b, self.m, self.beta) == (b, m, beta) and self.z >= z
 
     def classical(self) -> PointSet:
         return classical_points(self.b, self.m, self.beta * self.z, self.p, list(self.gen))
@@ -476,17 +484,8 @@ class InterlacedLatticeRule:
         return interlace(self.classical(), self.beta)
 
     def centered_points(self, shift: str = "none") -> np.ndarray:
-        """Points mapped to [-1/2, 1/2)^z, optionally digitally shifted.
-
-        ``shift="digital-half"`` applies :func:`digital_shift_half` first,
-        which keeps the corner (-1/2, ..., -1/2) out of the sample set.
-        """
-        ps = self.points()
-        if shift == "digital-half":
-            ps = digital_shift_half(ps)
-        elif shift != "none":
-            raise ConfigurationError(f"unknown shift mode {shift!r}")
-        return shift_to_centered(ps)
+        """Points mapped to [-1/2, 1/2)^z by :func:`shift_to_centered`."""
+        return shift_to_centered(self.points(), shift)
 
 
 # ---------------------------------------------------------------------------

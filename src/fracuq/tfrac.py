@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cython_lapack, solve_triangular
 from scipy.linalg.blas import dger as _dger
-from scipy.special import gamma as gamma_fn
+from scipy.special import exprel, gamma as gamma_fn
 
 from .errors import ConfigurationError, SolverError, ToleranceError
 from .fem import (StiffnessAssembler, assemble_mass, band_ordered, load_vector,
@@ -215,15 +215,6 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
         pad += 0.25
 
 
-def _em1_over(x):
-    """(1 - exp(-x)) / x of a float array, accurate near 0."""
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-8
-    out[small] = 1.0 - 0.5 * x[small]
-    out[~small] = -np.expm1(-x[~small]) / x[~small]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trajectory solver
 
@@ -347,7 +338,7 @@ class _ExpSumHistory:
 
     def subtract(self, n: int, x: np.ndarray) -> None:
         if n > 1:
-            x -= ((self.kw * _em1_over(self.s * self.dt[n - 1])) @ self.H
+            x -= ((self.kw * exprel(-self.s * self.dt[n - 1])) @ self.H
                   + self.w_sub[n - 2] * self.last)
 
     def record(self, n: int, mx: np.ndarray) -> None:
@@ -355,7 +346,7 @@ class _ExpSumHistory:
             # fold V^{n-1} into the far field, H += beta last^T as one
             # rank-one update of H's transpose, then decay to the next level
             s, dt = self.s, self.dt
-            _dger(1.0, self.last, _em1_over(s * dt[n - 2]), a=self.H.T, overwrite_a=1)
+            _dger(1.0, self.last, exprel(-s * dt[n - 2]), a=self.H.T, overwrite_a=1)
             self.H *= np.exp(-s * dt[n - 1])[:, None]
         self.last[:] = mx
 

@@ -197,6 +197,17 @@ class TestStudyCommands:
         assert lines[0] == "z,err_T"
         assert "slope" in capsys.readouterr().out
 
+    def test_truncation_keeps_zero_out_of_the_fit(self, tmp_path, capfd):
+        # z = 0 gets its CSV row; log 0 never reaches the fit, so neither a
+        # traceback nor LAPACK's messages on stderr
+        cfg = write_config(tmp_path)
+        assert main(["truncation", "--config", cfg, "--z", "0,1,2", "--zref", "3"]) == 0
+        lines = (tmp_path / "out" / "t-truncation.csv").read_text().strip().split("\n")
+        assert [ln.split(",")[0] for ln in lines] == ["z", "0", "1", "2"]
+        assert float(lines[1].split(",")[1]) > 0
+        out, err = capfd.readouterr()
+        assert err == "" and "fitted slope = nan" not in out
+
     def test_refine(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["refine", "--config", cfg, "--levels", "2"]) == 0
@@ -329,6 +340,23 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("error[") == 1
         assert err.startswith(f"error[{code}]")
+
+    def test_sample_count_below_one_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["table", "--config", cfg, "--N", "0,2", "--Nref", "4"]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+        assert not (tmp_path / "out" / "t-table.csv").exists()
+
+    @pytest.mark.parametrize("sets", [["time.gamma=0.5"],
+                                      ["estimator.fast_history=true", "estimator.fast_eps=-1"]])
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_check_refuses_what_a_run_refuses(self, tmp_path, capsys, sets, command):
+        cfg = write_config(tmp_path)
+        argv = [command, "--config", cfg]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
 
     def test_non_integer_config_value_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qmc={"m": "abc"})

@@ -78,7 +78,7 @@ class TestDefaultWeights:
 class TestRunConfig:
     def test_gamma_defaults_to_two_over_alpha(self):
         cfg = small_config(gamma=None, alpha=0.4)
-        assert cfg.gamma == pytest.approx(5.0)
+        assert cfg.grading == pytest.approx(5.0)
 
     def test_n_samples(self):
         assert small_config(m=5).n_samples == 32
@@ -94,6 +94,11 @@ class TestRunConfig:
             small_config(threads=0)
         with pytest.raises(ConfigurationError):
             small_config(shift="half")
+        # what graded_mesh and exp_sum_kernel would refuse in a run
+        for kw in (dict(gamma=0.5), dict(gamma=float("nan")), dict(fast_eps=0.0),
+                   dict(fast_eps=-1.0)):
+            with pytest.raises(ConfigurationError, match="gamma|fast_eps"):
+                small_config(**kw)
 
     def test_rule_mismatch_rejected(self):
         from fracuq.qmc import cbc_rule
@@ -127,6 +132,14 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="exactly one"):
             dataclasses.replace(cfg, mesh=triangulate_unit_square(4))
 
+    def test_replace_resolves_the_grading_afresh(self):
+        cfg = small_config(gamma=None, alpha=0.5)
+        changed = dataclasses.replace(cfg, alpha=0.25)
+        fresh = small_config(gamma=None, alpha=0.25)
+        assert np.array_equal(changed.time_mesh().t, fresh.time_mesh().t)
+        assert cfg.gamma is None and changed.gamma is None
+        assert changed.grading == fresh.grading == 8.0
+
     def test_frozen(self):
         cfg = small_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -138,7 +151,7 @@ class TestRunConfig:
         from fracuq.qmc import cbc_rule
         cfg = small_config(m=3, gamma=None, alpha=0.4)
         assert cfg.space_mesh.n_vertices == 7 ** 2
-        assert cfg.gamma == pytest.approx(5.0)
+        assert cfg.grading == pytest.approx(5.0)
         assert cfg.grad_g is example_initial_gradient
         # construction builds no rule: qmc_rule() is the given rule or None
         assert cfg.rule is None and cfg.qmc_rule() is None
@@ -278,7 +291,8 @@ class TestEstimate:
         assert blocks == [(1, 0)]
         assert values.shape == per_sample.shape
         assert np.max(np.abs(values - per_sample)) <= 1e-12
-        series = estimate(cfg, solver)
+        monkeypatch.setattr(estimator, "build_solver", lambda config: solver)
+        series = estimate(cfg)
         assert len(blocks) == 2
         assert np.all(series.std == 0.0)
         assert np.array_equal(series.mean, values[0])
@@ -317,8 +331,9 @@ class TestEstimate:
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(solver, "functional_series", boom)
+        monkeypatch.setattr(estimator, "build_solver", lambda config: solver)
         with pytest.raises(SolverError, match="sample 0"):
-            estimate(cfg, solver=solver)
+            estimate(cfg)
 
 
     def test_non_finite_samples_are_named_not_averaged(self):
@@ -344,8 +359,9 @@ class TestEstimate:
             return out
 
         monkeypatch.setattr(solver, "functional_series", one_nan)
+        monkeypatch.setattr(estimator, "build_solver", lambda config: solver)
         with pytest.raises(SolverError, match=r"1 of 8 .*\(sample 6: non-finite"):
-            estimate(cfg, solver=solver)
+            estimate(cfg)
 
 
 class TestConvergenceTable:
@@ -383,6 +399,9 @@ class TestConvergenceTable:
             convergence_table(cfg, [4, 8], 8)
         with pytest.raises(ConfigurationError):
             convergence_table(cfg, [5], 32)  # not a power of b
+        for n_list in ([0, 2], [-2, 2], []):
+            with pytest.raises(ConfigurationError, match="N >= 1"):
+                convergence_table(cfg, n_list, 4)
 
 
 class TestTruncationStudy:
@@ -407,6 +426,44 @@ class TestTruncationStudy:
             truncation_study(cfg, [1, 3], 3)
         with pytest.raises(ConfigurationError):
             truncation_study(cfg, [1], 99)
+        with pytest.raises(ConfigurationError, match="z >= 0"):
+            truncation_study(cfg, [-1, 1], 2)
+        with pytest.raises(ConfigurationError, match="z >= 0"):
+            truncation_study(cfg, [], 2)
+
+    def test_means_are_those_of_estimate(self, monkeypatch):
+        # each E_{z,N,h}(T) is the last entry of the series mean that
+        # estimate takes, in the same summation order
+        field = build_example_field(3)  # z = 6
+        cfg = small_config(field=field, z=6, m=4, n_div=4, n_steps=3)
+        reduce = estimator._reduce_series
+        reduced = []
+
+        def counted(values):
+            reduced.append(values.shape)
+            return reduce(values)
+
+        monkeypatch.setattr(estimator, "_reduce_series", counted)
+        study = truncation_study(cfg, [1, 2, 4], 6)
+        assert reduced == [(16, 4)] * 4
+        solver = build_solver(cfg)
+        points = sample_points(cfg, z=6)
+        means = [reduce(_functional_samples(solver, points[:, :z], 1))[0][-1]
+                 for z in (1, 2, 4, 6)]
+        assert np.array_equal(study.err_T, np.abs(np.array(means[:3]) - means[3]))
+
+    def test_zero_truncation_kept_out_of_the_fit(self):
+        # z = 0 is the mean field alone: its error is reported, but log 0
+        # stays out of the fitted slope
+        field = build_example_field(5)  # z = 15
+        cfg = small_config(field=field, z=15, m=4, n_div=8, n_steps=6)
+        with np.errstate(all="raise"):
+            study = truncation_study(cfg, [0, 1, 3, 6, 10], 15)
+        plain = truncation_study(cfg, [1, 3, 6, 10], 15)
+        assert list(study.z) == [0, 1, 3, 6, 10]
+        assert study.err_T[0] > 0
+        assert np.array_equal(study.err_T[1:], plain.err_T)
+        assert study.slope == plain.slope
 
 
 class TestRefinementStudy:

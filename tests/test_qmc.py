@@ -293,8 +293,16 @@ class TestCBC:
         assert np.all(pts >= -0.5) and np.all(pts < 0.5)
         shifted = rule.centered_points(shift="digital-half")
         assert np.all(shifted[0] == 0.0)
+        assert np.array_equal(shift_to_centered(rule.points(), "digital-half"), shifted)
         with pytest.raises(ConfigurationError):
             rule.centered_points(shift="bogus")
+
+    def test_serves(self):
+        rule = cbc_rule(2, 3, 2, 3, [1.0, 0.5, 0.25])
+        assert rule.serves(2, 3, 2, 3) and rule.serves(2, 3, 2, 1)
+        assert not rule.serves(2, 3, 2, 4)
+        assert not any(rule.serves(*shape) for shape in
+                       [(3, 3, 2, 3), (2, 4, 2, 3), (2, 3, 3, 3)])
 
 
 class TestGenVectorFiles:
