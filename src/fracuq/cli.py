@@ -35,7 +35,7 @@ __all__ = ["main", "load_config", "write_field_dump"]
 DUMP_MAGIC = b"FUQF"
 
 DEFAULT_CONFIG = {
-    "model": {"alpha": 0.5, "T": 1.0, "functional": "average"},
+    "model": {"alpha": 0.5, "T": 1.0},
     "field": {"type": "example", "q": 10, "sort_by_norm": False, "z": None,
               "kappa0_const": None, "kappa0_xy": 0.0, "coeffs": None},
     "space": {"n_div": 24, "mesh_path": None},
@@ -45,22 +45,44 @@ DEFAULT_CONFIG = {
     "output": {"dir": ".", "prefix": "run", "dump_fields": False,
                "gnuplot": True},
 }
+# a key's kind is the type of its default, or for a null default the kind
+# below; these keys, and space.n_div (null beside a mesh_path), may be null
+NULL_DEFAULT_KINDS = {"field.z": int, "field.kappa0_const": float, "field.coeffs": list,
+                      "space.mesh_path": str, "time.gamma": float, "qmc.genvec": str,
+                      "estimator.threads": int}
+NULLABLE = {*NULL_DEFAULT_KINDS, "space.n_div"}
 
 
 # ---------------------------------------------------------------------------
 # configuration handling
 
-def _merge_section(name, defaults, user):
-    out = dict(defaults)
-    for key, val in user.items():
-        if key not in defaults:
-            raise ConfigurationError(f"unknown key {name}.{key!r} in configuration")
-        out[key] = val
-    return out
+def _typed(name: str, value, default):
+    """``value`` of the key ``name`` (section.key) as the key's kind, or E_CONFIG.
+
+    A bool is never a number; a number may come as a numeric string, an int
+    must be whole and a float finite.
+    """
+    kind = NULL_DEFAULT_KINDS.get(name, type(default))
+    if value is None and name in NULLABLE:
+        return None
+    if kind not in (int, float):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if kind is float and math.isfinite(number):
+            return number
+        if kind is int and number.is_integer():
+            return value if isinstance(value, int) else int(number)
+    raise ConfigurationError(f"{name} = {value!r} is not a valid {kind.__name__}")
 
 
 def load_config(path: str, overrides=()) -> dict:
-    """Parse a JSON config file, apply overrides, and fill defaults."""
+    """Parse a JSON config file, apply overrides, fill defaults and give
+    every value its key's kind."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     with open(path) as fh:
@@ -70,14 +92,16 @@ def load_config(path: str, overrides=()) -> dict:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigurationError("config root must be a JSON object")
-    cfg = {}
-    for section, defaults in DEFAULT_CONFIG.items():
-        sub = user.pop(section, {})
+    cfg = {section: dict(defaults) for section, defaults in DEFAULT_CONFIG.items()}
+    for section, sub in user.items():
+        if section not in cfg:
+            raise ConfigurationError(f"unknown config section {section!r}")
         if not isinstance(sub, dict):
             raise ConfigurationError(f"section {section!r} must be an object")
-        cfg[section] = _merge_section(section, defaults, sub)
-    if user:
-        raise ConfigurationError(f"unknown config sections: {sorted(user)}")
+        for key, value in sub.items():
+            if key not in cfg[section]:
+                raise ConfigurationError(f"unknown key {section}.{key!r} in configuration")
+            cfg[section][key] = value
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"override {item!r} is not of the form section.key=value")
@@ -90,43 +114,30 @@ def load_config(path: str, overrides=()) -> dict:
         except json.JSONDecodeError:
             value = raw
         cfg[parts[0]][parts[1]] = value
-    return cfg
+    return {section: {key: _typed(f"{section}.{key}", value, DEFAULT_CONFIG[section][key])
+                      for key, value in sub.items()} for section, sub in cfg.items()}
 
 
-def _num(cfg, section, key, kind):
-    """cfg[section][key] converted by kind (int or float), or E_CONFIG."""
-    raw = cfg[section][key]
-    try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"{section}.{key} = {raw!r} is not a valid {kind.__name__}") from exc
-
-
-def _build_field(cfg):
-    fcfg = cfg["field"]
+def _build_field(fcfg):
     if fcfg["type"] == "example":
-        field = build_example_field(_num(cfg, "field", "q", int),
-                                    sort_by_norm=bool(fcfg["sort_by_norm"]))
+        field = build_example_field(fcfg["q"], sort_by_norm=fcfg["sort_by_norm"])
     elif fcfg["type"] == "sine-table":
         if fcfg["coeffs"] is None or fcfg["kappa0_const"] is None:
             raise ConfigurationError("sine-table field needs kappa0_const and coeffs")
         try:
-            field = build_sine_table_field(
-                _num(cfg, "field", "kappa0_const", float), fcfg["coeffs"],
-                kappa0_xy=_num(cfg, "field", "kappa0_xy", float))
+            field = build_sine_table_field(fcfg["kappa0_const"], fcfg["coeffs"],
+                                           kappa0_xy=fcfg["kappa0_xy"])
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"field.coeffs is not a table of numbers: {exc}") from exc
     else:
         raise ConfigurationError(f"unknown field type {fcfg['type']!r}")
-    return field, (len(field) if fcfg["z"] is None else _num(cfg, "field", "z", int))
+    return field, (len(field) if fcfg["z"] is None else fcfg["z"])
 
 
 def resolve_threads(cfg, cli_threads=None) -> int:
-    if cli_threads is not None:
-        return int(cli_threads)
-    if cfg["estimator"]["threads"] is not None:
-        return _num(cfg, "estimator", "threads", int)
+    threads = cfg["estimator"]["threads"] if cli_threads is None else cli_threads
+    if threads is not None:
+        return threads
     env = os.environ.get("FRACUQ_THREADS")
     try:
         return int(env) if env else 1
@@ -135,33 +146,18 @@ def resolve_threads(cfg, cli_threads=None) -> int:
 
 
 def build_run_config(cfg: dict, threads=None) -> RunConfig:
-    field, z = _build_field(cfg)
-    if cfg["model"]["functional"] != "average":
-        raise ConfigurationError(f"unknown functional {cfg['model']['functional']!r}")
-    space = cfg["space"]
-    mesh = None
-    n_div = None
-    if space["mesh_path"] is not None:
-        mesh = load_mesh(space["mesh_path"])
-    else:
-        n_div = _num(cfg, "space", "n_div", int)
-    qmc = cfg["qmc"]
-    rule = None
-    if qmc["genvec"] is not None:
-        rule = load_gen_vector(qmc["genvec"])
-    gamma = cfg["time"]["gamma"]
+    field, z = _build_field(cfg["field"])
+    model, steps, qmc, est = cfg["model"], cfg["time"], cfg["qmc"], cfg["estimator"]
+    mesh_path, genvec = cfg["space"]["mesh_path"], qmc["genvec"]
     return RunConfig(
-        alpha=_num(cfg, "model", "alpha", float),
-        T=_num(cfg, "model", "T", float),
-        n_steps=_num(cfg, "time", "n_steps", int),
-        gamma=None if gamma is None else _num(cfg, "time", "gamma", float),
+        alpha=model["alpha"], T=model["T"],
+        n_steps=steps["n_steps"], gamma=steps["gamma"],
         field=field, z=z,
-        n_div=n_div, mesh=mesh,
-        b=_num(cfg, "qmc", "b", int), m=_num(cfg, "qmc", "m", int),
-        beta=_num(cfg, "qmc", "beta", int),
-        rule=rule, shift=str(qmc["shift"]),
-        fast_history=bool(cfg["estimator"]["fast_history"]),
-        fast_eps=_num(cfg, "estimator", "fast_eps", float),
+        n_div=cfg["space"]["n_div"] if mesh_path is None else None,
+        mesh=None if mesh_path is None else load_mesh(mesh_path),
+        b=qmc["b"], m=qmc["m"], beta=qmc["beta"],
+        rule=None if genvec is None else load_gen_vector(genvec), shift=qmc["shift"],
+        fast_history=est["fast_history"], fast_eps=est["fast_eps"],
         threads=resolve_threads(cfg, threads))
 
 

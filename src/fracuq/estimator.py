@@ -96,13 +96,15 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.n_steps < 1 or self.m < 0 or self.T <= 0.0:
-            raise ConfigurationError("n_steps, m, T must be positive")
-        if not self.grading >= 1.0:
-            raise ConfigurationError(f"the time grading gamma = {self.grading} must be >= 1")
-        if not self.fast_eps > 0.0:
-            raise ConfigurationError(f"fast_eps = {self.fast_eps} must be positive")
-        if self.z < 0 or self.z > len(self.field):
+        if self.n_steps < 1 or not 0.0 < self.T < math.inf:
+            raise ConfigurationError("n_steps must be >= 1 and T a positive finite number")
+        if not 1.0 <= self.grading < math.inf:
+            raise ConfigurationError(f"time grading gamma = {self.grading} must lie in [1, inf)")
+        if not 0.0 < self.fast_eps < 1.0:
+            raise ConfigurationError(f"fast_eps = {self.fast_eps} must lie in (0, 1)")
+        if self.z < 0:
+            raise ConfigurationError(f"truncation z = {self.z} must be >= 0")
+        if self.z > len(self.field):
             raise ConfigurationError(
                 f"truncation z={self.z} exceeds the field basis ({len(self.field)})")
         if (self.mesh is None) == (self.n_div is None):
@@ -112,10 +114,10 @@ class RunConfig:
         if self.shift not in ("none", "digital-half"):
             raise ConfigurationError(f"unknown shift mode {self.shift!r}")
         check_rule_shape(self.b, self.m, self.beta)
-        if self.field.declared_bounds[0] <= 0.0:
+        if not 0.0 < self.field.declared_bounds[0] < math.inf:
             raise DomainError(
                 f"the field's declared lower bound {self.field.declared_bounds[0]:.6g} "
-                "is not positive")
+                "is not a positive finite number")
         rule = self.rule
         if rule is not None and not rule.serves(self.b, self.m, self.beta, self.z):
             raise ConfigurationError(

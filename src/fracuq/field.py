@@ -197,11 +197,11 @@ def build_sine_table_field(kappa0_const: float, coeffs,
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ConfigurationError("coeffs must be rows of (k, l, amplitude)")
+    if not np.all((rows[:, :2] >= 1) & (rows[:, :2] % 1 == 0)):
+        raise ConfigurationError("mode numbers k, l must be whole numbers >= 1")
     k = rows[:, 0].astype(np.int64)
     l = rows[:, 1].astype(np.int64)
     amp = rows[:, 2].copy()
-    if np.any(k < 1) or np.any(l < 1):
-        raise ConfigurationError("mode numbers k, l must be >= 1")
     lo, hi = _kappa_range(kappa0_const, kappa0_xy, k, l, amp, 128)
     return SineRandomField(kappa0_const=kappa0_const, kappa0_xy=kappa0_xy, k=k, l=l,
                            amp=amp, declared_bounds=(float(lo.min()), float(hi.max())))

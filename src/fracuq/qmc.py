@@ -58,8 +58,11 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def check_rule_shape(b: int, m: int, beta: int) -> None:
-    """Refuse a rule whose beta*m base-b output digits overflow a float64
-    mantissa, or whose base b is not prime (GF(b) must be a field)."""
+    """Refuse a rule with m < 0 or beta < 1, one whose beta*m base-b output
+    digits overflow a float64 mantissa, or whose base b is not prime (GF(b)
+    must be a field)."""
+    if m < 0 or beta < 1:
+        raise ConfigurationError(f"a rule needs m >= 0 and beta >= 1, not m = {m}, beta = {beta}")
     if b >= 2 and beta * m * math.log2(b) > 53:
         raise ConfigurationError(
             f"beta*m = {beta * m} base-{b} digits exceeds the float64 mantissa")
@@ -300,12 +303,10 @@ def interlace(raw: PointSet, beta: int) -> PointSet:
     Digit i of block column l lands at output digit position (i-1)*beta + l,
     so the output coordinates are exact multiples of b^(-beta*m).
     """
-    if beta < 1:
-        raise ConfigurationError("interlacing factor must be >= 1")
-    if raw.dim % beta:
-        raise ConfigurationError(f"column count {raw.dim} not divisible by beta={beta}")
     b, m = raw.b, raw.digits
     check_rule_shape(b, m, beta)
+    if raw.dim % beta:
+        raise ConfigurationError(f"column count {raw.dim} not divisible by beta={beta}")
     n, z = raw.n_points, raw.dim // beta
     # counted lowest first, digit k of block column l is output digit
     # beta*k + beta - l: spread each column's digits beta places apart,

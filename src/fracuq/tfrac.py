@@ -528,8 +528,9 @@ class TrajectorySolver:
         self.assembler = StiffnessAssembler(band_mesh, field, grad_g)
         nt = tmesh.n_steps
         self._w_diag = _diagonal_weight(tmesh.dt, alpha)
-        # the exponential sum needs dt.min() < T, so at least three levels;
-        # it reads only the weights w_{n,n-1} of W, and the direct sum all
+        # H is read only once a level has an increment older than the
+        # adjacent one (n >= 3), so shorter runs keep the direct sum, which
+        # reads all of W; the exponential sum reads only w_{n,n-1}
         if fast_history and nt >= 3:
             kernel = exp_sum_kernel(alpha, float(tmesh.dt.min()), tmesh.T, fast_eps)
             sub = np.arange(2, nt + 1)

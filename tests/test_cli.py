@@ -348,7 +348,9 @@ class TestErrorPaths:
         assert not (tmp_path / "out" / "t-table.csv").exists()
 
     @pytest.mark.parametrize("sets", [["time.gamma=0.5"],
-                                      ["estimator.fast_history=true", "estimator.fast_eps=-1"]])
+                                      ["estimator.fast_history=true", "estimator.fast_eps=-1"],
+                                      ["estimator.fast_history=true", "estimator.fast_eps=1e300"],
+                                      ["qmc.beta=0"]])
     @pytest.mark.parametrize("command", ["check", "estimate"])
     def test_check_refuses_what_a_run_refuses(self, tmp_path, capsys, sets, command):
         cfg = write_config(tmp_path)
@@ -361,6 +363,25 @@ class TestErrorPaths:
     def test_non_integer_config_value_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qmc={"m": "abc"})
         assert main(["check", "--config", cfg]) == 1
+        self.assert_one_error_line(capsys, "E_CONFIG")
+
+    @pytest.mark.parametrize("item", ["space.mesh_path=0", "qmc.genvec=0"])
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_number_for_a_path_does_not_read_stdin(self, tmp_path, capsys, command, item):
+        # open(0) reads file descriptor 0: make it an empty pipe, non-blocking
+        # so that a read which would block fails at once instead of hanging
+        cfg = write_config(tmp_path)
+        read, write = os.pipe()
+        os.set_blocking(read, False)
+        saved = os.dup(0)
+        os.dup2(read, 0)
+        try:
+            code = main([command, "--config", cfg, "--set", item])
+        finally:
+            os.dup2(saved, 0)
+            for fd in (saved, read, write):
+                os.close(fd)
+        assert code == 1
         self.assert_one_error_line(capsys, "E_CONFIG")
 
     def test_non_numeric_override_exit_1(self, tmp_path, capsys):

@@ -88,6 +88,10 @@ class TestRunConfig:
             small_config(alpha=1.0)
         with pytest.raises(ConfigurationError):
             small_config(z=99)
+        with pytest.raises(ConfigurationError, match="z = -1 must be >= 0"):
+            small_config(z=-1)
+        with pytest.raises(ConfigurationError, match="m >= 0 .* not m = -1"):
+            small_config(m=-1)
         with pytest.raises(ConfigurationError):
             small_config(mesh=triangulate_unit_square(4))  # both mesh and n_div
         with pytest.raises(ConfigurationError):
@@ -95,9 +99,10 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             small_config(shift="half")
         # what graded_mesh and exp_sum_kernel would refuse in a run
-        for kw in (dict(gamma=0.5), dict(gamma=float("nan")), dict(fast_eps=0.0),
-                   dict(fast_eps=-1.0)):
-            with pytest.raises(ConfigurationError, match="gamma|fast_eps"):
+        for kw in (dict(gamma=0.5), dict(gamma=float("nan")), dict(gamma=math.inf),
+                   dict(fast_eps=0.0), dict(fast_eps=-1.0), dict(fast_eps=1e300),
+                   dict(T=math.nan), dict(T=math.inf)):
+            with pytest.raises(ConfigurationError, match="gamma|fast_eps|T a positive finite"):
                 small_config(**kw)
 
     def test_rule_mismatch_rejected(self):
@@ -111,12 +116,13 @@ class TestRunConfig:
         assert cfg.grad_g is zero_grad
         assert np.all(estimate(cfg).mean == 0.0)
 
-    @pytest.mark.parametrize("kappa0", [0.1, -1.0])
-    def test_nonpositive_declared_bound_rejected(self, kappa0):
+    @pytest.mark.parametrize("kappa0, kappa0_xy", [(0.1, 0.0), (-1.0, 0.0), (1.0, math.nan)],
+                             ids=["0.1", "-1.0", "nan-xy"])
+    def test_nonpositive_declared_bound_rejected(self, kappa0, kappa0_xy):
         # 0.1 + 0.3 y sin(pi x1) sin(pi x2) has the declared lower bound
-        # -0.05; a negative mean field is rejected the same way
-        field = build_sine_table_field(kappa0, [(1, 1, 0.3)])
-        assert field.declared_bounds[0] <= 0
+        # -0.05; a negative mean field, and a NaN one, are rejected the same way
+        field = build_sine_table_field(kappa0, [(1, 1, 0.3)], kappa0_xy=kappa0_xy)
+        assert not field.declared_bounds[0] > 0
         with pytest.raises(DomainError):
             small_config(field=field, z=1)
 

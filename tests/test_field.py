@@ -231,3 +231,5 @@ class TestSineTableField:
             build_sine_table_field(1.0, [(0, 1, 0.1)])
         with pytest.raises(ConfigurationError):
             build_sine_table_field(1.0, [(1.0, 2.0)])
+        with pytest.raises(ConfigurationError, match="whole numbers"):
+            build_sine_table_field(1.0, [(1.5, 1, 0.1)])

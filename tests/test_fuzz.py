@@ -162,19 +162,36 @@ def test_malformed_mesh(corruption):
 # ---------------------------------------------------------------------------
 # configs
 
-NUMERIC_KEYS = [("model", "alpha"), ("model", "T"), ("time", "n_steps"),
-                ("qmc", "b"), ("qmc", "m"), ("qmc", "beta"), ("field", "q"),
-                ("space", "n_div"), ("time", "gamma"), ("estimator", "fast_eps")]
-# a null time.gamma asks for the default grading 2/alpha, so null is no corruption
-NULLABLE_KEYS = {("time", "gamma")}
+# every key by the kind of its values
+INT_KEYS = [("time", "n_steps"), ("qmc", "b"), ("qmc", "m"), ("qmc", "beta"), ("field", "q"),
+            ("field", "z"), ("space", "n_div"), ("estimator", "threads")]
+FLOAT_KEYS = [("model", "alpha"), ("model", "T"), ("time", "gamma"), ("estimator", "fast_eps"),
+              ("field", "kappa0_const"), ("field", "kappa0_xy")]
+BOOL_KEYS = [("field", "sort_by_norm"), ("estimator", "fast_history"),
+             ("output", "dump_fields"), ("output", "gnuplot")]
+STR_KEYS = [("field", "type"), ("space", "mesh_path"), ("qmc", "genvec"), ("qmc", "shift"),
+            ("output", "dir"), ("output", "prefix")]
+NUMERIC_KEYS = INT_KEYS + FLOAT_KEYS
+# null asks for a default (the grading 2/alpha, the full truncation, the
+# thread count of FRACUQ_THREADS) or is unused by the example field, so it
+# is no corruption there
+NULLABLE_KEYS = {("time", "gamma"), ("field", "z"), ("estimator", "threads"),
+                 ("field", "kappa0_const")}
 SECTIONS = ["model", "field", "space", "time", "qmc", "estimator", "output"]
 NOT_A_NUMBER = st.one_of(WORDS, st.none(), st.lists(st.integers(), max_size=3),
                          st.dictionaries(WORDS, st.integers(), max_size=2))
 NOT_AN_OBJECT = st.one_of(st.integers(), WORDS, st.lists(st.integers(), max_size=3))
+NOT_WHOLE = st.one_of(st.booleans(), st.floats().filter(lambda x: not x.is_integer()))
+NOT_FINITE = st.sampled_from(["inf", "-inf", "nan", "Infinity", "-Infinity", "NaN", "1e999"])
+NOT_A_STRING = st.one_of(st.integers(), st.floats(), st.lists(st.integers(), max_size=3))
 
 CONFIG_CORRUPTIONS = st.one_of(
     st.tuples(st.just("value"), st.sampled_from(NUMERIC_KEYS), NOT_A_NUMBER),
     st.tuples(st.just("override"), st.sampled_from(NUMERIC_KEYS), WORDS),
+    st.tuples(st.just("value"), st.sampled_from(INT_KEYS), NOT_WHOLE),
+    st.tuples(st.just("override"), st.sampled_from(FLOAT_KEYS), NOT_FINITE),
+    st.tuples(st.just("value"), st.sampled_from(BOOL_KEYS), st.text(max_size=6)),
+    st.tuples(st.just("value"), st.sampled_from(STR_KEYS), NOT_A_STRING),
     st.tuples(st.just("key"), st.sampled_from(SECTIONS), WORDS),
     st.tuples(st.just("section"), st.sampled_from(SECTIONS), NOT_AN_OBJECT),
     st.tuples(st.just("extra"), st.none(), WORDS),
