@@ -20,9 +20,10 @@ from .errors import ConfigurationError, DomainError, FracUQError, SolverError
 from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
-from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule, check_rule_shape,
+from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule, check_rule,
                   shift_to_centered)
-from .tfrac import GradedTimeMesh, TrajectorySolver, graded_mesh, l2J_norm
+from .tfrac import (GradedTimeMesh, TrajectorySolver, check_alpha, check_time_grid,
+                    graded_mesh, l2J_norm)
 
 __all__ = [
     "RunConfig",
@@ -66,12 +67,13 @@ class RunConfig:
     :attr:`space_mesh` is the mesh of either kind, built on first use.
     ``rule`` is a given generating vector, or None; :func:`sample_points`
     builds a CBC rule where none is given.  Construction validates the
-    inputs and writes none of them: ``gamma``, ``n_div`` and ``mesh`` stay
-    as given, and :attr:`grading` is ``gamma``, or the usual 2/alpha where
-    it was left out, so ``dataclasses.replace`` works on a constructed
-    config.  The initial data enter only through their Ritz projection,
-    which needs only ``grad_g``, by default the gradient of the example
-    initial profile.  The field's declared lower bound must be positive.
+    inputs (alpha, the time grid and b, m, beta by their one checks) and
+    writes none of them: ``gamma``, ``n_div`` and ``mesh`` stay as given,
+    and :attr:`grading` is ``gamma``, or the usual 2/alpha where it was
+    left out, so ``dataclasses.replace`` works on a constructed config.
+    The initial data enter only through their Ritz projection, which needs
+    only ``grad_g``, by default the gradient of the example initial
+    profile.  The field's declared lower bound must be positive.
     """
 
     alpha: float
@@ -94,12 +96,8 @@ class RunConfig:
     shift: str = "none"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.n_steps < 1 or not 0.0 < self.T < math.inf:
-            raise ConfigurationError("n_steps must be >= 1 and T a positive finite number")
-        if not 1.0 <= self.grading < math.inf:
-            raise ConfigurationError(f"time grading gamma = {self.grading} must lie in [1, inf)")
+        check_alpha(self.alpha)
+        check_time_grid(self.T, self.n_steps, self.grading)
         if not 0.0 < self.fast_eps < 1.0:
             raise ConfigurationError(f"fast_eps = {self.fast_eps} must lie in (0, 1)")
         if self.z < 0:
@@ -113,7 +111,7 @@ class RunConfig:
             raise ConfigurationError("threads must be >= 1")
         if self.shift not in ("none", "digital-half"):
             raise ConfigurationError(f"unknown shift mode {self.shift!r}")
-        check_rule_shape(self.b, self.m, self.beta)
+        check_rule(self.b, self.m, self.beta)
         if not 0.0 < self.field.declared_bounds[0] < math.inf:
             raise DomainError(
                 f"the field's declared lower bound {self.field.declared_bounds[0]:.6g} "

@@ -15,6 +15,7 @@ multiples of b^-digits) and only converted to floats on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import ConfigurationError, ValidationError
 
 __all__ = [
     "GFPoly",
-    "check_rule_shape",
+    "check_rule",
     "PointSet",
     "InterlacedLatticeRule",
     "default_modulus",
@@ -55,19 +56,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def check_rule_shape(b: int, m: int, beta: int) -> None:
-    """Refuse a rule with m < 0 or beta < 1, one whose beta*m base-b output
-    digits overflow a float64 mantissa, or whose base b is not prime (GF(b)
-    must be a field)."""
-    if m < 0 or beta < 1:
-        raise ConfigurationError(f"a rule needs m >= 0 and beta >= 1, not m = {m}, beta = {beta}")
-    if b >= 2 and beta * m * math.log2(b) > 53:
-        raise ConfigurationError(
-            f"beta*m = {beta * m} base-{b} digits exceeds the float64 mantissa")
-    if b < 2 or _prime_factors(b) != [b]:
-        raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
 
 
 @dataclass(frozen=True)
@@ -209,10 +197,10 @@ _DEFAULT_MODULI = {(2, 4): 19, (2, 5): 37, (2, 6): 103, (2, 7): 143}
 
 
 def default_modulus(b: int, m: int) -> GFPoly:
-    """Monic irreducible of degree m over GF(b).
+    """Monic irreducible of degree m over GF(b), b prime.
 
     Uses a fixed table for the common binary degrees, otherwise the smallest
-    candidate by integer encoding.
+    candidate by integer encoding (GF(b) has irreducibles of every degree).
     """
     key = (b, m)
     if key not in _MODULUS_CACHE:
@@ -220,15 +208,34 @@ def default_modulus(b: int, m: int) -> GFPoly:
             raise ConfigurationError("modulus degree m must be >= 1")
         if key in _DEFAULT_MODULI:
             _MODULUS_CACHE[key] = GFPoly.from_int(_DEFAULT_MODULI[key], b)
-            return _MODULUS_CACHE[key]
-        for low in range(b ** m):
-            cand = GFPoly.from_int(low + b ** m, b)
-            if is_irreducible(cand):
-                _MODULUS_CACHE[key] = cand
-                break
-        else:  # pragma: no cover - cannot happen for prime b
-            raise ValidationError(f"no irreducible polynomial of degree {m} over GF({b})")
+        else:
+            candidates = (GFPoly.from_int(c, b) for c in range(b ** m, 2 * b ** m))
+            _MODULUS_CACHE[key] = next(p for p in candidates if is_irreducible(p))
     return _MODULUS_CACHE[key]
+
+
+def check_rule(b: int, m: int, beta: int, p: GFPoly | None = None, gen=()) -> None:
+    """The one check of a rule: refuse m < 0 or beta < 1, beta*m base-b
+    digits beyond a float64 mantissa, a b that is not prime, and where given
+    a modulus p not irreducible of degree m over GF(b) or a bad generator."""
+    if m < 0 or beta < 1:
+        raise ConfigurationError(f"a rule needs m >= 0 and beta >= 1, not m = {m}, beta = {beta}")
+    if b >= 2 and beta * m * math.log2(b) > 53:
+        raise ConfigurationError(f"beta*m = {beta * m} base-{b} digits exceeds the float64 mantissa")
+    if b < 2 or _prime_factors(b) != [b]:
+        raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
+    if p is not None:
+        if p.b != b or p.degree != m:
+            raise ValidationError(f"modulus must have degree m={m} over GF({b})")
+        if not is_irreducible(p):
+            raise ValidationError("modulus polynomial is reducible")
+    for i, g in enumerate(gen):
+        if g.b != b:
+            raise ValidationError(f"g_{i + 1} is over the wrong base")
+        if g.is_zero:
+            raise ValidationError(f"g_{i + 1} is the zero polynomial")
+        if g.degree >= m:
+            raise ValidationError(f"deg(g_{i + 1}) = {g.degree} >= m = {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +262,16 @@ class PointSet:
         return self.mantissas / float(self.b) ** self.digits
 
 
-def _check_rule(b: int, m: int, p: GFPoly, gen: list[GFPoly]):
-    if p.b != b or p.degree != m:
-        raise ValidationError(f"modulus must have degree m={m} over GF({b})")
-    if not is_irreducible(p):
-        raise ValidationError("modulus polynomial is reducible")
-    for i, g in enumerate(gen):
-        if g.b != b:
-            raise ValidationError(f"g_{i + 1} is over the wrong base")
-        if g.is_zero:
-            raise ValidationError(f"g_{i + 1} is the zero polynomial")
-        if g.degree >= m:
-            raise ValidationError(f"deg(g_{i + 1}) = {g.degree} >= m = {m}")
-
-
 def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> PointSet:
-    """Classical polynomial lattice point set with b^m points in `dim` columns.
+    """Classical polynomial lattice point set with b^m points in `dim` columns."""
+    if dim != len(gen):
+        raise ConfigurationError(f"dim={dim} but {len(gen)} generating polynomials given")
+    check_rule(b, m, 1, p, gen)
+    return _classical_points(p, gen)
+
+
+def _classical_points(p: GFPoly, gen) -> PointSet:
+    """:func:`classical_points` for a checked modulus and generators.
 
     Coordinate c of point j is v_m(j(x) g_c(x) / P(x)): the index digits of
     j act on the Hankel matrix of Laurent coefficients of g_c/P, and the
@@ -280,9 +281,7 @@ def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> 
     entries are integers of at most m (b - 1)^2, so the product is exact.
     No temporary is larger than the (N, dim) mantissas.
     """
-    if dim != len(gen):
-        raise ConfigurationError(f"dim={dim} but {len(gen)} generating polynomials given")
-    _check_rule(b, m, p, gen)
+    b, m, dim = p.b, p.degree, len(gen)
     n = b ** m
     jdig = _digits(np.arange(n), b, m).astype(float)       # index digits, lowest first
     u = _laurent_digits(_digits([g.to_int() for g in gen], b, m), p,
@@ -298,15 +297,18 @@ def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> 
 
 
 def interlace(raw: PointSet, beta: int) -> PointSet:
-    """Weave the digits of each block of beta columns into one coordinate.
-
-    Digit i of block column l lands at output digit position (i-1)*beta + l,
-    so the output coordinates are exact multiples of b^(-beta*m).
-    """
-    b, m = raw.b, raw.digits
-    check_rule_shape(b, m, beta)
+    """Weave the digits of each block of beta columns into one coordinate."""
+    check_rule(raw.b, raw.digits, beta)
     if raw.dim % beta:
         raise ConfigurationError(f"column count {raw.dim} not divisible by beta={beta}")
+    return _interlace(raw, beta)
+
+
+def _interlace(raw: PointSet, beta: int) -> PointSet:
+    """:func:`interlace` for a checked order beta: digit i of block column l
+    lands at output digit (i-1)*beta + l, so the output coordinates are
+    exact multiples of b^(-beta*m)."""
+    b, m = raw.b, raw.digits
     n, z = raw.n_points, raw.dim // beta
     # counted lowest first, digit k of block column l is output digit
     # beta*k + beta - l: spread each column's digits beta places apart,
@@ -349,12 +351,6 @@ def digital_shift_half(points: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 # figure of merit and CBC construction
 
-def _stream_decay(b: int, beta: int) -> float:
-    # digit-level decay of the interlaced Walsh weights; beta = 1 falls back
-    # to the smoothness-2 decay so the geometric series stays summable
-    return float(b) ** (1 - beta) if beta >= 2 else 1.0 / b
-
-
 def kernel_values(b: int, m: int, beta: int) -> "tuple[np.ndarray, float]":
     """One-dimensional kernel psi over the grid {r/b^m}, plus psi(0).
 
@@ -362,7 +358,9 @@ def kernel_values(b: int, m: int, beta: int) -> "tuple[np.ndarray, float]":
     psi(x) = (b-1)(1 - s^(i-1))/(1-s) - s^(i-1) with s the digit decay of
     an order-beta interlaced stream; psi(0) = (b-1)/(1-s).
     """
-    s = _stream_decay(b, beta)
+    # digit-level decay of the interlaced Walsh weights; beta = 1 falls back
+    # to the smoothness-2 decay so the geometric series stays summable
+    s = float(b) ** (1 - beta) if beta >= 2 else 1.0 / b
     n = b ** m
     vals = np.empty(n)
     vals[0] = (b - 1) / (1.0 - s)
@@ -390,13 +388,14 @@ def _group_powers(p: GFPoly) -> np.ndarray:
     (GF(b)[x]/P)^*, N = b^m.
 
     g is the first residue by integer encoding whose N - 1 powers are all
-    distinct.  The powers of a candidate are built by doubling: every known
-    power times the next power-of-two power, in one product.
+    distinct (the group is cyclic for the irreducible P).  The powers of a
+    candidate are built by doubling: every known power times the next
+    power-of-two power, in one product.
     """
     low, _ = _monic(p)
     b, m = p.b, low.size
     order = b ** m - 1
-    for cand in range(1, order + 1):
+    for cand in itertools.count(1):
         powers, step = _digits([1], b, m), _digits(cand, b, m)
         while len(powers) < order:
             both = _mul_mod(np.vstack([powers, step]), step, low, b)
@@ -404,7 +403,6 @@ def _group_powers(p: GFPoly) -> np.ndarray:
         powers = powers[:order]
         if np.unique(_from_digits(powers, b)).size == order:
             return powers
-    raise ValidationError("modulus polynomial is reducible")
 
 
 def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
@@ -422,9 +420,9 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     """
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
+    check_rule(b, m, beta, p)
     if p is None:
         p = default_modulus(b, m)
-    _check_rule(b, m, p, [])
     powers = _group_powers(p)
     order = len(powers)
     codes = _from_digits(powers, b)
@@ -449,10 +447,8 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
 
 def cbc_rule(b: int, m: int, beta: int, z: int, gammas,
              p: GFPoly | None = None) -> "InterlacedLatticeRule":
-    check_rule_shape(b, m, beta)
-    if p is None:
-        p = default_modulus(b, m)
     gen = cbc_construct(b, m, beta * z, beta, gammas, p)
+    p = default_modulus(b, m) if p is None else p
     return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen))
 
 
@@ -471,18 +467,17 @@ class InterlacedLatticeRule:
         if len(self.gen) != self.beta * self.z:
             raise ValidationError(
                 f"generating vector has {len(self.gen)} entries, need beta*z = {self.beta * self.z}")
-        check_rule_shape(self.b, self.m, self.beta)
-        _check_rule(self.b, self.m, self.p, list(self.gen))
+        check_rule(self.b, self.m, self.beta, self.p, self.gen)
 
     def serves(self, b: int, m: int, beta: int, z: int) -> bool:
         """Whether the rule has b^m points of order beta in at least z coordinates."""
         return (self.b, self.m, self.beta) == (b, m, beta) and self.z >= z
 
     def classical(self) -> PointSet:
-        return classical_points(self.b, self.m, self.beta * self.z, self.p, list(self.gen))
+        return _classical_points(self.p, self.gen)
 
     def points(self) -> PointSet:
-        return interlace(self.classical(), self.beta)
+        return _interlace(self.classical(), self.beta)
 
     def centered_points(self, shift: str = "none") -> np.ndarray:
         """Points mapped to [-1/2, 1/2)^z by :func:`shift_to_centered`."""

@@ -25,6 +25,8 @@ from .fem import (StiffnessAssembler, assemble_mass, band_ordered, load_vector,
                   phi_integrals)
 
 __all__ = [
+    "check_alpha",
+    "check_time_grid",
     "GradedTimeMesh",
     "graded_mesh",
     "weight_matrix",
@@ -45,40 +47,50 @@ class GradedTimeMesh:
     dt: np.ndarray
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a fractional order outside (0, 1): the one check of alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
+
+
+def check_time_grid(T: float, n_steps: int, gamma: float) -> None:
+    """The one check of T, n_steps and the grading gamma; the first, shortest
+    step tau_1 = T n_steps^-gamma must square to a normal float, as w_11
+    divides by it (at T = 1: 2 gamma log10(n_steps) <= 307.65)."""
+    if n_steps < 1 or not 0.0 < T < math.inf:
+        raise ConfigurationError("n_steps must be >= 1 and T a positive finite number")
+    if not 1.0 <= gamma < math.inf:
+        raise ConfigurationError(f"time grading gamma = {gamma} must lie in [1, inf)")
+    room = math.log(T) - 0.5 * math.log(np.finfo(float).tiny)   # ln of the largest n_steps^gamma
+    if gamma * math.log(n_steps) > room:
+        fix = (f"set time.gamma <= {math.floor(100.0 * room / math.log(n_steps)) / 100.0:g}"
+               if room >= math.log(n_steps) else "raise T")
+        raise ConfigurationError(f"time grading gamma = {gamma:.6g} with n_steps = {n_steps} and "
+                                 f"T = {T:.6g} makes the first step's square underflow; {fix}")
+
+
 def graded_mesh(T: float, n_steps: int, gamma: float) -> GradedTimeMesh:
-    if T <= 0 or n_steps < 1 or gamma < 1:
-        raise ConfigurationError("need T > 0, n_steps >= 1, gamma >= 1")
+    check_time_grid(T, n_steps, gamma)
     tau = T ** (1.0 / gamma) / n_steps
     t = (np.arange(n_steps + 1) * tau) ** gamma
     return GradedTimeMesh(T=T, n_steps=n_steps, t=t, dt=np.diff(t))
 
 
-def _omega3(t, alpha: float):
-    """Riemann-Liouville kernel antiderivative w_{3-a}(t) = t^(2-a)/Gamma(3-a)."""
-    return np.asarray(t) ** (2.0 - alpha) / gamma_fn(3.0 - alpha)
-
-
 def _diagonal_weight(tau, alpha: float):
-    """w_nn = w_{3-a}(tau_n) / tau_n^2, elementwise."""
-    return _omega3(tau, alpha) / tau ** 2
+    """w_nn = w_{3-a}(tau_n) / tau_n^2, elementwise, with the Riemann-Liouville
+    kernel antiderivative w_{3-a}(t) = t^(2-a)/Gamma(3-a)."""
+    return tau ** (2.0 - alpha) / gamma_fn(3.0 - alpha) / tau ** 2
 
 
 def _omega3_diff(base, gap, alpha: float):
     """w_{3-a}(base+gap) - w_{3-a}(base) for arrays of one shape, stable when gap << base."""
     g23 = gamma_fn(3.0 - alpha)
     out = np.empty_like(base)
-    zero = base <= 0
-    out[zero] = gap[zero] ** (2.0 - alpha) / g23
-    nz = ~zero
+    nz = base > 0
+    out[~nz] = gap[~nz] ** (2.0 - alpha) / g23
     b = base[nz]
     out[nz] = b ** (2.0 - alpha) * np.expm1((2.0 - alpha) * np.log1p(gap[nz] / b)) / g23
     return out
-
-
-def _omega2_diff(x, gap, alpha: float):
-    """w_{2-a}(x+gap) - w_{2-a}(x), stable when gap << x (requires x > 0)."""
-    e = 1.0 - alpha
-    return x ** e * np.expm1(e * np.log1p(gap / x)) / gamma_fn(2.0 - alpha)
 
 
 # Gauss-Legendre rules for the far-history integral, with the largest ratio
@@ -93,14 +105,17 @@ def _far_weight_integral(base, delta, tau, alpha: float, rule):
     """int_0^delta w_{2-a}(base+s+tau) - w_{2-a}(base+s) ds by Gauss-Legendre.
 
     Equals the second mixed difference of w_{3-a} over the rectangle, but
-    without the cancellation that formula suffers when delta << base.  The
-    integrand is analytic on [0, delta] once base >= 2 delta; ``rule`` is
-    the (nodes, weights) pair to use.  The nodes are summed in order, not
-    by a BLAS product, so a value does not depend on its neighbours.
+    without the cancellation that formula suffers when delta << base; the
+    integrand, with w_{2-a}(t) = t^(1-a)/Gamma(2-a), is taken in the same
+    expm1/log1p form.  It is analytic on [0, delta] once base >= 2 delta;
+    ``rule`` is the (nodes, weights) pair to use.  The nodes are summed in
+    order, not by a BLAS product, so a value does not depend on its
+    neighbours.
     """
     nodes, weights = rule
-    s = 0.5 * delta * (nodes[:, None] + 1.0)
-    vals = _omega2_diff(base + s, tau, alpha)
+    x = base + 0.5 * delta * (nodes[:, None] + 1.0)
+    e = 1.0 - alpha
+    vals = x ** e * np.expm1(e * np.log1p(tau / x)) / gamma_fn(2.0 - alpha)
     return 0.5 * delta * (weights[:, None] * vals).sum(axis=0)
 
 
@@ -110,23 +125,21 @@ def _pair_weights(tmesh: GradedTimeMesh, alpha: float, n: np.ndarray,
 
     The double integral of w_{1-a}(t-s) over I_n x I_j telescopes into four
     w_{3-a} values, grouped here so each first-level difference spans the
-    larger gap tau_n.  Far pairs (short I_j seen from a distant I_n,
-    base_lo >= 2 tau_j) switch to a quadrature of the equivalent single
-    integral, which stays fully accurate where the four-term formula
-    cancels; each takes the fewest Gauss nodes its ratio tau_j / base_lo
-    allows.  A uniform mesh takes the same path.
+    smaller gap (across the larger they cancel to 2^gamma eps for the pair
+    (2, 1)).  Far pairs (short I_j seen from a distant I_n, base_lo >=
+    2 tau_j) switch to a quadrature of the equivalent single integral,
+    which stays fully accurate where the four-term formula cancels; each
+    takes the fewest Gauss nodes its ratio tau_j / base_lo allows.  A
+    uniform mesh takes the same path.
     """
-    t, dt = tmesh.t, tmesh.dt
-    tau_n = dt[n - 1]
-    tau_j = dt[j - 1]
+    t, tau_n, tau_j = tmesh.t, tmesh.dt[n - 1], tmesh.dt[j - 1]
     base_lo = t[n - 1] - t[j]          # gap to the right end of I_j
     far = base_lo >= 2.0 * tau_j
     num = np.empty(n.shape)
     near = ~far
-    n_near, gap = n[near], tau_n[near]
-    base_hi = t[n_near - 1] - t[j[near] - 1]      # gap to the left end of I_j
-    num[near] = (_omega3_diff(base_hi, gap, alpha)
-                 - _omega3_diff(base_lo[near], gap, alpha))
+    small, big = np.sort([tau_j[near], tau_n[near]], axis=0)
+    num[near] = (_omega3_diff(base_lo[near] + big, small, alpha)
+                 - _omega3_diff(base_lo[near], small, alpha))
     far = np.flatnonzero(far)
     order = np.searchsorted(_GL_RATIO, tau_j[far] / base_lo[far])
     for r, rule in enumerate(_GL_RULES):
@@ -148,8 +161,7 @@ def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
     The off-diagonal pairs are taken in row-major order, _PAIR_BLOCK at a
     time, through :func:`_pair_weights`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     nt = tmesh.n_steps
     W = np.zeros((nt + 1, nt + 1))
     levels = np.arange(1, nt + 1)
@@ -187,7 +199,8 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
     step near h = 0.5, so halving the step would land far below target
     with twice the terms.
     """
-    if eps <= 0 or not 0 < alpha < 1 or not 0 < t_min < t_max:
+    check_alpha(alpha)
+    if eps <= 0 or not 0 < t_min < t_max:
         raise ConfigurationError("invalid exponential-sum parameters")
     # Gamma(a) Gamma(1-a) = pi / sin(pi a) turns the Laplace-integral
     # representation of t^(-a) into the kernel w_{1-a} with this prefactor
@@ -256,7 +269,7 @@ class _BandCholesky:
     """In-place LAPACK ``dpbsv`` on one preallocated band matrix and vector.
 
     ``band`` holds a symmetric positive definite matrix A in LAPACK lower
-    band storage, shape (n, kd + 1) in C order with band[j, i - j] =
+    band storage, float64 (n, kd + 1) in C order with band[j, i - j] =
     A[i, j] for j <= i <= j + kd.  Each call overwrites ``band`` with the
     Cholesky factor and ``rhs`` (shape (n,)) with the solution.  Lower, not
     upper, storage: the upper variant runs through a strided ``dsyr`` that
@@ -265,9 +278,6 @@ class _BandCholesky:
 
     def __init__(self, band: np.ndarray, rhs: np.ndarray):
         n, ldab = band.shape
-        if not (band.dtype == rhs.dtype == np.float64 and rhs.shape == (n,)
-                and band.flags.c_contiguous and rhs.flags.c_contiguous):
-            raise ValueError("band solve needs C-contiguous float64 (n, kd+1) and (n,) arrays")
         self.band, self.rhs = band, rhs      # keeps the buffers behind the pointers alive
         self.info = ctypes.c_int()
         n_, kd, nrhs, ld, ldb = (ctypes.c_int(v) for v in (n, ldab - 1, 1, ldab, max(n, 1)))
@@ -516,8 +526,6 @@ class TrajectorySolver:
 
     def __init__(self, mesh, field, tmesh: GradedTimeMesh, alpha: float,
                  f, grad_g, fast_history: bool = False, fast_eps: float = 1e-8):
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
         self.tmesh = tmesh
         band_mesh = band_ordered(mesh)
         inner = mesh.interior_index >= 0
@@ -623,12 +631,9 @@ def l2J_norm(series: np.ndarray, tmesh: GradedTimeMesh, mass=None) -> float:
     series = np.asarray(series, dtype=float)
     if series.shape[0] != tmesh.n_steps + 1:
         raise ConfigurationError("series must have one entry per time level")
-    if series.ndim == 1:
-        q = series * series
-        c = series[:-1] * series[1:]
-    else:
-        ms = (mass @ series.T).T if mass is not None else series
-        q = np.einsum("nd,nd->n", series, ms)
-        c = np.einsum("nd,nd->n", series[:-1], ms[1:])
+    s = series.reshape(series.shape[0], -1)      # a scalar is a vector of one entry
+    ms = s if mass is None else (mass @ s.T).T
+    q = np.einsum("nd,nd->n", s, ms)
+    c = np.einsum("nd,nd->n", s[:-1], ms[1:])
     val = np.sum(tmesh.dt * (q[:-1] + c + q[1:]) / 3.0)
     return math.sqrt(max(val, 0.0))

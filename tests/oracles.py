@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
 from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
-from fracuq.qmc import (_check_rule, _digits, _effective_weights, _laurent_digits,
+from fracuq.qmc import (_digits, _effective_weights, _laurent_digits, check_rule,
                         classical_points, kernel_values)
 from fracuq.tfrac import GradedTimeMesh, _diagonal_weight, _pair_weights
 
@@ -139,7 +139,7 @@ def classical_points_by_column(b, m, dim, p, gen) -> np.ndarray:
     """Mantissas of :func:`classical_points`, one column at a time: the
     Laurent digits of g_c / P, their Hankel matrix, and an integer product
     with the index digits."""
-    _check_rule(b, m, p, gen)
+    check_rule(b, m, 1, p, gen)
     n = b ** m
     j = np.arange(n, dtype=np.int64)
     jdig = np.empty((m, n), dtype=np.int64)

@@ -8,7 +8,9 @@ unless the environment variable FRACUQ_PAPER_SCALE=1 is set.
 
 import itertools
 import json
+import math
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from fracuq.cli import main
+from fracuq.errors import ConfigurationError
 from fracuq.estimator import (RunConfig, estimate, example_initial_gradient,
                               spacetime_refinement_study, truncation_study)
 from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
@@ -146,24 +149,31 @@ def test_criterion_04_crank_nicolson_degeneration():
     report(4, rel <= 1e-4, f"relative L2(J,Omega) deviation = {rel:.3e}")
 
 
-def quadrature_weight(tmesh, alpha, n, j):
+def quadrature_weight(tmesh, alpha, n, j, digits=30):
     """w_nj from the defining double integral, inner layer analytic, outer
-    layer by adaptive tanh-sinh quadrature in 30-digit arithmetic (the kernel
-    has an algebraic endpoint singularity for j close to n)."""
+    layer by adaptive tanh-sinh quadrature in ``digits``-digit arithmetic
+    (the kernel has an algebraic endpoint singularity for j close to n).
+
+    The outer variable runs over [0, 1] and the integrand is divided by
+    tau_n tau_j, so the quadrature's absolute tolerance is one relative to
+    w_nj even where tau_n tau_j is tiny.  The inner layer cancels to about
+    tau_j / (t_n - t_{j-1}), at worst n_steps^-gamma: steep gradings need
+    about gamma log10(n_steps) more digits.
+    """
     t = tmesh.t
-    with mpmath.workdps(30):
+    with mpmath.workdps(digits):
         a = 1 - mpmath.mpf(alpha)
         g2 = mpmath.gamma(2 - mpmath.mpf(alpha))
         tj0, tj1 = mpmath.mpf(t[j - 1]), mpmath.mpf(t[j])
         tn0, tn1 = mpmath.mpf(t[n - 1]), mpmath.mpf(t[n])
 
-        def inner(tt):
+        def inner(u):
+            tt = tn0 + (tn1 - tn0) * u
             hi = (tt - tj0) ** a
             lo = (tt - tj1) ** a if tt > tj1 else mpmath.mpf(0)
-            return (hi - lo) / g2
+            return (hi - lo) / (g2 * (tj1 - tj0))
 
-        val = mpmath.quad(inner, [tn0, tn1])
-        return float(val / ((tn1 - tn0) * (tj1 - tj0)))
+        return float(mpmath.quad(inner, [0, 1]))
 
 
 def test_criterion_05_weight_oracle():
@@ -208,6 +218,53 @@ def test_weight_oracle_at_run_sizes(alpha, gamma):
             oracle = quadrature_weight(tmesh, alpha, n, jj)
             worst = max(worst, abs(row[jj - 1] - oracle) / abs(oracle))
     assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+
+
+def largest_grading(n_steps):
+    """The largest gamma that check_time_grid accepts at T = 1."""
+    return -0.5 * math.log(sys.float_info.min) / math.log(n_steps)
+
+
+@pytest.mark.parametrize("alpha, gamma, n_steps",
+                         [(a, 2.0 / a, n) for a in (0.025, 0.05, 0.1) for n in (50, 400)]
+                         + [(a, largest_grading(n), n) for a in (0.011, 0.95) for n in (50, 400)])
+def test_weight_oracle_at_steep_gradings(alpha, gamma, n_steps):
+    """Criterion 5's tolerance at the default gradings 2/alpha of small
+    alpha and at the largest grading accepted.
+
+    The pairs are the first levels, whose step ratios grow like 2^gamma,
+    and both sides of the near/far switch of the last level.  The oracle
+    of a pair works in 30 + log10((t_n - t_{j-1}) / tau_j) digits, the
+    digits its inner layer cancels (at 30 digits it gives 39.5 for the
+    pair (3, 1) at gamma 80, whose weight is 280.7).  A grading the time
+    grid refuses must be refused by the mesh as well.
+    """
+    if gamma > largest_grading(n_steps):
+        with pytest.raises(ConfigurationError, match="time.gamma"):
+            graded_mesh(1.0, n_steps, gamma)
+        return
+    tmesh = graded_mesh(1.0, n_steps, gamma)
+    t, dt = tmesh.t, tmesh.dt
+    j = np.arange(1, n_steps)
+    last_far = int(j[t[-2] - t[j] >= 2.0 * dt[j - 1]][-1])
+    pairs = {(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)}
+    pairs |= {(n_steps, jj) for jj in (last_far, last_far + 1, n_steps - 1, n_steps)}
+    W = weight_matrix(tmesh, alpha)
+    worst = 0.0
+    for n, jj in pairs:
+        digits = int(30 + math.log10((t[n] - t[jj - 1]) / dt[jj - 1]))
+        oracle = quadrature_weight(tmesh, alpha, n, jj, digits)
+        worst = max(worst, abs(W[n, jj] - oracle) / oracle)
+    assert worst <= 1e-9, f"worst relative deviation {worst:.3e}"
+
+
+def test_largest_grading_is_the_time_grid_limit():
+    for n_steps in (2, 50, 400):
+        gamma = largest_grading(n_steps)
+        tau_1 = graded_mesh(1.0, n_steps, gamma * (1.0 - 1e-12)).dt[0]
+        assert tau_1 ** 2 >= sys.float_info.min
+        with pytest.raises(ConfigurationError, match="time.gamma"):
+            graded_mesh(1.0, n_steps, gamma * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.95])

@@ -350,7 +350,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("sets", [["time.gamma=0.5"],
                                       ["estimator.fast_history=true", "estimator.fast_eps=-1"],
                                       ["estimator.fast_history=true", "estimator.fast_eps=1e300"],
-                                      ["qmc.beta=0"]])
+                                      ["qmc.beta=0"],
+                                      # the default grading 2/alpha, too steep for floats
+                                      ["model.alpha=0.01", "time.gamma=null",
+                                       "time.n_steps=50"],
+                                      ["model.alpha=0.03", "time.gamma=null",
+                                       "time.n_steps=400"]])
     @pytest.mark.parametrize("command", ["check", "estimate"])
     def test_check_refuses_what_a_run_refuses(self, tmp_path, capsys, sets, command):
         cfg = write_config(tmp_path)
@@ -359,6 +364,24 @@ class TestErrorPaths:
             argv += ["--set", item]
         assert main(argv) == 1
         self.assert_one_error_line(capsys, "E_CONFIG")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_steep_grading_refused_in_one_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, model={"alpha": 0.01}, time={"n_steps": 50, "gamma": None})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[E_CONFIG]")
+        assert "gamma = 200" in err and "n_steps = 50" in err and "time.gamma" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_steepest_default_grading_at_50_steps_gives_a_finite_mean(self, tmp_path, capsys):
+        # alpha = 0.025 grades by t_n = (n tau)^80: the first steps differ by 2^80
+        cfg = write_config(tmp_path, model={"alpha": 0.025}, field={"q": 6},
+                           time={"n_steps": 50, "gamma": None}, qmc={"m": 2, "beta": 3})
+        assert main(["estimate", "--config", cfg]) == 0
+        mean = np.loadtxt(tmp_path / "out" / "t-series.csv", delimiter=",", skiprows=1)[-1, 2]
+        assert mean == pytest.approx(0.2770, abs=5e-4)
 
     def test_non_integer_config_value_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qmc={"m": "abc"})

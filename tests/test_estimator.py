@@ -196,6 +196,25 @@ class TestSamplePoints:
         assert sample_points(with_rule, m=2).shape == (4, 3)
         assert cbc_calls == [3, 2]
 
+    def test_each_rule_tests_its_modulus_once(self, monkeypatch):
+        # the table's default modulus is taken as it is; the rule's
+        # construction is the one test, not the CBC search or the points
+        from fracuq import qmc
+        monkeypatch.setattr(qmc, "_MODULUS_CACHE", {})
+        tested = []
+        test = qmc.is_irreducible
+
+        def spy(p):
+            tested.append(p)
+            return test(p)
+
+        monkeypatch.setattr(qmc, "is_irreducible", spy)
+        cfg = small_config(m=4)
+        for m in (4, 5, 4):
+            sample_points(cfg, m=m)
+        p4, p5 = qmc.default_modulus(2, 4), qmc.default_modulus(2, 5)
+        assert tested == [p4, p5, p4]
+
     def test_fewer_coordinates_are_a_prefix(self):
         # CBC is greedy: the rule of z columns starts with the rule of fewer,
         # so a truncation study may draw its points in z_ref coordinates

@@ -126,7 +126,10 @@ class TestHistoryWeights:
 
 def reference_weight_matrix(tmesh, alpha):
     """W built row by row with 12 Gauss-Legendre nodes for every far pair:
-    the reference for the per-pair node counts of weight_matrix."""
+    the reference for the per-pair node counts of weight_matrix.  A near
+    pair's four w_{3-a} terms are grouped across the shorter interval I_j
+    (tau_j <= tau_n on these meshes), which keeps them accurate at any
+    step ratio."""
     nodes, gl_weights = np.polynomial.legendre.leggauss(12)
     t, dt = tmesh.t, tmesh.dt
     g23, g2 = gamma_fn(3.0 - alpha), gamma_fn(2.0 - alpha)
@@ -135,9 +138,9 @@ def reference_weight_matrix(tmesh, alpha):
     def omega3_diff(base, gap):
         out = np.empty_like(base)
         zero = base <= 0
-        out[zero] = gap ** e3 / g23
+        out[zero] = gap[zero] ** e3 / g23
         b = base[~zero]
-        out[~zero] = b ** e3 * np.expm1(e3 * np.log1p(gap / b)) / g23
+        out[~zero] = b ** e3 * np.expm1(e3 * np.log1p(gap[~zero] / b)) / g23
         return out
 
     nt = tmesh.n_steps
@@ -146,8 +149,8 @@ def reference_weight_matrix(tmesh, alpha):
         tau_n = dt[n - 1]
         W[n, n] = tau_n ** e3 / g23 / tau_n ** 2
         j = np.arange(1, n)
-        base_lo, base_hi = t[n - 1] - t[j], t[n - 1] - t[j - 1]
-        num = omega3_diff(base_hi, tau_n) - omega3_diff(base_lo, tau_n)
+        base_lo = t[n - 1] - t[j]
+        num = omega3_diff(base_lo + tau_n, dt[j - 1]) - omega3_diff(base_lo, dt[j - 1])
         far = base_lo >= 2.0 * dt[j - 1]
         delta = dt[j - 1][far]
         x = base_lo[far][:, None] + 0.5 * delta[:, None] * (nodes[None, :] + 1.0)
