@@ -29,6 +29,7 @@ from .estimator import (RunConfig, build_solver, convergence_table, estimate,
 from .fem import load_mesh, save_mesh, triangulate_unit_square
 from .field import build_example_field, build_sine_table_field, verify_bounds
 from .qmc import cbc_rule, load_gen_vector, save_gen_vector
+from .tfrac import fast_history_kernel
 
 __all__ = ["main", "load_config", "write_field_dump"]
 
@@ -279,7 +280,7 @@ def cmd_solve(args) -> int:
             raise UsageError("--y expects a comma-separated list of numbers") from exc
         if y.size > run.z:
             raise ConfigurationError(f"--y has {y.size} entries but z = {run.z}")
-        if np.any(np.abs(y) > 0.5):
+        if not np.all(np.abs(y) <= 0.5):
             raise ConfigurationError("--y entries must lie in [-1/2, 1/2]")
     else:
         y = np.zeros(0)
@@ -372,6 +373,10 @@ def cmd_check(args) -> int:
     print(f"T = {run.T}")
     print(f"gamma = {run.grading}")
     print(f"n_steps = {run.n_steps}")
+    if run.fast_history:
+        # the kernel the solver builds, so that check refuses one a run cannot build
+        kernel = fast_history_kernel(run.time_mesh(), run.alpha, run.fast_eps)
+        print(f"exponential sum: {0 if kernel is None else kernel.nodes.size} terms")
     print(f"z = {run.z}")
     print(f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})")
     print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_dofs} interior dofs, h = {mesh.h:.6g}")

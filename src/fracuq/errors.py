@@ -31,8 +31,8 @@ class ValidationError(FracUQError):
 
 
 class SolverError(FracUQError):
-    """A trajectory gave non-finite values (every solve is direct); an
-    estimate's message names the failing samples and why they failed."""
+    """A sample without finite values: its element-averaged diffusivity is not
+    positive and finite, so it was never stepped, or a level solve failed."""
 
     code = "E_SOLVER"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, FracUQError, SolverError
+from .errors import ConfigurationError, DomainError, SolverError
 from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
@@ -241,65 +241,35 @@ def _chunks(n: int, d: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
-def _failure_reason(solver: TrajectorySolver, y: np.ndarray) -> str:
-    """Why the sample y has non-finite values: an ill-posed field, or the solve."""
-    kmin = float(solver.assembler.element_kappa(y).min(initial=np.inf))
-    if kmin <= 0.0:
-        return f"element-averaged diffusivity <= 0 (min {kmin:.2g})"
-    return "non-finite solution values"
-
-
 def _functional_samples(solver: TrajectorySolver, points: np.ndarray,
                         threads: int) -> np.ndarray:
     """L(u_h(t_n, y_j)) for every sample, shape (N, n_steps + 1).
 
-    Samples are stepped in the fixed chunks of :func:`_chunks`, each writing
-    its own preallocated rows, so the results and the later reduction order
-    are independent of the thread count.  A chunk that raises fails all its
-    samples.  One bad sample can spoil its whole chunk through the shared
-    band factorization, so the non-finite samples of a chunk are stepped
-    again one at a time; a sample that is non-finite on its own fails,
-    named as ill-posed when its element-averaged diffusivity is not
-    positive.  Points without coordinates (z = 0) are all the same
-    deterministic problem: one trajectory is stepped and its row fills
-    every sample.
+    Each fixed chunk of :func:`_chunks` is stepped once and writes its own
+    preallocated rows, so the results and the later reduction order are
+    independent of the thread count.  The stepper never steps an ill-posed
+    sample, so a bad sample spoils no other; the samples with non-finite
+    values fail the run, named with :meth:`TrajectorySolver.failure_reason`.
+    An error a chunk raises keeps its own code.  Points without coordinates
+    (z = 0) are all the same deterministic problem: one trajectory is
+    stepped and its row fills every sample.
     """
     n = points.shape[0]
     if points.shape[1] == 0 and n > 1:
         row = _functional_samples(solver, points[:1], threads)
         return np.repeat(row, n, axis=0)
     out = np.empty((n, solver.tmesh.n_steps + 1))
-    failures = []
 
     def work(chunk):
         a, b = chunk
-        try:
-            out[a:b] = solver.functional_series(points[a:b])
-        except FracUQError as exc:
-            failures.extend((j, exc) for j in range(a, b))
-            return
-        bad = a + np.flatnonzero(~np.all(np.isfinite(out[a:b]), axis=1))
-        if b - a > 1:
-            # one bad sample can spoil the whole chunk: step the non-finite
-            # samples again one at a time, so that only those that fail on
-            # their own are named
-            for j in bad:
-                work((int(j), int(j) + 1))
-            return
-        for j in bad:
-            failures.append((int(j), SolverError(_failure_reason(solver, points[j]))))
+        out[a:b] = solver.functional_series(points[a:b])
 
-    chunks = _chunks(n, solver.mass.shape[0])
-    if threads <= 1:
-        for chunk in chunks:
-            work(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    if failures:
-        failures.sort(key=lambda pair: pair[0])
-        detail = "; ".join(f"sample {j}: {exc}" for j, exc in failures[:5])
-        raise SolverError(f"{len(failures)} of {n} trajectory solves failed ({detail})")
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(work, _chunks(n, solver.mass.shape[0])))
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        detail = "; ".join(f"sample {j}: {solver.failure_reason(points[j])}" for j in bad[:5])
+        raise SolverError(f"{bad.size} of {n} trajectory solves failed ({detail})")
     return out
 
 

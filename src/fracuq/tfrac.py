@@ -33,6 +33,7 @@ __all__ = [
     "TrajectorySolver",
     "ExpSumKernel",
     "exp_sum_kernel",
+    "fast_history_kernel",
     "l2J_norm",
 ]
 
@@ -54,11 +55,13 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_time_grid(T: float, n_steps: int, gamma: float) -> None:
-    """The one check of T, n_steps and the grading gamma; the first, shortest
-    step tau_1 = T n_steps^-gamma must square to a normal float, as w_11
-    divides by it (at T = 1: 2 gamma log10(n_steps) <= 307.65)."""
-    if n_steps < 1 or not 0.0 < T < math.inf:
-        raise ConfigurationError("n_steps must be >= 1 and T a positive finite number")
+    """The one check of T, n_steps and the grading gamma.  The weights divide
+    by products of two steps, so the longest, at most T, must square to a
+    finite float, and the first, shortest step tau_1 = T n_steps^-gamma to a
+    normal one (at T = 1: 2 gamma log10(n_steps) <= 307.65)."""
+    if n_steps < 1 or not (0.0 < T and T * T < math.inf):
+        raise ConfigurationError("n_steps must be >= 1 and T a positive finite number with a "
+                                 f"finite square (n_steps = {n_steps}, T = {T:.6g})")
     if not 1.0 <= gamma < math.inf:
         raise ConfigurationError(f"time grading gamma = {gamma} must lie in [1, inf)")
     room = math.log(T) - 0.5 * math.log(np.finfo(float).tiny)   # ln of the largest n_steps^gamma
@@ -212,7 +215,7 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
     h = 1.0
     pad = 1.0
     while True:
-        x_lo = (math.log(eps * alpha / 8.0) + math.log(t_max) * alpha) / alpha - pad
+        x_lo = (math.log(eps * alpha / 8.0) - math.log(t_max) * alpha) / alpha - pad
         x_hi = math.log((math.log(8.0 / eps) + 40.0) / t_min) + pad
         x = np.arange(x_lo, x_hi + h, h)
         if x.size > max_terms:
@@ -226,6 +229,14 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
             return ExpSumKernel(nodes=nodes, weights=weights, rel_err=rel)
         h *= 0.9
         pad += 0.25
+
+
+def fast_history_kernel(tmesh: GradedTimeMesh, alpha: float, eps: float) -> ExpSumKernel | None:
+    """The exponential sum fast history steps tmesh with, or None below 3
+    levels: H is first read at n = 3, so shorter runs keep the direct sum."""
+    if tmesh.n_steps < 3:
+        return None
+    return exp_sum_kernel(alpha, float(tmesh.dt.min()), tmesh.T, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +382,8 @@ class _BandLevels:
     ``solve`` turns that x, less the history, into V^n in place, ``mass``
     gives M V^n for the history and ``functional`` the values L(U).
     ``nodal`` maps stored coefficients back to the band numbering.  A
-    factorization that fails (a matrix that is not positive definite, or
-    not finite) makes the whole chunk NaN.
+    factorization that fails (a matrix that is not positive definite)
+    makes the whole chunk NaN.
     """
 
     def __init__(self, solver: "TrajectorySolver", d_data: np.ndarray):
@@ -430,9 +441,7 @@ class _ModalLevels:
     numbers, against a band write, a ``dpbsv`` and two sparse products on
     the band path; the set-up costs one dense d x d eigendecomposition per
     sample.  Same calls as :class:`_BandLevels`.  A chunk with an
-    eigenvalue that is not positive and finite, or a D that is not finite
-    (which is not handed to ``eigh``: numpy versions differ in whether it
-    then raises or returns NaN), is NaN as a whole, as a failed band
+    eigenvalue that is not positive is NaN as a whole, as a failed band
     factorization is.
     """
 
@@ -440,20 +449,19 @@ class _ModalLevels:
         asm = solver.assembler
         self.solver = solver
         k, d = self.shape = (d_data.shape[0], solver.mass.shape[0])
-        lam = np.full(self.shape, np.nan)
-        V = np.zeros((k, d, d))
-        if np.all(np.isfinite(d_data)):
-            L_inv = solve_triangular(np.linalg.cholesky(solver.mass.toarray()),
-                                     np.eye(d), lower=True)
-            # one sample at a time, so that the set-up holds V and a few
-            # d x d arrays, never k of each
-            D = np.zeros((d, d))
-            for i in range(k):
-                D[asm.indices, solver._pattern_col] = d_data[i]
-                lam[i], Q = np.linalg.eigh(L_inv @ D @ L_inv.T)
-                np.matmul(L_inv.T, Q, out=V[i])
-            if not np.all(np.isfinite(lam) & (lam > 0.0)):
-                lam.fill(np.nan)
+        lam = np.empty(self.shape)
+        V = np.empty((k, d, d))
+        L_inv = solve_triangular(np.linalg.cholesky(solver.mass.toarray()),
+                                 np.eye(d), lower=True)
+        # one sample at a time, so that the set-up holds V and a few d x d
+        # arrays, never k of each
+        D = np.zeros((d, d))
+        for i in range(k):
+            D[asm.indices, solver._pattern_col] = d_data[i]
+            lam[i], Q = np.linalg.eigh(L_inv @ D @ L_inv.T)
+            np.matmul(L_inv.T, Q, out=V[i])
+        if not np.all(lam > 0.0):
+            lam.fill(np.nan)
         # flat (k d,) like the coefficients, as are the loads below
         self.lam, self.V = lam.ravel(), V
         self.half_lam = 0.5 * self.lam
@@ -487,6 +495,12 @@ class _ModalLevels:
     def nodal(self, us: np.ndarray) -> np.ndarray:
         """U^n = V c^n for coefficients of shape (n_levels, k, d)."""
         return np.einsum("kij,nkj->nki", self.V, us)
+
+
+def _well_posed(kbar: np.ndarray) -> np.ndarray:
+    """Whether the element averages of kappa along kbar's last axis are all
+    positive and finite: the one test a sample must pass to be stepped."""
+    return np.all((kbar > 0.0) & (kbar < math.inf), axis=-1)
 
 
 def _level_solver(d: int, n_steps: int) -> type:
@@ -536,11 +550,8 @@ class TrajectorySolver:
         self.assembler = StiffnessAssembler(band_mesh, field, grad_g)
         nt = tmesh.n_steps
         self._w_diag = _diagonal_weight(tmesh.dt, alpha)
-        # H is read only once a level has an increment older than the
-        # adjacent one (n >= 3), so shorter runs keep the direct sum, which
-        # reads all of W; the exponential sum reads only w_{n,n-1}
-        if fast_history and nt >= 3:
-            kernel = exp_sum_kernel(alpha, float(tmesh.dt.min()), tmesh.T, fast_eps)
+        kernel = fast_history_kernel(tmesh, alpha, fast_eps) if fast_history else None
+        if kernel is not None:
             sub = np.arange(2, nt + 1)
             self._history = partial(_ExpSumHistory, kernel, tmesh.dt,
                                     _pair_weights(tmesh, alpha, sub, sub - 1))
@@ -564,25 +575,29 @@ class TrajectorySolver:
         self._levels = _level_solver(d, nt)
 
     def _march(self, Y: np.ndarray, keep_u: bool):
-        """Step the k rows of Y (shape (k, z)) through every level together.
+        """Step the well-posed rows of Y (shape (k, z)) through every level together.
 
         Returns the functional values, shape (k, n_steps + 1), and with
         ``keep_u`` the band-numbered coefficients, shape (n_steps + 1, k, d).
-        A level solve that fails makes every value of the block NaN, and so
-        does a row whose element-averaged diffusivity is not positive
-        everywhere: the caller sees non-finite samples and never averages
-        them.
+        This is where a sample's fate is decided: a row that
+        :func:`_well_posed` refuses is never handed to a level solver, its
+        values (and coefficients) are NaN, and the other rows are stepped
+        without it.  A level solve that fails makes every stepped row NaN.
         """
         asm = self.assembler
         nt = self.tmesh.n_steps
-        k = Y.shape[0]
         d = self.mass.shape[0]
         kbar = asm.element_kappa(Y)
-        ill_posed = ~np.all(kbar > 0.0, axis=1)
-        levels = self._levels(self, asm.matrix_data(kbar))
-        u = levels.initial(asm.ritz_rhs(Y))
-        values = np.empty((k, nt + 1))
-        values[:, 0] = levels.functional(u)
+        ok = _well_posed(kbar)
+        values = np.full((Y.shape[0], nt + 1), np.nan)
+        kept = np.full((nt + 1, Y.shape[0], d), np.nan) if keep_u else None
+        if not ok.any():
+            return values, kept
+        k = np.count_nonzero(ok)
+        levels = self._levels(self, asm.matrix_data(kbar[ok]))
+        u = levels.initial(asm.ritz_rhs(Y[ok]))
+        stepped = np.empty((k, nt + 1))
+        stepped[:, 0] = levels.functional(u)
         us = np.empty((nt + 1, k * d)) if keep_u else None
         if keep_u:
             us[0] = u
@@ -592,22 +607,31 @@ class TrajectorySolver:
             history.subtract(n, x)
             levels.solve(n, x)
             u += x
-            values[:, n] = levels.functional(u)
+            stepped[:, n] = levels.functional(u)
             if keep_u:
                 us[n] = u
             history.record(n, levels.mass(x))
-        values[ill_posed] = np.nan
+        values[ok] = stepped
         if keep_u:
-            us = levels.nodal(us.reshape(nt + 1, k, d))
-            us[:, ill_posed] = np.nan
-        return values, us
+            kept[:, ok] = levels.nodal(us.reshape(nt + 1, k, d))
+        return values, kept
+
+    def failure_reason(self, y) -> str:
+        """Why the parameter vector y gave non-finite values: the element
+        averages that :func:`_well_posed` refuses, or a failed level solve."""
+        kbar = self.assembler.element_kappa(y)
+        if _well_posed(kbar):
+            return "non-finite solution values"
+        if not np.all(np.isfinite(kbar)):
+            return "non-finite element-averaged diffusivity"
+        return f"element-averaged diffusivity <= 0 (min {kbar.min():.2g})"
 
     def solve(self, y) -> np.ndarray:
         """Coefficients of the trajectory of one parameter vector at every
         level, shape (n_steps + 1, d), in the dof numbering of ``mesh``."""
         _, u = self._march(np.asarray(y, dtype=float)[None, :], keep_u=True)
         if not np.all(np.isfinite(u)):
-            raise SolverError("non-finite solution values")
+            raise SolverError(self.failure_reason(y))
         return u[:, 0][:, self._dof]
 
     def functional_series(self, y) -> np.ndarray:

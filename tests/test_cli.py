@@ -13,6 +13,7 @@ from fracuq import estimator
 from fracuq.cli import build_run_config, load_config, main, write_field_dump
 from fracuq.errors import ConfigurationError, UsageError
 from fracuq.fem import load_mesh
+from fracuq.tfrac import fast_history_kernel, graded_mesh
 from oracles import read_field_dump
 
 
@@ -145,8 +146,9 @@ class TestSolveCommand:
 
     def test_y_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert main(["solve", "--config", cfg, "--y", "0.9"]) == 1
-        assert "error[E_CONFIG]" in capsys.readouterr().err
+        for y in ("0.9", "nan"):
+            assert main(["solve", "--config", cfg, "--y", y]) == 1
+            assert "error[E_CONFIG]" in capsys.readouterr().err
         assert main(["solve", "--config", cfg, "--y", "0,0,0,0,0"]) == 1
 
 
@@ -292,6 +294,15 @@ class TestCheckCommand:
         assert "z = 3" in out
         assert "N = 4 (b = 2, m = 2, beta = 2)" in out
         assert "bounds check: ok" in out
+        assert "exponential sum" not in out
+        # with fast_history, the term count of the kernel the solver builds
+        terms = fast_history_kernel(graded_mesh(1.0, 4, 4.0), 0.5, 1e-8).nodes.size
+        assert main(["check", "--config", cfg, "--set", "estimator.fast_history=true"]) == 0
+        assert f"exponential sum: {terms} terms\n" in capsys.readouterr().out
+        # below 3 levels the solver keeps the direct sum
+        assert main(["check", "--config", cfg, "--set", "estimator.fast_history=true",
+                     "--set", "time.n_steps=2"]) == 0
+        assert "exponential sum: 0 terms\n" in capsys.readouterr().out
 
     def test_bounds_checked_off_the_declaring_grid(self, tmp_path, capsys):
         # kappa = 0.6 + 0.1 x1 x2 + y sin(3 pi x1) sin(3 pi x2) is lowest near
@@ -355,7 +366,12 @@ class TestErrorPaths:
                                       ["model.alpha=0.01", "time.gamma=null",
                                        "time.n_steps=50"],
                                       ["model.alpha=0.03", "time.gamma=null",
-                                       "time.n_steps=400"]])
+                                       "time.n_steps=400"],
+                                      # the weights divide by steps up to T: T^2 overflows
+                                      ["model.T=1e200"],
+                                      ["field.type=sine-table", "field.kappa0_const=0.1"],
+                                      ["field.type=sine-table", "field.kappa0_const=0.1",
+                                       'field.coeffs=[["a", 1, 2]]']])
     @pytest.mark.parametrize("command", ["check", "estimate"])
     def test_check_refuses_what_a_run_refuses(self, tmp_path, capsys, sets, command):
         cfg = write_config(tmp_path)
@@ -364,6 +380,37 @@ class TestErrorPaths:
             argv += ["--set", item]
         assert main(argv) == 1
         self.assert_one_error_line(capsys, "E_CONFIG")
+
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_check_refuses_the_exponential_sum_a_run_refuses(self, tmp_path, capsys, command):
+        # the sum's window grows like 1/alpha: at alpha = 0.02 it needs over 4000 terms
+        cfg = write_config(tmp_path, model={"alpha": 0.02}, time={"n_steps": 50},
+                           estimator={"fast_history": True})
+        assert main([command, "--config", cfg]) == 1
+        self.assert_one_error_line(capsys, "E_TOL")
+
+    @pytest.mark.parametrize("argv, code, status", [
+        (["table", "--N", "2,x", "--Nref", "8"], "E_USAGE", 2),
+        (["refine", "--levels", "1"], "E_CONFIG", 1),
+        (["check", "--out", "{config}"], "E_USAGE", 2),         # a file, not a directory
+    ], ids=["N-not-integers", "one-level", "out-is-a-file"])
+    def test_command_line_refused_in_one_line(self, tmp_path, capsys, argv, code, status):
+        cfg = write_config(tmp_path)
+        argv = [argv[0], "--config", cfg] + [a.format(config=cfg) for a in argv[1:]]
+        assert main(argv) == status
+        self.assert_one_error_line(capsys, code)
+
+    @pytest.mark.parametrize("text, code", [
+        ("", "E_VALIDATE"),
+        ("1 2 1 1\nP 1 1 1\ng 1\n", "E_CONFIG"),
+        ("2 2 1 1\nP 1 1 0 1\ng 1\n", "E_VALIDATE"),       # degree 3, not m = 2
+        ("2 2 1 1\nP 1 1 1\ng 0\n", "E_VALIDATE"),
+    ], ids=["empty", "base-1", "modulus-degree", "zero-generator"])
+    def test_malformed_genvec_exit_1(self, tmp_path, capsys, text, code):
+        gv = tmp_path / "gen.txt"
+        gv.write_text(text)
+        assert main(["points", "--m", "2", "--beta", "1", "--z", "1", "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, code)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["check", "estimate"])
@@ -513,3 +560,15 @@ class TestErrorPaths:
         assert err.startswith("error[E_SOLVER]: 4 of 8 trajectory solves failed (sample 0:")
         assert "(sample 0: element-averaged diffusivity <= 0 (min -0.085);" in err
         assert not list(out.glob("*-series.csv"))
+
+    def test_solve_names_the_cause_that_estimate_names(self, tmp_path, capsys):
+        # the field of the test above, at its sample 0
+        cfg = tmp_path / "ill.json"
+        cfg.write_text(json.dumps({
+            "field": {"type": "sine-table", "kappa0_const": 0.05,
+                      "coeffs": [[128, 1, 0.5]]},
+            "space": {"n_div": 3}, "time": {"n_steps": 20}}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--y", "-0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error[E_SOLVER]: element-averaged diffusivity <= 0 (min -0.085)\n"

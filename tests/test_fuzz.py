@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracuq.cli import main
@@ -202,6 +202,7 @@ CONFIG_CORRUPTIONS = st.one_of(
 
 @FUZZ
 @given(CONFIG_CORRUPTIONS)
+@example(("section", "model", 3))
 def test_malformed_config(corruption):
     kind, where, value = corruption
     with tempfile.TemporaryDirectory() as tmp:

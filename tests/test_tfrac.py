@@ -188,11 +188,14 @@ class TestWeightMatrix:
 
 class TestExpSumKernel:
     def test_uniform_relative_accuracy(self):
+        # t^-alpha is scale-free, so [1e-6 T, T] takes as many terms for any T
         alpha, eps = 0.5, 1e-8
-        k = exp_sum_kernel(alpha, 1e-6, 1.0, eps)
-        t = np.geomspace(1e-6, 1.0, 300)
-        target = t ** (-alpha) / gamma_fn(1.0 - alpha)
-        assert np.max(np.abs(exp_sum_values(k, t) - target) / target) <= eps
+        for T in (1.0, 1e-3, 1e3, 1e150):
+            k = exp_sum_kernel(alpha, 1e-6 * T, T, eps)
+            t = np.geomspace(1e-6 * T, T, 300)
+            target = t ** (-alpha) / gamma_fn(1.0 - alpha)
+            assert np.max(np.abs(exp_sum_values(k, t) - target) / target) <= eps, T
+            assert k.nodes.size == exp_sum_kernel(alpha, 1e-6, 1.0, eps).nodes.size, T
 
     def test_few_terms_near_target(self):
         # the step is refined finely enough to stop near eps/2, not far below
@@ -457,6 +460,10 @@ class TestHistorySums:
         history = self.solver()._history(50)
         assert isinstance(history, tfrac._DirectHistory)
         self.check(history, lambda n, j: self.W[n, j])
+        # fast history first reads H at level 3, so shorter runs keep the direct sum
+        short = TrajectorySolver(self.mesh, self.field, graded_mesh(1.0, 2, 4.0), 0.5, 1.0,
+                                 example_initial_gradient, fast_history=True)
+        assert isinstance(short._history(50), tfrac._DirectHistory)
 
     def test_exp_sum_history(self):
         history = self.solver(fast_history=True)._history(50)
@@ -547,19 +554,23 @@ class TestBandOrdering:
         assert np.max(np.abs(u_loaded - u_struct)) <= 1e-12
 
     def test_indefinite_level_matrix_gives_nan_block(self):
-        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at y = -1/2
+        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at
+        # y = -1/2: that row never reaches the band solve, so it spoils no other
         field = build_sine_table_field(0.05, [[1, 1, 0.5]])
         solver = TrajectorySolver(triangulate_unit_square(8), field, self.tmesh, 0.5,
                                   1.0, example_initial_gradient)
+        assert solver._levels is tfrac._BandLevels
         values = solver.functional_series(np.array([[0.5], [-0.5]]))
-        assert np.all(np.isnan(values))
-        assert np.all(np.isfinite(solver.functional_series(np.array([0.5]))))
-        with pytest.raises(SolverError, match="non-finite"):
+        assert np.array_equal(values[0], solver.functional_series(np.array([0.5])))
+        assert np.all(np.isnan(values[1]))
+        with pytest.raises(SolverError, match="element-averaged diffusivity <= 0"):
             solver.solve(np.array([-0.5]))
         # a level matrix that fails on its own: w_nn M + D/2 with M negated
         solver._mass_band = -solver._mass_band
         values = solver.functional_series(np.array([0.5]))
         assert np.isfinite(values[0]) and np.all(np.isnan(values[1:]))
+        with pytest.raises(SolverError, match="non-finite solution values"):
+            solver.solve(np.array([0.5]))
 
 
 class TestModalLevels:
@@ -618,30 +629,47 @@ class TestModalLevels:
         assert np.array_equal(solver.functional_series(self.points), np.zeros((3, 6)))
         assert solver.solve(self.points[0]).shape == (6, 0)
 
-    def test_ill_posed_and_nan_rows_spoil_the_chunk(self):
-        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at y = -1/2
+    @pytest.mark.parametrize("levels", ["_BandLevels", "_ModalLevels"])
+    def test_ill_posed_and_nan_rows_are_not_stepped(self, levels):
+        # kappa = 0.05 + 0.5 y sin(pi x1) sin(pi x2) is negative mid-square at
+        # y = -1/2; the well-posed rows of a chunk are stepped as if alone
         field = build_sine_table_field(0.05, [[1, 1, 0.5]])
         solver = TrajectorySolver(triangulate_unit_square(4), field, graded_mesh(1.0, 10, 4.0),
                                   0.5, 1.0, example_initial_gradient)
-        assert solver._levels is tfrac._ModalLevels             # d = 9, 10 levels
-        assert np.all(np.isnan(solver.functional_series(np.array([[0.5], [-0.5]]))))
-        assert np.all(np.isnan(solver.functional_series(np.array([[0.5], [np.nan]]))))
-        assert np.all(np.isfinite(solver.functional_series(np.array([0.5]))))
-        with pytest.raises(SolverError, match="non-finite"):
+        solver._levels = getattr(tfrac, levels)
+        values = solver.functional_series(np.array([[0.5], [-0.5], [0.25], [np.nan]]))
+        assert np.array_equal(values[[0, 2]], solver.functional_series(np.array([[0.5], [0.25]])))
+        assert np.all(np.isnan(values[[1, 3]]))
+        alone = solver.functional_series(np.array([0.5]))
+        for bad in (-0.5, np.nan):
+            values, u = solver._march(np.array([[0.5], [bad]]), keep_u=True)
+            assert np.array_equal(values[0], alone) and np.all(np.isnan(values[1]))
+            assert np.array_equal(u[:, 0][:, solver._dof], solver.solve(np.array([0.5])))
+            assert np.all(np.isnan(u[:, 1]))
+        with pytest.raises(SolverError, match=r"element-averaged diffusivity <= 0 \(min -"):
             solver.solve(np.array([-0.5]))
-        with pytest.raises(SolverError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite element-averaged diffusivity"):
             solver.solve(np.array([np.nan]))
 
-    def test_estimator_names_only_the_bad_samples(self):
+    def test_estimator_names_only_the_bad_samples(self, monkeypatch):
         field = build_sine_table_field(0.05, [[1, 1, 0.5]])
         solver = TrajectorySolver(triangulate_unit_square(4), field, graded_mesh(1.0, 10, 4.0),
                                   0.5, 1.0, example_initial_gradient)
+        march = TrajectorySolver._march
+        blocks = []
+
+        def counted(self, Y, keep_u):
+            blocks.append(Y.shape)
+            return march(self, Y, keep_u)
+
+        monkeypatch.setattr(TrajectorySolver, "_march", counted)
         points = np.array([[0.5], [-0.5], [0.25], [np.nan], [0.0]])
         with pytest.raises(SolverError, match="2 of 5") as info:
             _functional_samples(solver, points, threads=1)
+        assert blocks == [(5, 1)]            # one chunk, stepped once
         message = str(info.value)
         assert "sample 1: element-averaged diffusivity <= 0" in message
-        assert "sample 3: non-finite" in message
+        assert "sample 3: non-finite element-averaged diffusivity" in message
         assert message.count("sample ") == 2
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
