@@ -120,18 +120,22 @@ def load_config(path: str, overrides=()) -> dict:
 
 
 def _build_field(fcfg):
-    if fcfg["type"] == "example":
-        field = build_example_field(fcfg["q"], sort_by_norm=fcfg["sort_by_norm"])
-    elif fcfg["type"] == "sine-table":
-        if fcfg["coeffs"] is None or fcfg["kappa0_const"] is None:
-            raise ConfigurationError("sine-table field needs kappa0_const and coeffs")
-        try:
-            field = build_sine_table_field(fcfg["kappa0_const"], fcfg["coeffs"],
-                                           kappa0_xy=fcfg["kappa0_xy"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"field.coeffs is not a table of numbers: {exc}") from exc
-    else:
-        raise ConfigurationError(f"unknown field type {fcfg['type']!r}")
+    kind = fcfg["type"]
+    if kind not in ("example", "sine-table"):
+        raise ConfigurationError(f"unknown field type {kind!r}")
+    if kind == "sine-table" and (fcfg["coeffs"] is None or fcfg["kappa0_const"] is None):
+        raise ConfigurationError("sine-table field needs kappa0_const and coeffs")
+    try:
+        field = (build_example_field(fcfg["q"], sort_by_norm=fcfg["sort_by_norm"])
+                 if kind == "example" else
+                 build_sine_table_field(fcfg["kappa0_const"], fcfg["coeffs"],
+                                        kappa0_xy=fcfg["kappa0_xy"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"field.coeffs is not a table of numbers: {exc}") from exc
+    except MemoryError as exc:
+        key = (f"field.q = {fcfg['q']}" if kind == "example"
+               else f"field.coeffs ({len(fcfg['coeffs'])} rows)")
+        raise ConfigurationError(f"the field that {key} sets does not fit in memory") from exc
     return field, (len(field) if fcfg["z"] is None else fcfg["z"])
 
 
@@ -481,12 +485,13 @@ def main(argv=None) -> int:
         print(f"error[E_USAGE]: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # the direct history's weight matrix grows as n_steps^2, fast_history's state does not
+        # the direct history's weight matrix grows as n_steps^2, fast_history's state does not;
+        # the hint waits for the run's configuration, which a failed field build never makes
         run = getattr(args, "run", None)
-        size = ("" if run is None else
-                f" (n_steps = {run.n_steps}, {run.space_mesh.n_dofs} dofs, N = {run.n_samples})")
-        print(f"error[E_CONFIG]: the run{size} does not fit in memory: {exc}; "
-              "long histories fit with estimator.fast_history=true", file=sys.stderr)
+        what = "the command's input" if run is None else (
+            f"the run (n_steps = {run.n_steps}, {run.space_mesh.n_dofs} dofs, N = {run.n_samples})")
+        hint = "" if run is None else "; long histories fit with estimator.fast_history=true"
+        print(f"error[E_CONFIG]: {what} does not fit in memory: {exc}{hint}", file=sys.stderr)
         return 1
 
 

@@ -304,10 +304,18 @@ def _rate(err_prev: float, err_cur: float, factor: float) -> float:
     return math.nan
 
 
+def _distinct(values: list, name: str) -> list:
+    """The values, refused where one is listed twice: its rows or fit would repeat."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ConfigurationError(f"{name} = {repeated[0]} is listed more than once")
+    return values
+
+
 def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[ConvergenceRow]:
     """Errors and observed rates of the N-point estimates against an
     N_ref-point reference sharing the same mesh, time grid and truncation."""
-    N_list = [int(n) for n in N_list]
+    N_list = _distinct([int(n) for n in N_list], "sample count N")
     if not N_list or min(N_list) < 1:
         raise ConfigurationError("the sample counts N must be a nonempty list of N >= 1")
     if N_ref <= max(N_list):
@@ -353,7 +361,7 @@ def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
     truncation error.  z = 0, the mean field alone, has an error but no
     logarithm, so it stays out of the fitted slope.
     """
-    z_list = sorted(int(z) for z in z_list)
+    z_list = _distinct(sorted(int(z) for z in z_list), "truncation z")
     if not z_list or z_list[0] < 0:
         raise ConfigurationError("the truncations z must be a nonempty list of z >= 0")
     if z_ref <= max(z_list):

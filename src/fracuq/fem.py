@@ -1,10 +1,9 @@
 """P1 Galerkin pieces on triangulations of the unit square.
 
-Assembles the mass matrix, the diffusivity-weighted stiffness matrix
-(affine in the random parameters, so the per-element basis averages are
-precomputed once and reused across samples), load vectors, the
-right-hand sides of Ritz projections of the initial data, and the weights
-of the mean-value functional.
+Assembles the mass matrix, the diffusivity-weighted stiffness matrix (kappa
+evaluated per block of samples from the field's separable sine modes),
+load vectors, the right-hand sides of Ritz projections of the initial data,
+and the weights of the mean-value functional.
 Homogeneous Dirichlet conditions are imposed by eliminating boundary
 vertices at assembly time.
 """
@@ -292,21 +291,16 @@ def assemble_mass(mesh: TriMesh) -> sp.csc_matrix:
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-# basis functions per block when the edge-midpoint basis table is reduced
-_MODE_BLOCK = 16
-
-
 class StiffnessAssembler:
     """Stiffness matrices D(y) and Ritz right-hand sides for a fixed (mesh, field, grad_g).
 
-    The diffusivity enters each element through its 3-point Gauss average,
-    which is affine in y, so per-element basis averages are precomputed and
-    each sample only combines them.  Every D(y) shares the CSC pattern
-    ``indptr``/``indices`` of :func:`assemble_mass`; :meth:`matrix_data`
-    gives its data for a block of parameter vectors at once.  The Ritz
-    right-hand side of the initial data, known through their gradient
-    ``grad_g``, is affine in y as well, r0 + y @ R; both parts come from the
-    same pass over the basis.
+    Each element's diffusivity is the average of kappa at its three edge
+    midpoints.  :meth:`parts` evaluates kappa at the distinct edge midpoints
+    for a block of parameter vectors through the field's sine maps; the
+    element-to-edge map then gives the element averages, and the Ritz
+    scatter, whose columns are edge ids, the Ritz right-hand side of the
+    initial data (known through their gradient ``grad_g``).  Every D(y)
+    shares the CSC pattern ``indptr``/``indices`` of :func:`assemble_mass`.
     """
 
     def __init__(self, mesh: TriMesh, field, grad_g):
@@ -319,45 +313,31 @@ class StiffnessAssembler:
         element = np.repeat(np.arange(nt), 9)[keep]
         self._spread = sp.csr_matrix((k_geom.ravel()[keep], (slot, element)),
                                      shape=(self.indices.size, nt))
-        edge_of, mid, E = mesh._edges
-        x1, x2 = mid[:, 0], mid[:, 1]
-        kq0 = field.kappa0(x1, x2)                  # at the edge midpoints
-        self.kbar0 = kq0[edge_of].mean(axis=1)
-        scatter = _gradient_scatter(mesh, grad_g)
-        self.r0 = scatter @ kq0
-        # psibar and R = (scatter @ psi.T).T from the edge-midpoint basis
-        # table psi, shape (z, n_edges): each basis function once per edge
-        # (8,533 edges at paper scale, against 16,854 element midpoints).  It
-        # is built _MODE_BLOCK rows at a time and never whole.  The
-        # element-to-edge map E gives psibar = (E @ psi.T).T / 3, which adds
-        # each element's three midpoints in the order q0, q1, q2.  The sums
-        # and their order are those of the element-midpoint table, so the
-        # results are bitwise the same.  psibar is C-ordered and R the
-        # transpose of a C-ordered array, the layouts the whole table gives,
-        # so the BLAS products of later samples see bitwise the same operands.
-        z = len(field)
-        self.psibar = np.empty((z, nt))
-        R = np.empty((scatter.shape[0], z))
-        rows = field.basis_rows(x1, x2)
-        for a in range(0, z, _MODE_BLOCK):
-            b = min(a + _MODE_BLOCK, z)
-            psi_t = rows(a, b).T                      # (n_edges, b - a), C order
-            self.psibar[a:b] = ((E @ psi_t) / 3.0).T
-            R[:, a:b] = scatter @ psi_t
-        self.R = R.T
+        # the scatter first, so that its set-up peak never sits on the sine maps
+        self._scatter = _gradient_scatter(mesh, grad_g)
+        _, mid, self._E = mesh._edges
+        self._kappa0 = field.kappa0(mid[:, 0], mid[:, 1])[:, None]
+        self._Q, self._S = field.sine_maps(mid[:, 0], mid[:, 1])
 
-    def _parameters(self, y) -> np.ndarray:
-        """y as a float array; it may be shorter than the basis, not longer."""
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] > self.psibar.shape[0]:
-            raise ConfigurationError(
-                f"parameter vector length {y.shape[-1]} exceeds basis size {self.psibar.shape[0]}")
-        return y
+    def parts(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Element averages of kappa, shape (k, nt), and Ritz right-hand
+        sides, shape (k, d), of the k rows of y, from one evaluation of kappa
+        at the edge midpoints.  A row may be shorter than the basis (the
+        missing parameters are 0), not longer.  Each row is reduced alone,
+        by sparse products in a fixed order: it gets the bits it gets alone."""
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        z = self._Q.shape[1]
+        if y.shape[1] > z:
+            raise ConfigurationError(f"parameter vector length {y.shape[1]} exceeds basis size {z}")
+        padded = np.zeros((z, y.shape[0]))
+        padded[: y.shape[1]] = y.T
+        kappa = self._S @ (self._Q @ padded) + self._kappa0       # (n_edges, k)
+        return ((self._E @ kappa) / 3.0).T, (self._scatter @ kappa).T
 
     def element_kappa(self, y) -> np.ndarray:
         """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
-        y = self._parameters(y)
-        return self.kbar0 + y @ self.psibar[: y.shape[-1]]
+        kbar, _ = self.parts(y)
+        return kbar[0] if np.ndim(y) == 1 else kbar
 
     def matrix_data(self, kbar) -> np.ndarray:
         """CSC data of D on the shared pattern, shape (k, nnz), for k rows
@@ -375,8 +355,8 @@ class StiffnessAssembler:
 
         Shape (d,) for one parameter vector, (k, d) for k rows.
         """
-        y = self._parameters(y)
-        return self.r0 + y @ self.R[: y.shape[-1]]
+        _, rhs = self.parts(y)
+        return rhs[0] if np.ndim(y) == 1 else rhs
 
 
 def _gradient_scatter(mesh: TriMesh, grad_g) -> sp.csr_matrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
@@ -77,27 +78,34 @@ class SineRandomField:
     def kappa0(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         return self.kappa0_const + self.kappa0_xy * np.asarray(x1) * np.asarray(x2)
 
-    def basis_rows(self, x1: np.ndarray, x2: np.ndarray):
-        """Function (a, b) -> the values of basis functions a..b-1 at the
-        given points, shape (b - a, npts).
+    def sine_maps(self, x1: np.ndarray, x2: np.ndarray):
+        """Sparse maps (Q, S) with sum_j y_j psi_j = S @ (Q @ y) at the points.
 
-        The sines are evaluated here, once per distinct (mode number,
-        coordinate) pair; each call only gathers and multiplies its rows,
-        so blocks of the table can be reduced without holding all of it.
-        A block is Fortran-ordered: its transpose, indexed by point, is
-        contiguous.
+        With g1 distinct x1 and L distinct l, the (g1 L, z) map Q sums a_j y_j
+        sin(k_j pi x1_g) over the terms j of each l (repeated (k, l) terms
+        simply add), and the (npts, g1 L) map S sums those times sin(l pi
+        x2_e) over l: g1 z + npts L products per y, not z npts.
         """
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        sin1 = _sine_rows(self.k, x1, self.amp)
-        sin2 = _sine_rows(self.l, x2)
-
-        def rows(a: int, b: int) -> np.ndarray:
-            out = sin1(a, b)
-            out *= sin2(a, b)
-            return out
-
-        return rows
+        z, npts = len(self), x2.size
+        g_uniq, g_of = np.unique(x1, return_inverse=True)
+        l_uniq, l_of = np.unique(self.l, return_inverse=True)
+        n_l, g1 = l_uniq.size, g_uniq.size
+        # the index arrays are built in scipy's own index type, never converted
+        index = np.int32 if max(g1 * z, npts * n_l) < 2 ** 31 else np.int64
+        # column j of Q holds a_j sin(k_j pi x1_g) in row g L + l_of[j]
+        a_sin1 = _sine_rows(self.k, g_uniq, self.amp)(0, z)         # (z, g1)
+        rows = np.arange(g1, dtype=index) * n_l + l_of[:, None].astype(index)
+        Q = sp.csc_matrix((a_sin1.ravel(), rows.ravel(), np.arange(z + 1, dtype=index) * g1),
+                          shape=(g1 * n_l, z))
+        # row e of S holds sin(l pi x2_e) in column g_of[e] L + l
+        sin2 = _sine_rows(l_uniq, x2)(0, n_l)                       # (L, npts)
+        cols = g_of.astype(index)[:, None] * n_l + np.arange(n_l, dtype=index)
+        S = sp.csr_matrix((sin2.T.ravel(), cols.ravel(),
+                           np.arange(npts + 1, dtype=index) * n_l),
+                          shape=(npts, g1 * n_l))
+        return Q, S
 
 
 @dataclass
@@ -172,13 +180,11 @@ def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
     if q < 1:
         raise ConfigurationError("q must be >= 1")
     M = example_field_scale()
-    ks, ls = [], []
-    for l in range(1, q + 1):
-        for k in range(1, q + 2 - l):
-            ks.append(k)
-            ls.append(l)
-    k = np.array(ks, dtype=np.int64)
-    l = np.array(ls, dtype=np.int64)
+    # l = 1..q has the q + 1 - l terms k = 1..q+1-l; a q too large to hold
+    # fails at the first allocation of the z entries
+    counts = np.arange(q, 0, -1, dtype=np.int64)
+    l = np.repeat(np.arange(1, q + 1, dtype=np.int64), counts)
+    k = np.arange(1, l.size + 1, dtype=np.int64) - (np.cumsum(counts) - counts)[l - 1]
     amp = 1.0 / (10.0 * M * (k + l).astype(float) ** 4)
     if sort_by_norm:
         order = np.argsort(-amp, kind="stable")

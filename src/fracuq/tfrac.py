@@ -518,9 +518,9 @@ class TrajectorySolver:
     """Solves trajectories for many parameter vectors over shared discretisations.
 
     Everything independent of y (mass matrix, convolution weights, loads,
-    functional weights, the affine parts of the stiffness matrix and the
-    Ritz right-hand side) is precomputed once; the object is then read-only
-    and may be shared across worker threads.
+    functional weights, the field's sine maps) is precomputed once; each
+    chunk of samples evaluates its own kappa on the worker thread that steps
+    it.  The object is read-only and may be shared across worker threads.
 
     The solver numbers the dofs in reverse Cuthill-McKee order
     (:func:`band_ordered`), so every level matrix w_nn M + D(y)/2 is a band
@@ -587,7 +587,7 @@ class TrajectorySolver:
         asm = self.assembler
         nt = self.tmesh.n_steps
         d = self.mass.shape[0]
-        kbar = asm.element_kappa(Y)
+        kbar, rhs = asm.parts(Y)
         ok = _well_posed(kbar)
         values = np.full((Y.shape[0], nt + 1), np.nan)
         kept = np.full((nt + 1, Y.shape[0], d), np.nan) if keep_u else None
@@ -595,7 +595,7 @@ class TrajectorySolver:
             return values, kept
         k = np.count_nonzero(ok)
         levels = self._levels(self, asm.matrix_data(kbar[ok]))
-        u = levels.initial(asm.ritz_rhs(Y[ok]))
+        u = levels.initial(rhs[ok])
         stepped = np.empty((k, nt + 1))
         stepped[:, 0] = levels.functional(u)
         us = np.empty((nt + 1, k * d)) if keep_u else None

@@ -7,13 +7,15 @@ solve is the oracle of criterion 4 and of the stepper's initial level, the
 figure of merit evaluated from the points is the oracle of the FFT-based
 CBC search (criterion 8), and the dump reader checks the binary files that
 ``fracuq solve --dump-fields`` writes.  The table of every basis function
-at every point is the plain form of what the package reduces in blocks of
-modes or as a product of per-coordinate sine tables.  The affine parts of
-the stiffness set-up from the basis at every element midpoint, and the
-lattice points built one column at a time, are the plain forms of what the
-package computes once per edge and for all columns at once; both must give
-the same bits.  Trial division by the schoolbook polynomial remainder is the
-oracle of the irreducibility test, which the package runs on digit rows.
+at every point is the plain form of what the package sums through its
+separable sine maps or as a product of per-coordinate sine tables.  The
+affine parts of the stiffness set-up from the basis at every element
+midpoint are the plain form of what the package evaluates once per edge
+and per block of samples; the two agree to rounding.  The lattice points
+built one column at a time are the plain form of what the package computes
+for all columns at once, and must give the same bits.  Trial division by
+the schoolbook polynomial remainder is the oracle of the irreducibility
+test, which the package runs on digit rows.
 The generator of the uniform-mesh weights is the oracle of criterion 6,
 and the weight row of one level and the values of an exponential sum are
 the plain forms of what the stepper reads from its weight tables.
@@ -27,6 +29,7 @@ import scipy.sparse.linalg as spla
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
 from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
+from fracuq.field import _sine_rows
 from fracuq.qmc import (_digits, _effective_weights, _laurent_digits, check_rule,
                         classical_points, kernel_values)
 from fracuq.tfrac import GradedTimeMesh, _diagonal_weight, _pair_weights
@@ -91,8 +94,14 @@ def ritz_projection(mesh, field, y, grad_g, assembler=None) -> np.ndarray:
 
 def basis_values(field, x1, x2) -> np.ndarray:
     """Values of all basis functions of ``field`` at the given points,
-    shape (z, npts), C order."""
-    return np.ascontiguousarray(field.basis_rows(x1, x2)(0, len(field)))
+    shape (z, npts), C order: the product of the field's two sine tables,
+    each evaluated once per distinct (mode number, coordinate) pair."""
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    z = len(field)
+    out = _sine_rows(field.k, x1, field.amp)(0, z)
+    out *= _sine_rows(field.l, x2)(0, z)
+    return np.ascontiguousarray(out)
 
 
 def element_midpoints(mesh) -> np.ndarray:
@@ -102,8 +111,10 @@ def element_midpoints(mesh) -> np.ndarray:
 
 
 def element_midpoint_parts(mesh, field, grad_g):
-    """psibar, r0 and R of :class:`StiffnessAssembler` from the basis table
-    at the 3 nt element midpoints, with columns (t, q), in one piece."""
+    """The affine parts of :class:`StiffnessAssembler`'s element averages,
+    kbar0 + y @ psibar, and of its Ritz right-hand side, r0 + y @ R, from
+    the basis table at the 3 nt element midpoints, with columns (t, q), in
+    one piece.  Returns (kbar0, psibar, r0, R)."""
     nt = mesh.n_triangles
     mid = element_midpoints(mesh)
     x1, x2 = mid[:, :, 0].ravel(), mid[:, :, 1].ravel()
@@ -116,7 +127,8 @@ def element_midpoint_parts(mesh, field, grad_g):
                    np.broadcast_to(gy, mid.shape[:2])], axis=-1)
     weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
     scatter = _dof_scatter(mesh, weights)
-    return psibar, scatter @ field.kappa0(x1, x2), (scatter @ psi.T).T
+    kq0 = field.kappa0(x1, x2)
+    return kq0.reshape(nt, 3).mean(axis=1), psibar, scatter @ kq0, (scatter @ psi.T).T
 
 
 def poly_mod(a, q, b) -> list:

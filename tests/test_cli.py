@@ -393,7 +393,10 @@ class TestErrorPaths:
         (["table", "--N", "2,x", "--Nref", "8"], "E_USAGE", 2),
         (["refine", "--levels", "1"], "E_CONFIG", 1),
         (["check", "--out", "{config}"], "E_USAGE", 2),         # a file, not a directory
-    ], ids=["N-not-integers", "one-level", "out-is-a-file"])
+        # a repeated N made a zero step factor, a repeated z a singular fit
+        (["table", "--N", "2,2", "--Nref", "8"], "E_CONFIG", 1),
+        (["truncation", "--z", "1,1", "--zref", "3"], "E_CONFIG", 1),
+    ], ids=["N-not-integers", "one-level", "out-is-a-file", "N-repeated", "z-repeated"])
     def test_command_line_refused_in_one_line(self, tmp_path, capsys, argv, code, status):
         cfg = write_config(tmp_path)
         argv = [argv[0], "--config", cfg] + [a.format(config=cfg) for a in argv[1:]]
@@ -521,13 +524,11 @@ class TestErrorPaths:
         self.assert_one_error_line(capsys, "E_DOMAIN")
         assert not list(out.glob("*-series.csv"))
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
-    def test_oversized_run_is_one_error_line(self, tmp_path):
-        # the direct history's weight matrix alone would take 29.1 TiB; the
-        # address-space cap is set in a child process, never in this one,
-        # and one BLAS thread keeps the child's own reservations small
-        cfg = write_config(tmp_path, space={"n_div": 4}, time={"n_steps": 2_000_000},
-                           qmc={"m": 1})
+    @staticmethod
+    def run_capped(argv, timeout):
+        """Run the fracuq command in a child process whose address space is
+        capped at 4 GB (never in this one); one BLAS thread keeps the child's
+        own reservations small.  Returns its one stderr line."""
         child = ("import resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))\n"
                  "from fracuq.cli import main\n"
@@ -535,13 +536,30 @@ class TestErrorPaths:
         src = os.path.dirname(os.path.dirname(fracuq.__file__))
         paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
-        proc = subprocess.run([sys.executable, "-c", child, "estimate", "--config", cfg],
-                              capture_output=True, text=True, env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", child] + argv,
+                              capture_output=True, text=True, env=env, timeout=timeout)
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[E_CONFIG]"), proc.stderr
-        assert "n_steps = 2000000" in lines[0] and "estimator.fast_history" in lines[0]
         assert "Traceback" not in proc.stderr
+        return lines[0]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_oversized_run_is_one_error_line(self, tmp_path):
+        # the direct history's weight matrix alone would take 29.1 TiB
+        cfg = write_config(tmp_path, space={"n_div": 4}, time={"n_steps": 2_000_000},
+                           qmc={"m": 1})
+        line = self.run_capped(["estimate", "--config", cfg], timeout=300)
+        assert "n_steps = 2000000" in line and "estimator.fast_history" in line
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_unholdable_field_is_one_error_line(self, tmp_path, command):
+        # q = 100000 has 5e9 modes: the first array of them fails at once, and
+        # the line names field.q, not the run's history
+        cfg = write_config(tmp_path, field={"q": 100_000})
+        line = self.run_capped([command, "--config", cfg], timeout=30)
+        assert "field.q = 100000" in line and "fast_history" not in line
 
     def test_sample_with_nonpositive_element_diffusivity_fails(self, tmp_path, capsys):
         # sin(128 pi x1) vanishes at every node of the 129-point bounds grid,
