@@ -474,7 +474,14 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()    # a closed stdout pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # a reader that stops early (``| head``) is no failure; with stdout on devnull
+        # the interpreter's last flush reports nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DomainError, SolverError
 from .fem import (TriMesh, assemble_mass, prolong_structured,
                   triangulate_unit_square)
 from .field import SineRandomField
-from .qmc import (InterlacedLatticeRule, PointSet, cbc_rule, check_rule,
+from .qmc import (SHIFT_MODES, InterlacedLatticeRule, PointSet, cbc_rule, check_rule,
                   shift_to_centered)
 from .tfrac import (GradedTimeMesh, TrajectorySolver, check_alpha, check_time_grid,
                     graded_mesh, l2J_norm)
@@ -109,7 +109,7 @@ class RunConfig:
             raise ConfigurationError("exactly one of n_div and mesh must be set")
         if self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
-        if self.shift not in ("none", "digital-half"):
+        if self.shift not in SHIFT_MODES:
             raise ConfigurationError(f"unknown shift mode {self.shift!r}")
         check_rule(self.b, self.m, self.beta)
         if not 0.0 < self.field.declared_bounds[0] < math.inf:

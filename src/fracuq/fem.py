@@ -3,7 +3,8 @@
 Assembles the mass matrix, the diffusivity-weighted stiffness matrix (kappa
 evaluated per block of samples from the field's separable sine modes),
 load vectors, the right-hand sides of Ritz projections of the initial data,
-and the weights of the mean-value functional.
+and the weights of the mean-value functional.  All but the mass matrix use
+the degree-2 edge-midpoint rule, evaluated once per distinct edge.
 Homogeneous Dirichlet conditions are imposed by eliminating boundary
 vertices at assembly time.
 """
@@ -44,9 +45,9 @@ class TriMesh:
     boundary: (nv,) bool; interior_index: vertex id -> dof id, -1 on the
     boundary; h: maximal element diameter.
 
-    The tables every assembly shares (element geometry, edge midpoints,
-    edges, the CSC pattern and the dof scatter) are computed once per mesh
-    object, on first use.  A mesh made by ``dataclasses.replace``, as
+    The tables every assembly shares (element geometry, edges, the CSC
+    pattern and the load's edge scatter) are computed once per mesh object,
+    on first use.  A mesh made by ``dataclasses.replace``, as
     :func:`band_ordered` makes one, starts without them.
     """
 
@@ -73,12 +74,6 @@ class TriMesh:
         return _element_geometry(self)
 
     @functools.cached_property
-    def _midpoints(self):
-        """Element quadrature points (edge midpoints, degree-2 exact) as (nt, 3, 2)."""
-        edge_of, mid, _ = self._edges
-        return mid[edge_of]
-
-    @functools.cached_property
     def _edges(self):
         return _edge_table(self)
 
@@ -87,8 +82,10 @@ class TriMesh:
         return _pattern(self)
 
     @functools.cached_property
-    def _scatter(self):
-        return _dof_scatter(self)
+    def _load(self):
+        """Edge scatter of <f, phi_i>: weights area/3 * phi_i(q)."""
+        area, _ = self._geometry
+        return _edge_scatter(self, (area / 3.0)[:, None, None] * _MIDPOINT_BASIS)
 
 
 def _element_geometry(mesh: TriMesh):
@@ -255,25 +252,24 @@ def band_ordered(mesh: TriMesh) -> TriMesh:
     return dataclasses.replace(mesh, interior_index=dof)
 
 
-def _dof_scatter(mesh: TriMesh, weights: np.ndarray | None = None) -> sp.csr_matrix:
-    """Sparse map from per-element vertex values, flattened (t, i), to dofs.
+def _edge_scatter(mesh: TriMesh, weights: np.ndarray) -> sp.csr_matrix:
+    """(n_dofs, n_edges) map of a quadrature at the edge midpoints.
 
-    ``Q @ v`` adds v[3t + i] into the dof of vertex i of element t, element
-    by element; with ``weights`` of shape (nt, 3, 3) the column 3t + q
-    instead feeds all three vertices i of element t, scaled by
-    weights[t, q, i].
+    Entry (dof of vertex i of element t, edge of midpoint q of t) holds
+    weights[t, q, i], for weights of shape (nt, 3, 3).  A dof meets an edge
+    through both of its elements, so a row can name an edge twice: the
+    entries stay unsummed, in (t, q) order, and a product adds the element
+    terms in that order.
     """
-    nt = mesh.n_triangles
-    dof = mesh.interior_index[mesh.triangles]              # (nt, 3)
-    if weights is None:
-        rows, cols, vals = dof.ravel(), np.arange(3 * nt), np.ones(3 * nt)
-    else:
-        rows = np.broadcast_to(dof[:, None, :], (nt, 3, 3)).ravel()
-        cols = np.repeat(np.arange(3 * nt), 3)
-        vals = weights.ravel()
-    keep = rows >= 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(mesh.n_dofs, 3 * nt))
+    edge_of, mid, _ = mesh._edges
+    dof = mesh.interior_index[mesh.triangles].ravel()             # of vertex i of t at 3t + i
+    pair = np.flatnonzero(dof >= 0)
+    # the keys are distinct, so a plain sort orders by dof, then by element
+    row, pair = np.divmod(np.sort(dof[pair] * dof.size + pair), dof.size)
+    entry = ((pair + 6 * (pair // 3))[:, None] + [0, 3, 6]).ravel()  # (t, q, i) at 9t + 3q + i
+    return sp.csr_matrix((weights.ravel()[entry], edge_of.ravel()[entry // 3],
+                          3 * np.searchsorted(row, np.arange(mesh.n_dofs + 1))),
+                         shape=(mesh.n_dofs, mid.shape[0]))
 
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
@@ -297,10 +293,10 @@ class StiffnessAssembler:
     Each element's diffusivity is the average of kappa at its three edge
     midpoints.  :meth:`parts` evaluates kappa at the distinct edge midpoints
     for a block of parameter vectors through the field's sine maps; the
-    element-to-edge map then gives the element averages, and the Ritz
-    scatter, whose columns are edge ids, the Ritz right-hand side of the
-    initial data (known through their gradient ``grad_g``).  Every D(y)
-    shares the CSC pattern ``indptr``/``indices`` of :func:`assemble_mass`.
+    element-to-edge map then gives the element averages, and the Ritz edge
+    scatter the Ritz right-hand side of the initial data (known through
+    their gradient ``grad_g``).  Every D(y) shares the CSC pattern
+    ``indptr``/``indices`` of :func:`assemble_mass`.
     """
 
     def __init__(self, mesh: TriMesh, field, grad_g):
@@ -364,41 +360,34 @@ def _gradient_scatter(mesh: TriMesh, grad_g) -> sp.csr_matrix:
 
     Each element integral <kappa grad g, grad phi_i> is area/3 * sum_q
     kappa(q) grad_g(q) . grad phi_i over the edge midpoints q, so kappa's
-    values there enter linearly through one weighted scatter from the
-    columns (t, q).  Its column indices are then renamed to edge ids.  A
-    dof meets an edge through both of its elements, so a row can name an
-    edge twice; those entries stay unsummed and in their (t, q) order, and
-    a product adds the same terms in the same order as the (t, q) map would.
+    values there enter linearly through one edge scatter; grad_g is
+    evaluated once per edge.
     """
     area, grads = mesh._geometry
-    mid = mesh._midpoints
-    gx, gy = grad_g(mid[:, :, 0], mid[:, :, 1])
-    gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
-                   np.broadcast_to(gy, mid.shape[:2])], axis=-1)  # (nt, 3, 2)
+    edge_of, mid, _ = mesh._edges
+    gx, gy = grad_g(mid[:, 0], mid[:, 1])
+    n = mid.shape[0]
+    gg = np.stack([np.broadcast_to(gx, n), np.broadcast_to(gy, n)], axis=-1)[edge_of]
     weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
-    by_slot = _dof_scatter(mesh, weights)
-    edge_of, _, E = mesh._edges
-    return sp.csr_matrix((by_slot.data, edge_of.ravel()[by_slot.indices], by_slot.indptr),
-                         shape=(by_slot.shape[0], E.shape[1]))
+    return _edge_scatter(mesh, weights)
 
 
 def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
     """<f-bar, phi_p> for the time-average of f over (t_a, t_b).
 
     The time average uses 2-point Gauss (exact through cubics in t); space
-    uses the degree-2 edge-midpoint rule.  f is f(x1, x2, t) vectorised in
-    the spatial arguments, or a plain constant.  Arrays of interval ends
-    give one row per interval from a single pass over the mesh; for a
-    constant f the rows are one read-only row broadcast.
+    uses the degree-2 edge-midpoint rule, so f is evaluated once per edge.
+    f is f(x1, x2, t) vectorised in the spatial arguments, or a plain
+    constant.  Arrays of interval ends give one row per interval from a
+    single pass over the mesh; for a constant f the rows are one read-only
+    row broadcast.
     """
     t_a, t_b = np.broadcast_arrays(np.asarray(t_a, dtype=float),
                                    np.asarray(t_b, dtype=float))
     if not np.all(t_a < t_b):
         raise ConfigurationError("load_vector requires t_a < t_b")
-    area, _ = mesh._geometry
-    mid = mesh._midpoints
-    x1 = mid[:, :, 0].ravel()
-    x2 = mid[:, :, 1].ravel()
+    _, mid, _ = mesh._edges
+    x1, x2 = mid[:, 0], mid[:, 1]
     if callable(f):
         fbar = []
         for a, b in zip(t_a.ravel(), t_b.ravel()):
@@ -411,10 +400,7 @@ def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
         fbar = np.array(fbar)
     else:
         fbar = np.full((1, x1.size), float(f))
-    nt = mesh.n_triangles
-    # entry i gets area/3 * sum_q f(q) phi_i(q)
-    contrib = (fbar.reshape(-1, nt, 3) @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
-    rhs = (mesh._scatter @ contrib.reshape(len(fbar), -1).T).T
+    rhs = (mesh._load @ fbar.T).T
     if not callable(f):
         # every interval has the same row: a read-only view, not copies
         return np.broadcast_to(rhs[0], t_a.shape + (mesh.n_dofs,))
@@ -422,9 +408,9 @@ def load_vector(mesh: TriMesh, f, t_a, t_b) -> np.ndarray:
 
 
 def phi_integrals(mesh: TriMesh) -> np.ndarray:
-    """Integrals of the interior nodal basis functions (area/3 per element)."""
-    area, _ = mesh._geometry
-    return mesh._scatter @ np.repeat(area / 3.0, 3)
+    """Integrals of the interior nodal basis functions: the load of f = 1,
+    which the edge-midpoint rule integrates exactly."""
+    return mesh._load @ np.ones(mesh._load.shape[1])
 
 
 def eval_structured(n_div: int, interior_coeffs: np.ndarray,

@@ -95,12 +95,12 @@ class SineRandomField:
         # the index arrays are built in scipy's own index type, never converted
         index = np.int32 if max(g1 * z, npts * n_l) < 2 ** 31 else np.int64
         # column j of Q holds a_j sin(k_j pi x1_g) in row g L + l_of[j]
-        a_sin1 = _sine_rows(self.k, g_uniq, self.amp)(0, z)         # (z, g1)
+        a_sin1 = _sine_rows(self.k, g_uniq, self.amp)               # (z, g1)
         rows = np.arange(g1, dtype=index) * n_l + l_of[:, None].astype(index)
         Q = sp.csc_matrix((a_sin1.ravel(), rows.ravel(), np.arange(z + 1, dtype=index) * g1),
                           shape=(g1 * n_l, z))
         # row e of S holds sin(l pi x2_e) in column g_of[e] L + l
-        sin2 = _sine_rows(l_uniq, x2)(0, n_l)                       # (L, npts)
+        sin2 = _sine_rows(l_uniq, x2)                               # (L, npts)
         cols = g_of.astype(index)[:, None] * n_l + np.arange(n_l, dtype=index)
         S = sp.csr_matrix((sin2.T.ravel(), cols.ravel(),
                            np.arange(npts + 1, dtype=index) * n_l),
@@ -132,20 +132,19 @@ def verify_bounds(field: SineRandomField, grid_resolution: int = 64) -> BoundsRe
 
 
 def _sine_rows(modes, x, scale=None):
-    """Function (a, b) -> sin(m pi x) for m in modes[a:b], shape (b - a, len(x)).
+    """sin(m pi x) for m in modes, shape (len(modes), len(x)), Fortran-ordered.
 
     The sine is evaluated once per distinct (mode number, coordinate) pair,
     so z terms over q distinct numbers at points with g distinct
     coordinates cost q g sines.  Row i is multiplied by ``scale[i]`` on
-    that small table, and each call gathers its rows from it into a new
-    Fortran-ordered array.
+    that small table, and the rows are then gathered from it.
     """
     m_uniq, m_inv = np.unique(modes, return_inverse=True)
     x_uniq, x_inv = np.unique(x, return_inverse=True)
     table = np.sin(np.pi * np.outer(x_uniq, m_uniq)).take(m_inv, axis=1)
     if scale is not None:
         table *= scale
-    return lambda a, b: table[:, a:b].take(x_inv, axis=0).T
+    return table.take(x_inv, axis=0).T
 
 
 def _kappa_range(kappa0_const, kappa0_xy, k, l, amp, resolution):
@@ -159,8 +158,8 @@ def _kappa_range(kappa0_const, kappa0_xy, k, l, amp, resolution):
     """
     g = np.linspace(0.0, 1.0, resolution + 1)
     k0 = kappa0_const + kappa0_xy * g[:, None] * g[None, :]
-    s1 = np.abs(_sine_rows(k, g, amp)(0, amp.size))
-    s2 = np.abs(_sine_rows(l, g)(0, amp.size))
+    s1 = np.abs(_sine_rows(k, g, amp))
+    s2 = np.abs(_sine_rows(l, g))
     half_abs = 0.5 * (s1.T @ s2)
     return k0 - half_abs, k0 + half_abs
 

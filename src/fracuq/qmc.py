@@ -317,16 +317,20 @@ def _interlace(raw: PointSet, beta: int) -> PointSet:
     return PointSet(spread @ b ** np.arange(beta - 1, -1, -1, dtype=np.int64), b, beta * m)
 
 
+# the shift modes of shift_to_centered, and of a run's qmc.shift
+SHIFT_MODES = ("none", "digital-half")
+
+
 def shift_to_centered(points: PointSet, shift: str = "none") -> np.ndarray:
     """Map every coordinate t -> t - 1/2, landing in [-1/2, 1/2).
 
     ``shift="digital-half"`` applies :func:`digital_shift_half` first,
     which keeps the corner (-1/2, ..., -1/2) out of the sample set.
     """
+    if shift not in SHIFT_MODES:
+        raise ConfigurationError(f"unknown shift mode {shift!r}")
     if shift == "digital-half":
         points = digital_shift_half(points)
-    elif shift != "none":
-        raise ConfigurationError(f"unknown shift mode {shift!r}")
     return points.values - 0.5
 
 

@@ -11,11 +11,12 @@ at every point is the plain form of what the package sums through its
 separable sine maps or as a product of per-coordinate sine tables.  The
 affine parts of the stiffness set-up from the basis at every element
 midpoint are the plain form of what the package evaluates once per edge
-and per block of samples; the two agree to rounding.  The lattice points
-built one column at a time are the plain form of what the package computes
-for all columns at once, and must give the same bits.  Trial division by
-the schoolbook polynomial remainder is the oracle of the irreducibility
-test, which the package runs on digit rows.
+and per block of samples; the two agree to rounding, as do the loads
+summed element by element and the package's edge scatter.  The lattice
+points built one column at a time are the plain form of what the package
+computes for all columns at once, and must give the same bits.  Trial
+division by the schoolbook polynomial remainder is the oracle of the
+irreducibility test, which the package runs on digit rows.
 The generator of the uniform-mesh weights is the oracle of criterion 6,
 and the weight row of one level and the values of an exponential sum are
 the plain forms of what the stepper reads from its weight tables.
@@ -24,11 +25,12 @@ the plain forms of what the stepper reads from its weight tables.
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
-from fracuq.fem import StiffnessAssembler, _dof_scatter, _element_geometry
+from fracuq.fem import StiffnessAssembler, _element_geometry
 from fracuq.field import _sine_rows
 from fracuq.qmc import (_digits, _effective_weights, _laurent_digits, check_rule,
                         classical_points, kernel_values)
@@ -98,9 +100,8 @@ def basis_values(field, x1, x2) -> np.ndarray:
     each evaluated once per distinct (mode number, coordinate) pair."""
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    z = len(field)
-    out = _sine_rows(field.k, x1, field.amp)(0, z)
-    out *= _sine_rows(field.l, x2)(0, z)
+    out = _sine_rows(field.k, x1, field.amp)
+    out *= _sine_rows(field.l, x2)
     return np.ascontiguousarray(out)
 
 
@@ -126,9 +127,34 @@ def element_midpoint_parts(mesh, field, grad_g):
     gg = np.stack([np.broadcast_to(gx, mid.shape[:2]),
                    np.broadcast_to(gy, mid.shape[:2])], axis=-1)
     weights = np.einsum("tqd,tid->tqi", gg, grads) * (area / 3.0)[:, None, None]
-    scatter = _dof_scatter(mesh, weights)
+    # column 3t + q feeds the dof of each vertex i of element t with weights[t, q, i]
+    dof = np.broadcast_to(mesh.interior_index[mesh.triangles][:, None, :], (nt, 3, 3)).ravel()
+    col = np.repeat(np.arange(3 * nt), 3)
+    keep = dof >= 0
+    scatter = sp.csr_matrix((weights.ravel()[keep], (dof[keep], col[keep])),
+                            shape=(mesh.n_dofs, 3 * nt))
     kq0 = field.kappa0(x1, x2)
     return kq0.reshape(nt, 3).mean(axis=1), psibar, scatter @ kq0, (scatter @ psi.T).T
+
+
+def element_load(mesh, f, t_a, t_b) -> np.ndarray:
+    """<f-bar, phi_v> for every vertex v, boundary included, element by
+    element: f (a callable f(x1, x2, t) or a constant) at the 3 nt element
+    midpoints, averaged over (t_a, t_b) by 2-point Gauss, times area/3 and
+    phi_v = 1/2 at the two midpoints of element t next to v."""
+    area, _ = _element_geometry(mesh)
+    mid = element_midpoints(mesh)
+    if callable(f):
+        c, s = 0.5 * (t_a + t_b), 0.5 * (t_b - t_a) / np.sqrt(3.0)
+        fq = sum(0.5 * np.asarray(f(mid[:, :, 0], mid[:, :, 1], t), dtype=float)
+                 for t in (c - s, c + s))
+    else:
+        fq = float(f)
+    fq = np.broadcast_to(fq, mid.shape[:2])
+    rhs = np.zeros(mesh.n_vertices)
+    for i in range(3):
+        np.add.at(rhs, mesh.triangles[:, i], area / 3.0 * 0.5 * (fq.sum(axis=1) - fq[:, i]))
+    return rhs
 
 
 def poly_mod(a, q, b) -> list:

@@ -17,6 +17,13 @@ from fracuq.tfrac import fast_history_kernel, graded_mesh
 from oracles import read_field_dump
 
 
+def child_env():
+    """The environment of a child process that imports this fracuq, with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(fracuq.__file__))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+
+
 def write_config(tmp_path, **sections):
     cfg = {
         "model": {"alpha": 0.5, "T": 1.0},
@@ -173,6 +180,22 @@ class TestEstimateCommand:
         main(["estimate", "--config", cfg, "--threads", "8"])
         eight = (tmp_path / "out" / "t-series.csv").read_bytes()
         assert one == eight
+
+    def test_closed_stdout_pipe_is_success(self, tmp_path):
+        # as in ``fracuq estimate ... | head -0``: the reader has gone before the
+        # result line is written; the series is written all the same, and the
+        # command exits 0 with nothing on stderr
+        cfg = write_config(tmp_path)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fracuq.cli", "estimate", "--config", cfg],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env=child_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert (tmp_path / "out" / "t-series.csv").exists()
 
     def test_resolved_config_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -533,11 +556,8 @@ class TestErrorPaths:
                  "resource.setrlimit(resource.RLIMIT_AS, (4_000_000_000, 4_000_000_000))\n"
                  "from fracuq.cli import main\n"
                  "sys.exit(main(sys.argv[1:]))\n")
-        src = os.path.dirname(os.path.dirname(fracuq.__file__))
-        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
         proc = subprocess.run([sys.executable, "-c", child] + argv,
-                              capture_output=True, text=True, env=env, timeout=timeout)
+                              capture_output=True, text=True, env=child_env(), timeout=timeout)
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error[E_CONFIG]"), proc.stderr

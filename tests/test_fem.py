@@ -12,31 +12,13 @@ from fracuq.fem import (StiffnessAssembler, TriMesh, assemble_mass,
                         eval_structured, load_mesh, load_vector,
                         phi_integrals, prolong_structured, save_mesh,
                         triangulate_unit_square)
-from fracuq.fem import _MIDPOINT_BASIS, _element_geometry, band_ordered
+from fracuq.fem import _element_geometry, band_ordered
 from fracuq.estimator import example_initial_gradient
 from fracuq.field import build_example_field, build_sine_table_field
-from oracles import (basis_values, element_midpoint_parts, element_midpoints,
+from oracles import (basis_values, element_load, element_midpoint_parts,
                      example_initial, ritz_projection)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def _load_vector_untrimmed(mesh, f, t_a, t_b):
-    """All-vertex variant of load_vector (f at the interval midpoint), whose
-    entries sum to the integral of f: a partition-of-unity check."""
-    area, _ = _element_geometry(mesh)
-    mid = element_midpoints(mesh)
-    x1 = mid[:, :, 0].ravel()
-    x2 = mid[:, :, 1].ravel()
-    if callable(f):
-        fbar = np.broadcast_to(np.asarray(f(x1, x2, 0.5 * (t_a + t_b)), dtype=float), x1.shape)
-    else:
-        fbar = np.full(x1.shape, float(f))
-    fq = fbar.reshape(mesh.n_triangles, 3)
-    contrib = (fq @ _MIDPOINT_BASIS) * (area / 3.0)[:, None]
-    rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles.ravel(), contrib.ravel())
-    return rhs
 
 
 def reference_triangle():
@@ -322,7 +304,7 @@ class TestAffineParts:
 class TestLoadVector:
     def test_constant_source_partition_of_unity(self):
         mesh = triangulate_unit_square(5)
-        rhs = _load_vector_untrimmed(mesh, 1.0, 0.0, 1.0)
+        rhs = element_load(mesh, 1.0, 0.0, 1.0)
         assert rhs.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_time_average(self):
@@ -349,8 +331,58 @@ class TestLoadVector:
         # edge-midpoint rule integrates quadratics exactly: compare the sum
         # of the untrimmed load of x1*x2 to its exact integral 1/4
         mesh = triangulate_unit_square(3)
-        rhs = _load_vector_untrimmed(mesh, lambda x1, x2, t: x1 * x2, 0.0, 1.0)
+        rhs = element_load(mesh, lambda x1, x2, t: x1 * x2, 0.0, 1.0)
         assert rhs.sum() == pytest.approx(0.25, rel=1e-14)
+
+
+def on_dofs(mesh, values):
+    """The entries of an all-vertex vector at the dofs, in dof order."""
+    out = np.empty(mesh.n_dofs)
+    inner = mesh.interior_index >= 0
+    out[mesh.interior_index[inner]] = values[inner]
+    return out
+
+
+class TestEdgeRule:
+    """Loads and functional weights come from one scatter of the integrand
+    at the distinct edges; they must agree with the sum element by element."""
+
+    @pytest.mark.parametrize("case", ["n24", "n53", "jittered"])
+    def test_matches_element_sums(self, case, tmp_path):
+        mesh = (jittered_mesh(tmp_path) if case == "jittered"
+                else band_ordered(triangulate_unit_square(int(case[1:]))))
+        t = np.array([0.0, 0.1, 0.35, 1.0])
+
+        def f(x1, x2, t):
+            return np.sin(3.0 * x1 + t) * np.exp(x2) + x1 * x2 * t ** 2
+
+        rows = load_vector(mesh, f, t[:-1], t[1:])
+        for a, b, row in zip(t[:-1], t[1:], rows):
+            ref = on_dofs(mesh, element_load(mesh, f, a, b))
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for got, ref in ((load_vector(mesh, 0.7, 0.0, 1.0), element_load(mesh, 0.7, 0.0, 1.0)),
+                         (phi_integrals(mesh), element_load(mesh, 1.0, 0.0, 1.0))):
+            ref = on_dofs(mesh, ref)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_integrands_evaluated_once_per_edge(self):
+        # the structured mesh has n(n+1) edges in each axis direction and n^2 diagonals
+        n_div = 7
+        n_edges = 2 * n_div * (n_div + 1) + n_div ** 2
+        mesh = band_ordered(triangulate_unit_square(n_div))
+        sizes = []
+
+        def f(x1, x2, t):
+            sizes.append((np.shape(x1), np.shape(x2)))
+            return x1 * x2 + t
+
+        def grad_g(x1, x2):
+            sizes.append((np.shape(x1), np.shape(x2)))
+            return example_initial_gradient(x1, x2)
+
+        load_vector(mesh, f, np.array([0.0, 0.5]), np.array([0.5, 1.0]))
+        StiffnessAssembler(mesh, build_example_field(3), grad_g)
+        assert sizes == [((n_edges,), (n_edges,))] * 5
 
 
 class TestFunctional:
