@@ -251,6 +251,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_points(args) -> int:
+    lines = []
     if os.path.exists(args.genvec):
         rule = load_gen_vector(args.genvec)
         if not rule.serves(args.b, args.m, args.beta, args.z):
@@ -261,17 +262,16 @@ def cmd_points(args) -> int:
         gammas = 1.0 / np.arange(1, args.z + 1, dtype=float) ** 2
         rule = cbc_rule(args.b, args.m, args.beta, args.z, gammas)
         save_gen_vector(rule, args.genvec)
-        print(f"wrote generating vector {args.genvec}")
+        lines.append(f"wrote generating vector {args.genvec}")
     pts = rule.points().values[:, : args.z]
     rows = [[j] + list(p) for j, p in enumerate(pts)]
     header = ["j"] + [f"x{c + 1}" for c in range(args.z)]
     if args.out:
         _write_csv(args.out, header, rows)
-        print(f"wrote {pts.shape[0]} points to {args.out}")
+        lines.append(f"wrote {pts.shape[0]} points to {args.out}")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+        lines += [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    print("\n".join(lines))
     return 0
 
 
@@ -294,11 +294,12 @@ def cmd_solve(args) -> int:
     csv_path = os.path.join(out_dir, f"{prefix}-trajectory.csv")
     rows = [(n, solver.tmesh.t[n], values[n]) for n in range(values.size)]
     _write_csv(csv_path, ["n", "t", "value"], rows)
-    print(f"wrote {csv_path}; L(u(T)) = {_fmt(values[-1])}")
+    lines = [f"wrote {csv_path}; L(u(T)) = {_fmt(values[-1])}"]
     if args.dump_fields or cfg["output"]["dump_fields"]:
         dump = args.dump_fields or os.path.join(out_dir, f"{prefix}-fields.bin")
         write_field_dump(dump, u)
-        print(f"wrote {dump}")
+        lines.append(f"wrote {dump}")
+    print("\n".join(lines))
     return 0
 
 
@@ -312,10 +313,11 @@ def cmd_estimate(args) -> int:
              series.mean[n] + 3.0 * series.std[n])
             for n in range(series.t.size)]
     _write_csv(csv_path, ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows)
-    print(f"wrote {csv_path}; N = {series.n_samples}, z = {series.z}, "
-          f"E[L(u(T))] = {_fmt(series.mean[-1])}")
+    lines = [f"wrote {csv_path}; N = {series.n_samples}, z = {series.z}, "
+             f"E[L(u(T))] = {_fmt(series.mean[-1])}"]
     if cfg["output"]["gnuplot"]:
-        print(f"wrote {_emit_gnuplot(out_dir, prefix, csv_name)}")
+        lines.append(f"wrote {_emit_gnuplot(out_dir, prefix, csv_name)}")
+    print("\n".join(lines))
     return 0
 
 

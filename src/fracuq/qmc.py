@@ -409,6 +409,14 @@ def _group_powers(p: GFPoly) -> np.ndarray:
             return powers
 
 
+# The largest group order whose column scores are one product with the
+# circulant of psi, O(N^2); above it the FFT pair, O(N log N) behind some
+# 25 us of wrapper cost per column, is cheaper.  Per column at b = 2,
+# beta = 3 and one BLAS thread, direct / FFT took 9 / 32 us at order 31,
+# 23 / 41 us at 255 and 82 / 81 us at 511 (the README has the table).
+_CBC_DIRECT_ORDER = 255
+
+
 def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
                   p: GFPoly | None = None) -> list[GFPoly]:
     """Greedy component-by-component generating vector for `dim` columns.
@@ -416,11 +424,13 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     Each column's polynomial is chosen (deterministically, smallest integer
     encoding on ties) to minimise the figure of merit given the columns
     already fixed.  Scores for all b^m - 1 candidates at once are a cyclic
-    correlation over the multiplicative group, evaluated with an FFT, so a
-    full construction costs O(dim * N log N) plus table setup.  The running
-    product over the fixed columns is kept in log order, entry e at the
-    residue g^e, so the factor of a chosen g^a is a slice of psi laid out
-    twice.
+    correlation over the multiplicative group: one product with the
+    circulant of psi, O(N^2) per column, up to group order
+    ``_CBC_DIRECT_ORDER``, and an FFT pair, O(N log N), above it.  The
+    running product over the fixed columns is kept in log order, entry e at
+    the residue g^e, so the factor of a chosen g^a is a slice of psi laid
+    out twice.  Scores are taken in increasing residue code, so the first
+    tied candidate is the smallest.
     """
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
@@ -429,24 +439,33 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
         p = default_modulus(b, m)
     powers = _group_powers(p)
     order = len(powers)
-    codes = _from_digits(powers, b)
+    # the logs of the residues in increasing code: row r of the circulant
+    # scores the candidate g^by_code[r]
+    by_code = np.argsort(_from_digits(powers, b))
     # psi at the point v_m(g^e / P) of every residue g^e
     kern, _ = kernel_values(b, m, beta)
     psi = kern[_from_digits(_laurent_digits(powers, p, m)[:, ::-1], b)]
     psi2 = np.concatenate([psi, psi])
-    w = _effective_weights(dim, beta, b, gammas)
-    fft_psi = np.fft.fft(psi)
+    w = _effective_weights(dim, beta, b, gammas).tolist()
+    if order <= _CBC_DIRECT_ORDER:
+        circ = psi2[by_code[:, None] + np.arange(order)]
+    else:
+        fft_psi = np.fft.fft(psi)
     prod = np.ones(order)
+    scores = np.empty(order)
     chosen = []
     for c in range(dim):
-        scores = np.real(np.fft.ifft(fft_psi * np.conj(np.fft.fft(prod))))
-        smin = float(scores.min())
-        # ties broken by the smallest residue encoding
-        tied = np.where(scores <= smin + 1e-12 * (1.0 + abs(smin)), codes, order + 1)
-        a = int(np.argmin(tied))
+        if order <= _CBC_DIRECT_ORDER:
+            np.matmul(circ, prod, out=scores)
+        else:
+            scores = np.real(np.fft.ifft(fft_psi * np.conj(np.fft.fft(prod))))[by_code]
+        smin = float(scores[scores.argmin()])
+        a = int(by_code[(scores <= smin + 1e-12 * (1.0 + abs(smin))).argmax()])
         chosen.append(a)
-        prod = prod * (1.0 + w[c] * psi2[a: a + order])
-    return [GFPoly(tuple(row), b) for row in powers[chosen].tolist()]
+        prod *= 1.0 + w[c] * psi2[a: a + order]
+    # one polynomial per distinct residue: small groups repeat residues
+    polys = {a: GFPoly(tuple(powers[a].tolist()), b) for a in set(chosen)}
+    return [polys[a] for a in chosen]
 
 
 def cbc_rule(b: int, m: int, beta: int, z: int, gammas,

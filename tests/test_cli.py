@@ -207,6 +207,41 @@ class TestEstimateCommand:
         assert (out_dir / "t-series.csv").read_bytes() == first
 
 
+class TestClosedStdout:
+    """A reader that closes stdout before the first line (``| head -0``) with
+    stdout unbuffered: every file is written all the same."""
+
+    ARGV = {
+        "estimate": ["estimate", "--config", "{cfg}", "--out", "{out}"],
+        "solve": ["solve", "--config", "{cfg}", "--out", "{out}",
+                  "--dump-fields", "{out}/fields.bin"],
+        "points": ["points", "--m", "3", "--z", "4", "--genvec", "{out}/rule.txt",
+                   "--out", "{out}/points.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_same_files_as_with_stdout_open(self, tmp_path, command):
+        cfg = write_config(tmp_path)
+        env = dict(child_env(), PYTHONUNBUFFERED="1")
+        files = {}
+        for name in ("open", "closed"):
+            out = tmp_path / name
+            out.mkdir()
+            argv = [a.format(cfg=cfg, out=out) for a in self.ARGV[command]]
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "fracuq.cli"] + argv,
+                                      stdout=subprocess.PIPE if name == "open" else write,
+                                      stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+            finally:
+                os.close(write)
+            assert proc.returncode == 0 and proc.stderr == "", (name, proc.stderr)
+            files[name] = sorted(os.listdir(out))
+        assert len(files["open"]) >= 2
+        assert files["closed"] == files["open"]
+
+
 class TestStudyCommands:
     def test_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -374,6 +409,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("error[") == 1
         assert err.startswith(f"error[{code}]")
+
+    def test_config_not_json_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"field": {"q": 2},')
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[E_CONFIG]: config is not valid JSON")
 
     def test_sample_count_below_one_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

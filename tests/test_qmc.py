@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracuq import qmc
 from fracuq.errors import ConfigurationError, ValidationError
 from fracuq.qmc import (GFPoly, InterlacedLatticeRule, cbc_construct, cbc_rule,
                         classical_points, default_modulus, digital_shift_half,
@@ -303,6 +304,79 @@ class TestCBC:
         assert not rule.serves(2, 3, 2, 4)
         assert not any(rule.serves(*shape) for shape in
                        [(3, 3, 2, 3), (2, 4, 2, 3), (2, 3, 3, 3)])
+
+
+class TestScorePaths:
+    """The circulant product and the FFT pair score the candidates of a column;
+    ``_CBC_DIRECT_ORDER`` picks one by the group order, and both must choose
+    the same generating vectors."""
+
+    @staticmethod
+    def force(monkeypatch, path):
+        monkeypatch.setattr(qmc, "_CBC_DIRECT_ORDER", 10 ** 9 if path == "direct" else 0)
+
+    @pytest.mark.parametrize("path", ["direct", "fft"])
+    def test_pinned_on_each_path(self, monkeypatch, path):
+        self.force(monkeypatch, path)
+        TestCBC().test_generating_vectors_pinned()
+
+    # group orders b^m - 1 on both sides of the crossover at 255
+    @pytest.mark.parametrize("b, ms", [(2, (1, 2, 3, 5, 8, 9)), (3, (1, 2, 4, 5, 6)),
+                                       (5, (1, 2, 3, 4)), (7, (1, 2, 3))],
+                             ids=["b2", "b3", "b5", "b7"])
+    def test_paths_choose_the_same_vectors(self, monkeypatch, b, ms):
+        z = 6
+        for m, beta, decay in itertools.product(ms, (1, 2, 3, 4), (0.0, 2.0)):
+            # decay 0 gives equal weights, whose scores tie exactly
+            gammas = 1.0 / np.arange(1, z + 1, dtype=float) ** decay
+            gens = {}
+            for path in ("direct", "fft"):
+                self.force(monkeypatch, path)
+                gens[path] = cbc_construct(b, m, beta * z, beta, gammas)
+            assert gens["direct"] == gens["fft"], (m, beta, decay)
+
+
+class TestGuards:
+    """Refusals of bad rules, each reached through public input."""
+
+    def test_constant_is_not_irreducible(self, tmp_path):
+        assert not is_irreducible(GFPoly((1,), 2))
+        assert not is_irreducible(GFPoly((), 3))
+        # a rule file of degree 0 has a constant modulus
+        path = tmp_path / "rule.txt"
+        path.write_text("2 0 1 0\nP 1\n")
+        with pytest.raises(ValidationError, match="reducible"):
+            load_gen_vector(path)
+
+    def test_default_modulus_needs_degree_one(self):
+        with pytest.raises(ConfigurationError, match="m must be >= 1"):
+            default_modulus(3, 0)
+
+    def test_generator_over_the_wrong_base(self):
+        with pytest.raises(ValidationError, match="wrong base"):
+            classical_points(2, 2, 1, default_modulus(2, 2), [GFPoly((1,), 3)])
+
+    def test_classical_points_dim_must_match_generators(self):
+        with pytest.raises(ConfigurationError, match="2 generating polynomials"):
+            classical_points(2, 2, 3, default_modulus(2, 2), [GFPoly((1,), 2)] * 2)
+
+    def test_cbc_needs_a_weight_per_coordinate(self):
+        # dim 5 at beta 2 spans 3 coordinates
+        with pytest.raises(ConfigurationError, match="need 3 weights"):
+            cbc_construct(2, 3, 5, 2, [1.0, 0.5])
+
+    def test_cbc_needs_a_column(self):
+        with pytest.raises(ConfigurationError, match="dim must be >= 1"):
+            cbc_construct(2, 3, 0, 1, [1.0])
+
+    @pytest.mark.parametrize("text, what", [("2 2 1 1\nQ 1 1 1\ng 1\n", "modulus"),
+                                            ("2 2 1 1\nP 1 1 1\nh 1\n", "generator")],
+                             ids=["modulus", "generator"])
+    def test_rule_file_line_tags(self, tmp_path, text, what):
+        path = tmp_path / "rule.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"expected {what} line"):
+            load_gen_vector(path)
 
 
 class TestGenVectorFiles:
