@@ -7,6 +7,10 @@ check.  Runs are driven by a single JSON configuration with sections
 after the file is parsed, and every config-driven run writes a
 resolved-config echo file with the effective settings.
 
+Each subcommand only computes: it returns its files, as (writer, args...)
+calls, and its stdout lines.  ``main`` writes the files in order and then
+prints the lines, so a run that ends in an error writes no file.
+
 Exit status: 0 on success, 1 on domain/configuration errors, 2 on usage
 errors; all failures print a single ``error[CODE]: message`` line.
 """
@@ -166,17 +170,15 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
         threads=resolve_threads(cfg, threads))
 
 
-def _echo_resolved(cfg: dict, out_dir: str, run: RunConfig) -> str:
+def _echo_resolved(out_dir: str, path: str, cfg: dict, run: RunConfig) -> None:
     resolved = copy.deepcopy(cfg)
     resolved["estimator"]["threads"] = run.threads
     if resolved["time"]["gamma"] is None:
         resolved["time"]["gamma"] = run.grading
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{cfg['output']['prefix']}-resolved-config.json")
     with open(path, "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +223,37 @@ plot '{csv}' using 2:5:6 with filledcurves fc rgb '#cccccc' title '3-sigma band'
 """
 
 
-def _emit_gnuplot(out_dir, prefix, csv_name):
-    path = os.path.join(out_dir, f"{prefix}-series.gp")
+def _emit_gnuplot(path, csv_name):
     with open(path, "w") as fh:
         fh.write(_GNUPLOT_SERIES.format(csv=csv_name))
-    return path
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _prepare(args):
-    """Load and resolve the config of a config-driven command and write its
-    resolved-config echo; returns (cfg, run, out_dir, prefix).  ``run`` is
-    also kept as ``args.run``, so that ``main`` can name the run's size."""
+    """Load and resolve the config of a config-driven command; returns (cfg,
+    run, path, files), where ``path(kind)`` names the output ``<prefix>-<kind>``
+    and ``files`` holds the resolved-config echo.  ``run`` is also kept as
+    ``args.run``, so that ``main`` can name the run's size."""
     cfg = load_config(args.config, args.set or ())
     run = args.run = build_run_config(cfg, threads=args.threads)
     out_dir = args.out or cfg["output"]["dir"]
-    _echo_resolved(cfg, out_dir, run)
-    return cfg, run, out_dir, cfg["output"]["prefix"]
+
+    def path(kind):
+        return os.path.join(out_dir, f"{cfg['output']['prefix']}-{kind}")
+    return cfg, run, path, [(_echo_resolved, out_dir, path("resolved-config.json"), cfg, run)]
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args):
     mesh = triangulate_unit_square(args.ndiv)
-    save_mesh(mesh, args.out)
-    print(f"wrote {args.out}: {mesh.n_vertices} vertices, "
-          f"{mesh.n_triangles} triangles, {mesh.n_dofs} interior dofs")
-    return 0
+    return [(save_mesh, mesh, args.out)], [
+        f"wrote {args.out}: {mesh.n_vertices} vertices, "
+        f"{mesh.n_triangles} triangles, {mesh.n_dofs} interior dofs"]
 
 
-def cmd_points(args) -> int:
-    lines = []
+def cmd_points(args):
+    files, lines = [], []
     if os.path.exists(args.genvec):
         rule = load_gen_vector(args.genvec)
         if not rule.serves(args.b, args.m, args.beta, args.z):
@@ -261,22 +263,21 @@ def cmd_points(args) -> int:
     else:
         gammas = 1.0 / np.arange(1, args.z + 1, dtype=float) ** 2
         rule = cbc_rule(args.b, args.m, args.beta, args.z, gammas)
-        save_gen_vector(rule, args.genvec)
+        files.append((save_gen_vector, rule, args.genvec))
         lines.append(f"wrote generating vector {args.genvec}")
     pts = rule.points().values[:, : args.z]
     rows = [[j] + list(p) for j, p in enumerate(pts)]
     header = ["j"] + [f"x{c + 1}" for c in range(args.z)]
     if args.out:
-        _write_csv(args.out, header, rows)
+        files.append((_write_csv, args.out, header, rows))
         lines.append(f"wrote {pts.shape[0]} points to {args.out}")
     else:
         lines += [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    print("\n".join(lines))
-    return 0
+    return files, lines
 
 
-def cmd_solve(args) -> int:
-    cfg, run, out_dir, prefix = _prepare(args)
+def cmd_solve(args):
+    cfg, run, path, files = _prepare(args)
     if args.y:
         try:
             y = np.array([float(v) for v in args.y.split(",")])
@@ -291,34 +292,31 @@ def cmd_solve(args) -> int:
     solver = build_solver(run)
     u = solver.solve(y)
     values = u @ solver.phi
-    csv_path = os.path.join(out_dir, f"{prefix}-trajectory.csv")
     rows = [(n, solver.tmesh.t[n], values[n]) for n in range(values.size)]
-    _write_csv(csv_path, ["n", "t", "value"], rows)
-    lines = [f"wrote {csv_path}; L(u(T)) = {_fmt(values[-1])}"]
+    files.append((_write_csv, path("trajectory.csv"), ["n", "t", "value"], rows))
+    lines = [f"wrote {path('trajectory.csv')}; L(u(T)) = {_fmt(values[-1])}"]
     if args.dump_fields or cfg["output"]["dump_fields"]:
-        dump = args.dump_fields or os.path.join(out_dir, f"{prefix}-fields.bin")
-        write_field_dump(dump, u)
+        dump = args.dump_fields or path("fields.bin")
+        files.append((write_field_dump, dump, u))
         lines.append(f"wrote {dump}")
-    print("\n".join(lines))
-    return 0
+    return files, lines
 
 
-def cmd_estimate(args) -> int:
-    cfg, run, out_dir, prefix = _prepare(args)
+def cmd_estimate(args):
+    cfg, run, path, files = _prepare(args)
     series = estimate(run)
-    csv_name = f"{prefix}-series.csv"
-    csv_path = os.path.join(out_dir, csv_name)
     rows = [(n, series.t[n], series.mean[n], series.std[n],
              series.mean[n] - 3.0 * series.std[n],
              series.mean[n] + 3.0 * series.std[n])
             for n in range(series.t.size)]
-    _write_csv(csv_path, ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows)
-    lines = [f"wrote {csv_path}; N = {series.n_samples}, z = {series.z}, "
+    files.append((_write_csv, path("series.csv"),
+                  ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows))
+    lines = [f"wrote {path('series.csv')}; N = {series.n_samples}, z = {series.z}, "
              f"E[L(u(T))] = {_fmt(series.mean[-1])}"]
     if cfg["output"]["gnuplot"]:
-        lines.append(f"wrote {_emit_gnuplot(out_dir, prefix, csv_name)}")
-    print("\n".join(lines))
-    return 0
+        files.append((_emit_gnuplot, path("series.gp"), f"{cfg['output']['prefix']}-series.csv"))
+        lines.append(f"wrote {path('series.gp')}")
+    return files, lines
 
 
 def _parse_int_list(text: str, label: str):
@@ -328,75 +326,66 @@ def _parse_int_list(text: str, label: str):
         raise UsageError(f"--{label} expects a comma-separated integer list") from exc
 
 
-def cmd_table(args) -> int:
-    _, run, out_dir, prefix = _prepare(args)
-    n_list = _parse_int_list(args.N, "N")
-    rows = convergence_table(run, n_list, args.Nref)
-    csv_path = os.path.join(out_dir, f"{prefix}-table.csv")
-    _write_csv(csv_path,
-               ["N", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"],
-               [(r.n_samples, r.value_T, r.err_T, r.rate_T, r.err_L2J, r.rate_L2J)
-                for r in rows])
-    print(f"wrote {csv_path}")
-    for r in rows:
-        print(f"N={r.n_samples:6d}  value(T)={r.value_T:.10f}  err(T)={r.err_T:.3e}"
-              f"  rate={r.rate_T:5.3f}  errL2J={r.err_L2J:.3e}  rate={r.rate_L2J:5.3f}")
-    return 0
+def cmd_table(args):
+    _, run, path, files = _prepare(args)
+    rows = convergence_table(run, _parse_int_list(args.N, "N"), args.Nref)
+    files.append((_write_csv, path("table.csv"),
+                  ["N", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"],
+                  [(r.n_samples, r.value_T, r.err_T, r.rate_T, r.err_L2J, r.rate_L2J)
+                   for r in rows]))
+    return files, [f"wrote {path('table.csv')}"] + [
+        f"N={r.n_samples:6d}  value(T)={r.value_T:.10f}  err(T)={r.err_T:.3e}"
+        f"  rate={r.rate_T:5.3f}  errL2J={r.err_L2J:.3e}  rate={r.rate_L2J:5.3f}"
+        for r in rows]
 
 
-def cmd_truncation(args) -> int:
-    _, run, out_dir, prefix = _prepare(args)
-    z_list = _parse_int_list(args.z, "z")
-    study = truncation_study(run, z_list, args.zref)
-    csv_path = os.path.join(out_dir, f"{prefix}-truncation.csv")
-    _write_csv(csv_path, ["z", "err_T"], list(zip(study.z, study.err_T)))
-    print(f"wrote {csv_path}; fitted slope = {study.slope:.3f} "
-          f"(reference z = {study.z_ref})")
-    return 0
+def cmd_truncation(args):
+    _, run, path, files = _prepare(args)
+    study = truncation_study(run, _parse_int_list(args.z, "z"), args.zref)
+    files.append((_write_csv, path("truncation.csv"), ["z", "err_T"],
+                  list(zip(study.z, study.err_T))))
+    return files, [f"wrote {path('truncation.csv')}; fitted slope = {study.slope:.3f} "
+                   f"(reference z = {study.z_ref})"]
 
 
-def cmd_refine(args) -> int:
-    _, run, out_dir, prefix = _prepare(args)
+def cmd_refine(args):
+    _, run, path, files = _prepare(args)
     study = spacetime_refinement_study(run, levels=args.levels)
-    csv_path = os.path.join(out_dir, f"{prefix}-refine.csv")
     rows = []
     for i, err in enumerate(study.errors):
         ratio = study.ratios[i - 1] if i >= 1 else math.nan
         order = study.orders[i - 1] if i >= 1 else math.nan
         rows.append((i, study.n_div[i], study.n_steps[i], err, ratio, order))
-    _write_csv(csv_path, ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], rows)
-    print(f"wrote {csv_path}")
-    for row in rows:
-        print(f"level {row[0]}: n_div={row[1]:4d} n_steps={row[2]:5d} "
-              f"err={row[3]:.4e} ratio={row[4]:.3f}")
-    return 0
+    files.append((_write_csv, path("refine.csv"),
+                  ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], rows))
+    return files, [f"wrote {path('refine.csv')}"] + [
+        f"level {row[0]}: n_div={row[1]:4d} n_steps={row[2]:5d} "
+        f"err={row[3]:.4e} ratio={row[4]:.3f}" for row in rows]
 
 
-def cmd_check(args) -> int:
-    _, run, _, _ = _prepare(args)
+def cmd_check(args):
+    _, run, _, files = _prepare(args)
     mesh = run.space_mesh
-    print(f"alpha = {run.alpha}")
-    print(f"T = {run.T}")
-    print(f"gamma = {run.grading}")
-    print(f"n_steps = {run.n_steps}")
+    lines = [f"alpha = {run.alpha}", f"T = {run.T}", f"gamma = {run.grading}",
+             f"n_steps = {run.n_steps}"]
     if run.fast_history:
         # the kernel the solver builds, so that check refuses one a run cannot build
         kernel = fast_history_kernel(run.time_mesh(), run.alpha, run.fast_eps)
-        print(f"exponential sum: {0 if kernel is None else kernel.nodes.size} terms")
-    print(f"z = {run.z}")
-    print(f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})")
-    print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_dofs} interior dofs, h = {mesh.h:.6g}")
+        lines.append(f"exponential sum: {0 if kernel is None else kernel.nodes.size} terms")
+    lines += [f"z = {run.z}",
+              f"N = {run.n_samples} (b = {run.b}, m = {run.m}, beta = {run.beta})",
+              f"mesh: {mesh.n_vertices} vertices, {mesh.n_dofs} interior dofs, h = {mesh.h:.6g}"]
     # the solver evaluates kappa at the vertices and edge midpoints of the
     # structured mesh, all on the (2 n_div + 1)^2 grid; for a loaded mesh,
     # 127 intervals share only the corners with the 129^2 declaring grid
     resolution = 2 * run.n_div if run.n_div is not None else 127
     report = verify_bounds(run.field, grid_resolution=resolution)
-    print(f"kappa observed range on the {resolution + 1}^2 grid: "
-          f"[{report.observed_min:.6g}, {report.observed_max:.6g}]")
-    print(f"declared bounds: [{run.field.declared_bounds[0]:.6g}, "
-          f"{run.field.declared_bounds[1]:.6g}]")
-    print(f"bounds check: {'ok' if report.ok else 'observed range exceeds the declared bounds'}")
-    return 0
+    lo, hi = run.field.declared_bounds
+    return files, lines + [
+        f"kappa observed range on the {resolution + 1}^2 grid: "
+        f"[{report.observed_min:.6g}, {report.observed_max:.6g}]",
+        f"declared bounds: [{lo:.6g}, {hi:.6g}]",
+        f"bounds check: {'ok' if report.ok else 'observed range exceeds the declared bounds'}"]
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +465,12 @@ def main(argv=None) -> int:
     args = None
     try:
         args = parser.parse_args(argv)
-        status = args.func(args)
+        files, lines = args.func(args)
+        for write, *params in files:
+            write(*params)
+        print("\n".join(lines))
         sys.stdout.flush()    # a closed stdout pipe shows here, not at interpreter exit
-        return status
+        return 0
     except BrokenPipeError:
         # a reader that stops early (``| head``) is no failure; with stdout on devnull
         # the interpreter's last flush reports nothing either

@@ -100,6 +100,12 @@ class TestFieldDump:
         with pytest.raises(ConfigurationError):
             read_field_dump(path)
 
+    def test_levels_by_dofs_array_required(self, tmp_path):
+        path = tmp_path / "u.bin"
+        with pytest.raises(ConfigurationError, match="levels, dofs"):
+            write_field_dump(str(path), np.ones(4))
+        assert not path.exists()
+
 
 class TestMeshCommand:
     def test_writes_loadable_mesh(self, tmp_path, capsys):
@@ -181,22 +187,6 @@ class TestEstimateCommand:
         eight = (tmp_path / "out" / "t-series.csv").read_bytes()
         assert one == eight
 
-    def test_closed_stdout_pipe_is_success(self, tmp_path):
-        # as in ``fracuq estimate ... | head -0``: the reader has gone before the
-        # result line is written; the series is written all the same, and the
-        # command exits 0 with nothing on stderr
-        cfg = write_config(tmp_path)
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "fracuq.cli", "estimate", "--config", cfg],
-                                  stdout=write, stderr=subprocess.PIPE, text=True,
-                                  env=child_env(), timeout=120)
-        finally:
-            os.close(write)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert (tmp_path / "out" / "t-series.csv").exists()
-
     def test_resolved_config_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         main(["estimate", "--config", cfg, "--threads", "1"])
@@ -208,26 +198,44 @@ class TestEstimateCommand:
 
 
 class TestClosedStdout:
-    """A reader that closes stdout before the first line (``| head -0``) with
-    stdout unbuffered: every file is written all the same."""
+    """A reader that closes stdout before the first line (``| head -0``),
+    with stdout buffered or unbuffered: the command exits 0 with nothing on
+    stderr, and every file is written all the same."""
 
+    # each command's argv, then the files it writes
     ARGV = {
-        "estimate": ["estimate", "--config", "{cfg}", "--out", "{out}"],
-        "solve": ["solve", "--config", "{cfg}", "--out", "{out}",
-                  "--dump-fields", "{out}/fields.bin"],
-        "points": ["points", "--m", "3", "--z", "4", "--genvec", "{out}/rule.txt",
-                   "--out", "{out}/points.csv"],
+        "mesh": (["mesh", "--ndiv", "4", "--out", "{out}/mesh.txt"], ["mesh.txt"]),
+        "points": (["points", "--m", "3", "--z", "4", "--genvec", "{out}/rule.txt",
+                    "--out", "{out}/points.csv"], ["points.csv", "rule.txt"]),
+        "solve": (["solve", "--config", "{cfg}", "--out", "{out}",
+                   "--dump-fields", "{out}/fields.bin"],
+                  ["fields.bin", "t-resolved-config.json", "t-trajectory.csv"]),
+        "estimate": (["estimate", "--config", "{cfg}", "--out", "{out}"],
+                     ["t-resolved-config.json", "t-series.csv", "t-series.gp"]),
+        "table": (["table", "--config", "{cfg}", "--out", "{out}", "--N", "2,4", "--Nref", "8"],
+                  ["t-resolved-config.json", "t-table.csv"]),
+        "truncation": (["truncation", "--config", "{cfg}", "--out", "{out}",
+                        "--z", "1,2", "--zref", "3"],
+                       ["t-resolved-config.json", "t-truncation.csv"]),
+        "refine": (["refine", "--config", "{cfg}", "--out", "{out}", "--levels", "2"],
+                   ["t-refine.csv", "t-resolved-config.json"]),
+        "check": (["check", "--config", "{cfg}", "--out", "{out}"], ["t-resolved-config.json"]),
     }
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", sorted(ARGV))
-    def test_same_files_as_with_stdout_open(self, tmp_path, command):
+    def test_same_files_as_with_stdout_open(self, tmp_path, command, unbuffered):
         cfg = write_config(tmp_path)
-        env = dict(child_env(), PYTHONUNBUFFERED="1")
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        template, expected = self.ARGV[command]
         files = {}
         for name in ("open", "closed"):
             out = tmp_path / name
             out.mkdir()
-            argv = [a.format(cfg=cfg, out=out) for a in self.ARGV[command]]
+            argv = [a.format(cfg=cfg, out=out) for a in template]
             read, write = os.pipe()
             os.close(read)
             try:
@@ -238,7 +246,7 @@ class TestClosedStdout:
                 os.close(write)
             assert proc.returncode == 0 and proc.stderr == "", (name, proc.stderr)
             files[name] = sorted(os.listdir(out))
-        assert len(files["open"]) >= 2
+        assert files["open"] == expected
         assert files["closed"] == files["open"]
 
 
@@ -640,6 +648,24 @@ class TestErrorPaths:
         assert err.startswith("error[E_SOLVER]: 4 of 8 trajectory solves failed (sample 0:")
         assert "(sample 0: element-averaged diffusivity <= 0 (min -0.085);" in err
         assert not list(out.glob("*-series.csv"))
+
+    @pytest.mark.parametrize("argv, field, code", [
+        (["solve", "--y", "0.9"], None, "E_CONFIG"),
+        (["table", "--N", "2,2", "--Nref", "8"], None, "E_CONFIG"),
+        (["solve", "--y", "-0.5"], [[128, 1, 0.5]], "E_SOLVER"),
+        (["estimate"], [[128, 1, 0.5]], "E_SOLVER"),
+    ], ids=["solve-y", "table-N", "solve-ill-posed", "estimate-ill-posed"])
+    def test_refused_run_writes_no_file(self, tmp_path, capsys, argv, field, code):
+        # the resolved-config echo too waits for the run to succeed; the
+        # ill-posed field is that of the two tests around this one
+        sections = {} if field is None else {
+            "field": {"type": "sine-table", "kappa0_const": 0.05, "coeffs": field},
+            "space": {"n_div": 3}, "time": {"n_steps": 20}, "qmc": {"m": 3}}
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "refused"
+        assert main(argv[:1] + ["--config", cfg, "--out", str(out)] + argv[1:]) == 1
+        self.assert_one_error_line(capsys, code)
+        assert not out.exists()
 
     def test_solve_names_the_cause_that_estimate_names(self, tmp_path, capsys):
         # the field of the test above, at its sample 0

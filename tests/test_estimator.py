@@ -413,6 +413,14 @@ class TestConvergenceTable:
         assert rows[0].err_T == 0.0 and rows[0].err_L2J == 0.0
         assert cbc_calls == [1, 2]
 
+    def test_zero_errors_have_no_rate(self):
+        # at z = 0 every sample is the mean field, so each error is exactly 0
+        # and no rate can be taken: every rate is NaN, not the log of 0 / 0
+        det = small_config(z=0, n_steps=3, n_div=4)
+        rows = convergence_table(det, [1, 2], 4)
+        assert all(r.err_T == 0.0 and r.err_L2J == 0.0 for r in rows)
+        assert all(math.isnan(r.rate_T) and math.isnan(r.rate_L2J) for r in rows)
+
     def test_nref_validation(self):
         cfg = small_config()
         with pytest.raises(ConfigurationError):
@@ -484,6 +492,13 @@ class TestTruncationStudy:
         assert study.err_T[0] > 0
         assert np.array_equal(study.err_T[1:], plain.err_T)
         assert study.slope == plain.slope
+
+    def test_one_fitted_point_has_no_slope(self):
+        # z = 0 stays out of the fit, which leaves z = 1 alone: no line
+        cfg = small_config(m=2, n_steps=3, n_div=4)
+        study = truncation_study(cfg, [0, 1], 2)
+        assert np.all(study.err_T > 0)
+        assert math.isnan(study.slope)
 
 
 class TestRefinementStudy:

@@ -181,6 +181,10 @@ class TestVerifyBounds:
         assert not report.ok
         assert report.observed_min == pytest.approx(-0.05, abs=1e-3)
 
+    def test_grid_of_one_interval_refused(self):
+        with pytest.raises(ConfigurationError, match="grid_resolution"):
+            verify_bounds(build_example_field(2), grid_resolution=1)
+
 
 class TestKappaRange:
     """The range product |S1|^T |S2| against the whole basis table on the
