@@ -7,9 +7,9 @@ check.  Runs are driven by a single JSON configuration with sections
 after the file is parsed, and every config-driven run writes a
 resolved-config echo file with the effective settings.
 
-Each subcommand only computes: it returns its files, as (writer, args...)
-calls, and its stdout lines.  ``main`` writes the files in order and then
-prints the lines, so a run that ends in an error writes no file.
+Each subcommand only computes: it returns its files, as (writer, path,
+args...) calls, and its stdout lines.  ``main`` checks the files' folders,
+writes the files in order and prints the lines: a failed run writes no file.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 on usage
 errors; all failures print a single ``error[CODE]: message`` line.
@@ -24,6 +24,7 @@ import math
 import os
 import struct
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -119,8 +120,12 @@ def load_config(path: str, overrides=()) -> dict:
         except json.JSONDecodeError:
             value = raw
         cfg[parts[0]][parts[1]] = value
-    return {section: {key: _typed(f"{section}.{key}", value, DEFAULT_CONFIG[section][key])
-                      for key, value in sub.items()} for section, sub in cfg.items()}
+    cfg = {section: {key: _typed(f"{section}.{key}", value, DEFAULT_CONFIG[section][key])
+                     for key, value in sub.items()} for section, sub in cfg.items()}
+    prefix = cfg["output"]["prefix"]
+    if not prefix or {"/", os.sep} & set(prefix):
+        raise ConfigurationError(f"output.prefix = {prefix!r} must be a file name, not a path")
+    return cfg
 
 
 def _build_field(fcfg):
@@ -170,12 +175,12 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
         threads=resolve_threads(cfg, threads))
 
 
-def _echo_resolved(out_dir: str, path: str, cfg: dict, run: RunConfig) -> None:
+def _echo_resolved(path: str, cfg: dict, run: RunConfig) -> None:
     resolved = copy.deepcopy(cfg)
     resolved["estimator"]["threads"] = run.threads
     if resolved["time"]["gamma"] is None:
         resolved["time"]["gamma"] = run.grading
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -234,20 +239,20 @@ def _emit_gnuplot(path, csv_name):
 def _prepare(args):
     """Load and resolve the config of a config-driven command; returns (cfg,
     run, path, files), where ``path(kind)`` names the output ``<prefix>-<kind>``
-    and ``files`` holds the resolved-config echo.  ``run`` is also kept as
-    ``args.run``, so that ``main`` can name the run's size."""
+    and ``files`` holds the resolved-config echo, which makes the output
+    directory; ``args`` keeps ``run`` and that directory for ``main``."""
     cfg = load_config(args.config, args.set or ())
     run = args.run = build_run_config(cfg, threads=args.threads)
-    out_dir = args.out or cfg["output"]["dir"]
+    out_dir = args.out_dir = args.out or cfg["output"]["dir"]
 
     def path(kind):
         return os.path.join(out_dir, f"{cfg['output']['prefix']}-{kind}")
-    return cfg, run, path, [(_echo_resolved, out_dir, path("resolved-config.json"), cfg, run)]
+    return cfg, run, path, [(_echo_resolved, path("resolved-config.json"), cfg, run)]
 
 
 def cmd_mesh(args):
     mesh = triangulate_unit_square(args.ndiv)
-    return [(save_mesh, mesh, args.out)], [
+    return [(partial(save_mesh, mesh), args.out)], [
         f"wrote {args.out}: {mesh.n_vertices} vertices, "
         f"{mesh.n_triangles} triangles, {mesh.n_dofs} interior dofs"]
 
@@ -263,7 +268,7 @@ def cmd_points(args):
     else:
         gammas = 1.0 / np.arange(1, args.z + 1, dtype=float) ** 2
         rule = cbc_rule(args.b, args.m, args.beta, args.z, gammas)
-        files.append((save_gen_vector, rule, args.genvec))
+        files.append((partial(save_gen_vector, rule), args.genvec))
         lines.append(f"wrote generating vector {args.genvec}")
     pts = rule.points().values[:, : args.z]
     rows = [[j] + list(p) for j, p in enumerate(pts)]
@@ -466,6 +471,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         files, lines = args.func(args)
+        made = os.path.normpath(getattr(args, "out_dir", os.curdir))   # by the echo
+        for _, path, *_ in files:
+            folder = os.path.dirname(path) or os.curdir
+            if not os.path.isdir(folder) and os.path.normpath(folder) != made:
+                raise UsageError(f"cannot write {path}: no directory {folder}")
         for write, *params in files:
             write(*params)
         print("\n".join(lines))
@@ -476,15 +486,12 @@ def main(argv=None) -> int:
         # the interpreter's last flush reports nothing either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except UsageError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+    except (UsageError, OSError) as exc:
+        print(f"error[E_USAGE]: {exc}", file=sys.stderr)
         return 2
     except FracUQError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error[E_USAGE]: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         # the direct history's weight matrix grows as n_steps^2, fast_history's state does not;
         # the hint waits for the run's configuration, which a failed field build never makes

@@ -87,96 +87,91 @@ def _diagonal_weight(tau, alpha: float):
 
 def _omega3_diff(base, gap, alpha: float):
     """w_{3-a}(base+gap) - w_{3-a}(base) for arrays of one shape, stable when gap << base."""
-    g23 = gamma_fn(3.0 - alpha)
-    out = np.empty_like(base)
-    nz = base > 0
-    out[~nz] = gap[~nz] ** (2.0 - alpha) / g23
-    b = base[nz]
-    out[nz] = b ** (2.0 - alpha) * np.expm1((2.0 - alpha) * np.log1p(gap[nz] / b)) / g23
-    return out
+    e = 2.0 - alpha
+    out = gap ** e                     # the value at base = 0
+    nz = np.flatnonzero(base)
+    out[nz] = base[nz] ** e * np.expm1(e * np.log1p(gap[nz] / base[nz]))
+    return out / gamma_fn(3.0 - alpha)
 
 
-# Gauss-Legendre rules for the far-history integral, with the largest ratio
-# delta / base each one serves.  The integrand's branch point lies base away
-# from [0, delta], so m nodes err by about (4 base / delta)^(-2m): every rule
-# stays below 1e-18 relative up to its ratio.
-_GL_RATIO = np.array([1e-4, 1e-3, 1e-2, 5e-2, 0.15, 0.5])
-_GL_RULES = [np.polynomial.legendre.leggauss(m) for m in (2, 3, 4, 6, 8, 12)]
+def _far_series(q, L, alpha: float, degree: int):
+    """sum_{k <= degree} a_k q^k expm1((e - 2k) L) elementwise, e = 1 - a, with
+    a_0 = 1 / Gamma(2-a) and a_k = a_{k-1} (e-2k+2)(e-2k+1) / (2k (2k+1)).
 
-
-def _far_weight_integral(base, delta, tau, alpha: float, rule):
-    """int_0^delta w_{2-a}(base+s+tau) - w_{2-a}(base+s) ds by Gauss-Legendre.
-
-    Equals the second mixed difference of w_{3-a} over the rectangle, but
-    without the cancellation that formula suffers when delta << base; the
-    integrand, with w_{2-a}(t) = t^(1-a)/Gamma(2-a), is taken in the same
-    expm1/log1p form.  It is analytic on [0, delta] once base >= 2 delta;
-    ``rule`` is the (nodes, weights) pair to use.  The nodes are summed in
-    order, not by a BLAS product, so a value does not depend on its
-    neighbours.
+    With u = exp(-2L) the k-th expm1 is (1 + E) u^k - 1, E = expm1(e L): the
+    sum is E A(q u) + q (u - 1) A[q, q u], A(x) = sum a_k x^k, both parts by
+    Horner's rule.  Every a_k past a_0 is negative, so neither part cancels;
+    e - (2k - 2) keeps e's digits as alpha -> 1, where e - 2k + 2 would not.
     """
-    nodes, weights = rule
-    x = base + 0.5 * delta * (nodes[:, None] + 1.0)
     e = 1.0 - alpha
-    vals = x ** e * np.expm1(e * np.log1p(tau / x)) / gamma_fn(2.0 - alpha)
-    return 0.5 * delta * (weights[:, None] * vals).sum(axis=0)
+    a = [1.0 / gamma_fn(2.0 - alpha)]
+    for k in range(1, degree + 1):
+        a.append(a[-1] * (e - (2 * k - 2)) * (e - (2 * k - 1)) / ((2 * k) * (2 * k + 1)))
+    qg = q * np.expm1(-2.0 * L)
+    qu = q + qg
+    p = a[degree] * qu + a[degree - 1]       # A(q u) ...
+    d = a[degree] * q + p                    # ... and A[q, q u] beside it
+    for ak in a[degree - 2: 0: -1]:
+        p *= qu
+        p += ak
+        d *= q
+        d += p
+    return (p * qu + a[0]) * np.expm1(e * L) + qg * d
 
 
-def _pair_weights(tmesh: GradedTimeMesh, alpha: float, n: np.ndarray,
-                  j: np.ndarray) -> np.ndarray:
-    """Off-diagonal weights w_nj for equal-length arrays of pairs 1 <= j < n.
+def _pair_weights(alpha: float, base, tau_n, tau_j) -> np.ndarray:
+    """Off-diagonal weights w_nj of pairs 1 <= j < n, elementwise over arrays
+    of their gap base = t_{n-1} - t_j and their steps tau_n and tau_j.
 
     The double integral of w_{1-a}(t-s) over I_n x I_j telescopes into four
     w_{3-a} values, grouped here so each first-level difference spans the
     smaller gap (across the larger they cancel to 2^gamma eps for the pair
-    (2, 1)).  Far pairs (short I_j seen from a distant I_n, base_lo >=
-    2 tau_j) switch to a quadrature of the equivalent single integral,
-    which stays fully accurate where the four-term formula cancels; each
-    takes the fewest Gauss nodes its ratio tau_j / base_lo allows.  A
-    uniform mesh takes the same path.
+    (2, 1)).  Far pairs (base >= 2 tau_j), where those cancel, take the
+    single integral of w_{2-a}(x + tau_n) - w_{2-a}(x) over I_j expanded
+    about its midpoint c = base + tau_j / 2: c^e tau_j sum_k a_k q^k
+    expm1((e - 2k) L), q = (tau_j / 2c)^2 <= 1/25, L = log1p(tau_n / c): degree 4
+    truncates below 1e-17 relative up to tau_j / base = 0.05, degree 10 up to 0.5.
     """
-    t, tau_n, tau_j = tmesh.t, tmesh.dt[n - 1], tmesh.dt[j - 1]
-    base_lo = t[n - 1] - t[j]          # gap to the right end of I_j
-    far = base_lo >= 2.0 * tau_j
-    num = np.empty(n.shape)
-    near = ~far
-    small, big = np.sort([tau_j[near], tau_n[near]], axis=0)
-    num[near] = (_omega3_diff(base_lo[near] + big, small, alpha)
-                 - _omega3_diff(base_lo[near], small, alpha))
-    far = np.flatnonzero(far)
-    order = np.searchsorted(_GL_RATIO, tau_j[far] / base_lo[far])
-    for r, rule in enumerate(_GL_RULES):
-        idx = far[order == r]
-        num[idx] = _far_weight_integral(base_lo[idx], tau_j[idx], tau_n[idx],
-                                        alpha, rule)
-    return num / (tau_n * tau_j)
+    h = 0.5 * tau_j
+    c = base + h
+    q = np.square(h / c)
+    L = np.log1p(tau_n / c)
+    w = _far_series(q, L, alpha, 4)
+    wide = np.flatnonzero(tau_j > 0.05 * base)
+    w[wide] = _far_series(q[wide], L[wide], alpha, 10)
+    w *= c ** (1.0 - alpha) / tau_n
+    near = wide[base[wide] < 2.0 * tau_j[wide]]
+    b, tn, tj = base[near], tau_n[near], tau_j[near]
+    small, big = np.minimum(tj, tn), np.maximum(tj, tn)
+    w[near] = (_omega3_diff(b + big, small, alpha) - _omega3_diff(b, small, alpha)) / (tn * tj)
+    return w
 
 
-# pairs per call of _pair_weights in weight_matrix: enough to amortise the
-# numpy calls, few enough that the temporaries (up to 12 values per pair)
-# stay small; blocks of 32k pairs raised the peak RSS of a long-history run
-_PAIR_BLOCK = 4096
+# pairs per call of _pair_weights: enough to amortise numpy's calls, few enough to stay in cache
+_PAIR_BLOCK = 16384
 
 
 def weight_matrix(tmesh: GradedTimeMesh, alpha: float) -> np.ndarray:
     """Lower-triangular weights W[n, j] = w_nj for 1 <= j <= n <= n_steps.
 
-    The off-diagonal pairs are taken in row-major order, _PAIR_BLOCK at a
-    time, through :func:`_pair_weights`.
+    The off-diagonal pairs go through :func:`_pair_weights` in blocks of
+    whole rows, at most _PAIR_BLOCK pairs each, in row-major order.
     """
     check_alpha(alpha)
-    nt = tmesh.n_steps
+    nt, t, dt = tmesh.n_steps, tmesh.t, tmesh.dt
     W = np.zeros((nt + 1, nt + 1))
-    levels = np.arange(1, nt + 1)
-    W[levels, levels] = _diagonal_weight(tmesh.dt, alpha)
-    # row n holds the n - 1 pairs that follow the first (n - 1)(n - 2) / 2
-    first = (levels - 1) * (levels - 2) // 2
-    total = nt * (nt - 1) // 2
-    for p0 in range(0, total, _PAIR_BLOCK):
-        p = np.arange(p0, min(p0 + _PAIR_BLOCK, total))
-        n = np.searchsorted(first, p, side="right")
-        j = p - first[n - 1] + 1
-        W[n, j] = _pair_weights(tmesh, alpha, n, j)
+    np.fill_diagonal(W[1:, 1:], _diagonal_weight(dt, alpha))
+    below = np.tri(nt, nt, -1, dtype=bool)      # below[n - 1, j - 1]: j < n
+    r0 = 1
+    while r0 < nt:
+        # rows n = r0 + 1 .. r1 hold n - 1 pairs each, (r1 (r1-1) - r0 (r0-1)) / 2 in all
+        r1 = min(nt, max(r0 + 1, (1 + math.isqrt(1 + 4 * r0 * (r0 - 1) + 8 * _PAIR_BLOCK)) // 2))
+        rows, m = np.arange(r0, r1), below[r0:r1, : r1 - 1]
+        tau_n = np.repeat(dt[r0:r1], rows)
+        tau_j = np.broadcast_to(dt[: r1 - 1], m.shape)[m]
+        base = np.repeat(t[r0:r1], rows) - np.broadcast_to(t[1:r1], m.shape)[m]
+        W[r0 + 1: r1 + 1, 1:r1][m] = _pair_weights(alpha, base, tau_n, tau_j)
+        r0 = r1
     return W
 
 
@@ -552,13 +547,11 @@ class TrajectorySolver:
         self._w_diag = _diagonal_weight(tmesh.dt, alpha)
         kernel = fast_history_kernel(tmesh, alpha, fast_eps) if fast_history else None
         if kernel is not None:
-            sub = np.arange(2, nt + 1)
-            self._history = partial(_ExpSumHistory, kernel, tmesh.dt,
-                                    _pair_weights(tmesh, alpha, sub, sub - 1))
+            w_sub = _pair_weights(alpha, np.zeros(nt - 1), tmesh.dt[1:], tmesh.dt[:-1])
+            self._history = partial(_ExpSumHistory, kernel, tmesh.dt, w_sub)
         else:
             self._history = partial(_DirectHistory, weight_matrix(tmesh, alpha))
-        t = tmesh.t
-        self.loads = load_vector(band_mesh, f, t[:-1], t[1:])
+        self.loads = load_vector(band_mesh, f, tmesh.t[:-1], tmesh.t[1:])
         self._phi = phi_integrals(band_mesh)
         self.phi = self._phi[self._dof]
         # where the lower triangle of the shared CSC pattern lands in LAPACK

@@ -71,10 +71,10 @@ def history_weights(tmesh: GradedTimeMesh, alpha: float, n: int) -> np.ndarray:
         raise ConfigurationError("alpha must lie in (0, 1)")
     if not 1 <= n <= tmesh.n_steps:
         raise ConfigurationError(f"n={n} outside 1..{tmesh.n_steps}")
-    tau_n = tmesh.dt[n - 1: n]     # an array, as in weight_matrix, for the same bits
+    t, dt = tmesh.t, tmesh.dt
     row = np.empty(n)
-    row[n - 1:] = _diagonal_weight(tau_n, alpha)
-    row[: n - 1] = _pair_weights(tmesh, alpha, np.full(n - 1, n), np.arange(1, n))
+    row[n - 1:] = _diagonal_weight(dt[n - 1: n], alpha)   # an array, as in weight_matrix
+    row[: n - 1] = _pair_weights(alpha, t[n - 1] - t[1:n], np.full(n - 1, dt[n - 1]), dt[: n - 1])
     return row
 
 

@@ -476,6 +476,31 @@ class TestErrorPaths:
         assert main(argv) == status
         self.assert_one_error_line(capsys, code)
 
+    def test_missing_directory_writes_no_file(self, tmp_path, capsys):
+        # every file's directory is checked before the first write, so neither
+        # the resolved-config echo nor the trajectory is left behind
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--dump-fields", str(tmp_path / "nodir" / "f.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[E_USAGE]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prefix", ["a/b", "", f"a{os.sep}b", "/abs"])
+    @pytest.mark.parametrize("argv", [["check"], ["solve"], ["estimate"],
+                                      ["table", "--N", "2", "--Nref", "4"],
+                                      ["truncation", "--z", "1", "--zref", "2"],
+                                      ["refine", "--levels", "2"]])
+    def test_prefix_that_is_a_path_refused(self, tmp_path, capsys, argv, prefix):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "d"
+        assert main([argv[0], "--config", cfg, "--out", str(out),
+                     "--set", f"output.prefix={prefix}"] + argv[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[E_CONFIG]: output.prefix")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, code", [
         ("", "E_VALIDATE"),
         ("1 2 1 1\nP 1 1 1\ng 1\n", "E_CONFIG"),

@@ -1,10 +1,12 @@
 """Tests for the graded-mesh fractional time stepping."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -18,7 +20,7 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
                         load_mesh, load_vector, phi_integrals, save_mesh,
                         triangulate_unit_square)
 from fracuq.field import build_example_field, build_sine_table_field
-from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, exp_sum_kernel,
+from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, _pair_weights, exp_sum_kernel,
                           graded_mesh, l2J_norm, weight_matrix)
 from oracles import exp_sum_values, g_uniform, history_weights, ritz_projection
 
@@ -184,6 +186,37 @@ class TestWeightMatrix:
     def test_alpha_checked(self):
         with pytest.raises(ConfigurationError):
             weight_matrix(graded_mesh(1.0, 4, 2.0), 1.0)
+
+
+class TestFarPairSeries:
+    @staticmethod
+    def oracle(alpha, base, tau_n, tau_j):
+        """w_nj from its four w_{3-a} values in 60-digit arithmetic; at
+        tau_j / base = 1e-12, tau_n / c = 1e-8 and alpha = 1 - 1e-6 they
+        cancel by about 26 digits."""
+        with mpmath.workdps(60):
+            e3 = 2 - mpmath.mpf(alpha)
+            b, tn, tj = (mpmath.mpf(float(v)) for v in (base, tau_n, tau_j))
+            four = (b + tj + tn) ** e3 - (b + tn) ** e3 - (b + tj) ** e3 + b ** e3
+            return four / (mpmath.gamma(1 + e3) * tn * tj)
+
+    def test_matches_mpmath(self):
+        # ratios tau_j / base on both sides of the switch from degree 4 to
+        # degree 10 (base = 1 keeps 0.05 and the next float apart), tau_n
+        # from 1e-8 to 10 times the midpoint distance c, and alpha up to
+        # criterion 4's 1 - 1e-6
+        ratios = [1e-12, 1e-6, 1e-3, 0.05, np.nextafter(0.05, 1.0), 0.3, 0.5]
+        gaps = [1e-8, 1e-3, 0.1, 1.0, 10.0]
+        tau_j, r = (np.array(v) for v in zip(*itertools.product(ratios, gaps)))
+        base = np.ones_like(tau_j)
+        tau_n = r * (base + 0.5 * tau_j)
+        worst = 0.0
+        for alpha in (0.01, 0.05, 0.5, 0.95, 0.99, 1.0 - 1e-6):
+            w = _pair_weights(alpha, base, tau_n, tau_j)
+            for i in range(w.size):
+                ref = self.oracle(alpha, base[i], tau_n[i], tau_j[i])
+                worst = max(worst, float(abs((w[i] - ref) / ref)))
+        assert worst <= 1e-14, f"worst relative deviation {worst:.3e}"
 
 
 class TestExpSumKernel:
