@@ -330,20 +330,15 @@ class StiffnessAssembler:
         kappa = self._S @ (self._Q @ padded) + self._kappa0       # (n_edges, k)
         return ((self._E @ kappa) / 3.0).T, (self._scatter @ kappa).T
 
-    def element_kappa(self, y) -> np.ndarray:
-        """Element averages of kappa: shape (nt,) for one y, (k, nt) for k rows."""
-        kbar, _ = self.parts(y)
-        return kbar[0] if np.ndim(y) == 1 else kbar
-
     def matrix_data(self, kbar) -> np.ndarray:
         """CSC data of D on the shared pattern, shape (k, nnz), for k rows
-        of element averages ``kbar`` as :meth:`element_kappa` gives them."""
+        of element averages ``kbar`` as :meth:`parts` gives them."""
         return (self._spread @ np.atleast_2d(kbar).T).T
 
     def matrix(self, y) -> sp.csc_matrix:
         """Assemble D(y) for one parameter vector."""
         n = self.indptr.size - 1
-        return sp.csc_matrix((self.matrix_data(self.element_kappa(y))[0],
+        return sp.csc_matrix((self.matrix_data(self.parts(y)[0])[0],
                               self.indices, self.indptr), shape=(n, n))
 
     def ritz_rhs(self, y) -> np.ndarray:

@@ -12,40 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import zeta
 
 from .errors import ConfigurationError
 
 __all__ = [
     "SineRandomField",
     "BoundsReport",
-    "zeta",
-    "example_field_scale",
     "build_example_field",
     "build_sine_table_field",
     "verify_bounds",
 ]
-
-
-def zeta(s: float, n_terms: int = 200) -> float:
-    """Riemann zeta for s > 1 by partial sums plus an Euler-Maclaurin tail.
-
-    Accurate to well below 1e-12 for s >= 2 with the default number of
-    terms; the tail correction uses the integral term plus the first two
-    Bernoulli corrections.
-    """
-    if s <= 1.0:
-        raise ConfigurationError("zeta(s) requires s > 1")
-    n = np.arange(1, n_terms, dtype=float)
-    head = float(np.sum(n ** (-s)))
-    x = float(n_terms)
-    tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s) + s * x ** (-s - 1.0) / 12.0 \
-        - s * (s + 1.0) * (s + 2.0) * x ** (-s - 3.0) / 720.0
-    return head + tail
-
-
-def example_field_scale() -> float:
-    """Normalisation constant of the example field (zeta(3) - zeta(4))."""
-    return zeta(3.0) - zeta(4.0)
 
 
 @dataclass(frozen=True)
@@ -168,17 +145,18 @@ def build_example_field(q: int, sort_by_norm: bool = False) -> SineRandomField:
     """Built-in field: kappa = (2 + x1 x2 + sum_j y_j psi~_j) / 10.
 
     The pre-scaled basis is psi~_{k,l} = sin(k pi x1) sin(l pi x2) /
-    (M (k+l)^4) with M = zeta(3) - zeta(4), which normalises the sup-norm
-    sum to exactly 1 (sum over the full lattice of 1/(k+l)^4 equals M), so
-    the pre-scaled field stays in [2 - 1/2, 3 + 1/2] and the scaled one is
-    uniformly positive.  Terms are indexed over l = 1..q and k = 1..q+1-l
-    with k varying most rapidly, giving z = q(q+1)/2 of them.  With
-    ``sort_by_norm`` the terms are reordered by nonincreasing amplitude
-    (stable sort, so the default enumeration is preserved within ties).
+    (M (k+l)^4) with M = zeta(3) - zeta(4) by ``scipy.special.zeta``, which
+    normalises the sup-norm sum to exactly 1 (sum over the full lattice of
+    1/(k+l)^4 equals M), so the pre-scaled field stays in [2 - 1/2, 3 + 1/2]
+    and the scaled one is uniformly positive.  Terms are indexed over l =
+    1..q and k = 1..q+1-l with k varying most rapidly, giving z = q(q+1)/2
+    of them.  With ``sort_by_norm`` the terms are reordered by nonincreasing
+    amplitude (stable sort, so the default enumeration is preserved within
+    ties).
     """
     if q < 1:
         raise ConfigurationError("q must be >= 1")
-    M = example_field_scale()
+    M = zeta(3.0) - zeta(4.0)
     # l = 1..q has the q + 1 - l terms k = 1..q+1-l; a q too large to hold
     # fails at the first allocation of the z entries
     counts = np.arange(q, 0, -1, dtype=np.int64)

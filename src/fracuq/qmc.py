@@ -355,8 +355,8 @@ def digital_shift_half(points: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 # figure of merit and CBC construction
 
-def kernel_values(b: int, m: int, beta: int) -> "tuple[np.ndarray, float]":
-    """One-dimensional kernel psi over the grid {r/b^m}, plus psi(0).
+def kernel_values(b: int, m: int, beta: int) -> np.ndarray:
+    """One-dimensional kernel psi over the grid {r/b^m}.
 
     For x with first nonzero base-b digit at position i,
     psi(x) = (b-1)(1 - s^(i-1))/(1-s) - s^(i-1) with s the digit decay of
@@ -372,7 +372,7 @@ def kernel_values(b: int, m: int, beta: int) -> "tuple[np.ndarray, float]":
     i0 = 1 + np.argmax(_digits(np.arange(1, n), b, m)[:, ::-1] > 0, axis=1)
     sp = s ** (i0 - 1)
     vals[1:] = (b - 1) * (1.0 - sp) / (1.0 - s) - sp
-    return vals, float(vals[0])
+    return vals
 
 
 def _effective_weights(dim: int, beta: int, b: int, gammas) -> np.ndarray:
@@ -443,8 +443,7 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     # scores the candidate g^by_code[r]
     by_code = np.argsort(_from_digits(powers, b))
     # psi at the point v_m(g^e / P) of every residue g^e
-    kern, _ = kernel_values(b, m, beta)
-    psi = kern[_from_digits(_laurent_digits(powers, p, m)[:, ::-1], b)]
+    psi = kernel_values(b, m, beta)[_from_digits(_laurent_digits(powers, p, m)[:, ::-1], b)]
     psi2 = np.concatenate([psi, psi])
     w = _effective_weights(dim, beta, b, gammas).tolist()
     if order <= _CBC_DIRECT_ORDER:
@@ -468,11 +467,11 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     return [polys[a] for a in chosen]
 
 
-def cbc_rule(b: int, m: int, beta: int, z: int, gammas,
-             p: GFPoly | None = None) -> "InterlacedLatticeRule":
-    gen = cbc_construct(b, m, beta * z, beta, gammas, p)
-    p = default_modulus(b, m) if p is None else p
-    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen))
+def cbc_rule(b: int, m: int, beta: int, z: int, gammas) -> "InterlacedLatticeRule":
+    """CBC rule of b^m points and order beta in z dimensions, on the default modulus."""
+    gen = cbc_construct(b, m, beta * z, beta, gammas)
+    return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=default_modulus(b, m),
+                                 gen=tuple(gen))
 
 
 @dataclass(frozen=True)

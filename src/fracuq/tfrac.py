@@ -185,8 +185,12 @@ class ExpSumKernel:
     rel_err: float
 
 
-def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
-                   max_terms: int = 4000) -> ExpSumKernel:
+# the term budget of exp_sum_kernel: check and every run refuse a sum that
+# needs more (ToleranceError)
+_MAX_EXP_TERMS = 4000
+
+
+def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float) -> ExpSumKernel:
     """Approximate w_{1-a}(t) by sum_i w_i exp(-s_i t), uniformly relative on
     [t_min, t_max].
 
@@ -213,9 +217,9 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float,
         x_lo = (math.log(eps * alpha / 8.0) - math.log(t_max) * alpha) / alpha - pad
         x_hi = math.log((math.log(8.0 / eps) + 40.0) / t_min) + pad
         x = np.arange(x_lo, x_hi + h, h)
-        if x.size > max_terms:
+        if x.size > _MAX_EXP_TERMS:
             raise ToleranceError(
-                f"exponential sum needs more than {max_terms} terms for eps={eps}")
+                f"exponential sum needs more than {_MAX_EXP_TERMS} terms for eps={eps}")
         nodes = np.exp(x)
         weights = pref * h * nodes ** alpha
         approx = np.exp(-np.outer(tc, nodes)) @ weights
@@ -530,7 +534,8 @@ class TrajectorySolver:
     their gradient ``grad_g``.
     """
 
-    # the one linear solver; traced benchmark runs record it as their label
+    # kept only as the label that traced benchmark runs record, on either
+    # level solver, until they record the one each run used (ROADMAP item 4)
     method = "direct"
 
     def __init__(self, mesh, field, tmesh: GradedTimeMesh, alpha: float,
@@ -612,7 +617,7 @@ class TrajectorySolver:
     def failure_reason(self, y) -> str:
         """Why the parameter vector y gave non-finite values: the element
         averages that :func:`_well_posed` refuses, or a failed level solve."""
-        kbar = self.assembler.element_kappa(y)
+        kbar = self.assembler.parts(y)[0]
         if _well_posed(kbar):
             return "non-finite solution values"
         if not np.all(np.isfinite(kbar)):

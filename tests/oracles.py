@@ -4,11 +4,13 @@ None of these is on a run's path: the example initial profile, whose
 gradient is the package's default initial data, is what the tests
 interpolate and differentiate; the Ritz projection by a sparse direct
 solve is the oracle of criterion 4 and of the stepper's initial level, the
-figure of merit evaluated from the points is the oracle of the FFT-based
-CBC search (criterion 8), and the dump reader checks the binary files that
-``fracuq solve --dump-fields`` writes.  The table of every basis function
-at every point is the plain form of what the package sums through its
-separable sine maps or as a product of per-coordinate sine tables.  The
+figure of merit evaluated from the points is the oracle of the CBC
+search, whose criterion-8 orders (m = 2, 4, 6) score candidates by the
+circulant product and larger ones by the FFT pair, and the dump reader
+checks the binary files that ``fracuq solve --dump-fields`` writes.  The
+table of every basis function at every point is the plain form of what
+the package sums through its separable sine maps or as a product of
+per-coordinate sine tables.  The
 affine parts of the stiffness set-up from the basis at every element
 midpoint are the plain form of what the package evaluates once per edge
 and per block of samples; the two agree to rounding, as do the loads
@@ -200,7 +202,7 @@ def figure_of_merit(b, m, beta, p, gen, gammas) -> float:
     """
     dim = len(gen)
     ps = classical_points(b, m, dim, p, gen)
-    kern, _ = kernel_values(b, m, beta)
+    kern = kernel_values(b, m, beta)
     w = _effective_weights(dim, beta, b, gammas)
     vals = kern[ps.mantissas[1:]]  # (N-1, dim)
     return float(np.sum(np.prod(1.0 + w[None, :] * vals, axis=1))) / ps.n_points

@@ -181,7 +181,7 @@ class TestStiffness:
         assert field.declared_bounds[0] > 0
         mesh = triangulate_unit_square(3)
         y = np.array([[0.5], [0.1], [0.0]])
-        kbar = StiffnessAssembler(mesh, field, example_initial_gradient).element_kappa(y)
+        kbar, _ = StiffnessAssembler(mesh, field, example_initial_gradient).parts(y)
         assert kbar[0].min() < 0 < kbar[1:].min()
         solver = TrajectorySolver(mesh, field, graded_mesh(1.0, 4, 2.0), 0.5, 1.0,
                                   example_initial_gradient)
@@ -260,7 +260,7 @@ class TestAffineParts:
         ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, z))
         kbar = kbar0 + ys @ psibar[:z]
         rhs = r0 + ys @ R[:z]
-        assert np.max(np.abs(asm.element_kappa(ys) - kbar)) <= 1e-14 * np.max(np.abs(kbar))
+        assert np.max(np.abs(asm.parts(ys)[0] - kbar)) <= 1e-14 * np.max(np.abs(kbar))
         assert np.max(np.abs(asm.ritz_rhs(ys) - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
@@ -273,7 +273,7 @@ class TestAffineParts:
         data = asm.matrix_data(kbar)
         for i, y in enumerate(ys):
             kbar_i, rhs_i = asm.parts(y[None])
-            assert kbar[i].tobytes() == kbar_i[0].tobytes() == asm.element_kappa(y).tobytes()
+            assert kbar[i].tobytes() == kbar_i[0].tobytes()
             assert rhs[i].tobytes() == rhs_i[0].tobytes() == asm.ritz_rhs(y).tobytes()
             assert data[i].tobytes() == asm.matrix_data(kbar_i)[0].tobytes()
 

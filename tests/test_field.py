@@ -1,5 +1,6 @@
 """Tests for the parametric diffusivity fields."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,28 +8,13 @@ from fracuq.errors import ConfigurationError, DomainError
 from fracuq.estimator import example_initial_gradient
 from fracuq.fem import StiffnessAssembler, load_mesh, triangulate_unit_square
 from fracuq.field import (SineRandomField, _kappa_range, build_example_field,
-                          build_sine_table_field, example_field_scale,
-                          verify_bounds, zeta)
+                          build_sine_table_field, verify_bounds)
 from oracles import basis_values
 
-
-def brute_zeta(s, terms=10**7):
-    n = np.arange(1, terms + 1, dtype=float)
-    return float(np.sum(np.sort(n ** (-s))))  # ascending sum for accuracy
-
-
-class TestZeta:
-    def test_matches_brute_force(self):
-        assert zeta(3.0) == pytest.approx(brute_zeta(3.0), abs=1e-12)
-        assert zeta(4.0) == pytest.approx(brute_zeta(4.0), abs=1e-12)
-
-    def test_scale_constant_leading_digits(self):
-        # zeta(3) - zeta(4) = 0.119733... to at least six digits
-        assert example_field_scale() == pytest.approx(0.1197336694, abs=1e-9)
-
-    def test_requires_s_above_one(self):
-        with pytest.raises(ConfigurationError):
-            zeta(1.0)
+# the example field's scale M = zeta(3) - zeta(4) = 0.119733669448456..., from
+# 30-digit mpmath and not from the scipy call the package makes
+with mpmath.workdps(30):
+    M = float(mpmath.zeta(3) - mpmath.zeta(4))
 
 
 class TestBuildExampleField:
@@ -46,9 +32,15 @@ class TestBuildExampleField:
 
     def test_amplitudes(self):
         f = build_example_field(2)
-        M = example_field_scale()
         assert f.amp[0] == pytest.approx(1.0 / (10.0 * M * 16.0), rel=1e-13)
         assert f.amp[1] == pytest.approx(1.0 / (10.0 * M * 81.0), rel=1e-13)
+
+    def test_amplitudes_match_mpmath_scale(self):
+        # an Euler-Maclaurin sum giving M = 0.11973366944845587 is 1.8e-15 off
+        for q in (3, 22):
+            f = build_example_field(q)
+            expected = 1.0 / (10.0 * M * (f.k + f.l).astype(float) ** 4)
+            assert np.max(np.abs(f.amp - expected) / expected) <= 1e-15, q
 
     def test_sort_by_norm(self):
         f = build_example_field(5, sort_by_norm=True)
@@ -79,7 +71,7 @@ def evaluate_kappa(f, x, y):
 def element_kappa(f, y):
     """The element averages of kappa that the solver assembles with."""
     return StiffnessAssembler(triangulate_unit_square(4), f,
-                              example_initial_gradient).element_kappa(y)
+                              example_initial_gradient).parts(y)[0]
 
 
 def tail_bound(f, z):
@@ -102,7 +94,6 @@ class TestEvaluateKappa:
 
     def test_first_unit_vector_at_centre(self):
         f = build_example_field(3)
-        M = example_field_scale()
         y = np.zeros(len(f))
         y[0] = 1.0
         expected = 0.225 + 1.0 / (160.0 * M)  # kappa0(centre) + amp of (1,1)
@@ -143,7 +134,6 @@ class TestEvaluateKappa:
 class TestTailBound:
     def test_full_tail_direct_sum(self):
         f = build_example_field(22)
-        M = example_field_scale()
         oracle = 0.5 * sum(1.0 / (10.0 * M * (k + l) ** 4)
                            for l in range(1, 23) for k in range(1, 24 - l))
         assert tail_bound(f, 0) == pytest.approx(oracle, rel=1e-13)

@@ -202,8 +202,8 @@ class TestKernel:
         # defining geometric series directly for every grid value
         b, m, beta = 2, 5, 3
         s = float(b) ** (1 - beta)
-        vals, at0 = kernel_values(b, m, beta)
-        assert at0 == pytest.approx((b - 1) / (1 - s), rel=1e-14)
+        vals = kernel_values(b, m, beta)
+        assert vals[0] == pytest.approx((b - 1) / (1 - s), rel=1e-14)
         for r in range(1, b ** m):
             digs = [(r // b ** (m - t)) % b for t in range(1, m + 1)]
             i0 = next(t for t, d in enumerate(digs, start=1) if d > 0)
@@ -271,7 +271,7 @@ class TestCBC:
         gen = cbc_construct(b, m, 4, beta, gammas, p)
         merits = [figure_of_merit(b, m, beta, p, list(gen[: c + 1]), gammas)
                   for c in range(4)]
-        _, psi0 = kernel_values(b, m, beta)
+        psi0 = kernel_values(b, m, beta)[0]
         from fracuq.qmc import _effective_weights
         w = _effective_weights(4, beta, b, gammas)
         for c in range(3):

@@ -240,8 +240,9 @@ class TestExpSumKernel:
             assert 5e-10 < k.rel_err <= 5e-9
 
     def test_term_budget_enforced(self):
-        with pytest.raises(ToleranceError):
-            exp_sum_kernel(0.5, 1e-12, 1.0, 1e-14, max_terms=20)
+        # eps = 1e-15 over twelve decades outgrows the 4000-term budget
+        with pytest.raises(ToleranceError, match="more than 4000 terms"):
+            exp_sum_kernel(0.5, 1e-12, 1.0, 1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -704,6 +705,34 @@ class TestModalLevels:
         assert "sample 1: element-averaged diffusivity <= 0" in message
         assert "sample 3: non-finite element-averaged diffusivity" in message
         assert message.count("sample ") == 2
+
+    def test_nonpositive_eigenvalue_fails_the_chunk(self, monkeypatch):
+        # no input is known to give a well-posed sample an eigenvalue <= 0,
+        # so eigh is made to: the guard turns the whole chunk NaN, and the
+        # run fails as a failed band factorization makes it fail
+        eigh = np.linalg.eigh
+
+        def negated_at(call):
+            """eigh whose call-th call returns its least eigenvalue negated."""
+            calls = itertools.count(1)
+
+            def patched(a):
+                lam, Q = eigh(a)
+                if next(calls) == call:
+                    lam[0] = -lam[0]
+                return lam, Q
+            return patched
+
+        cfg = estimator.RunConfig(alpha=0.5, n_steps=16, field=self.field, z=len(self.field),
+                                  m=2, beta=2, n_div=4)         # 9 dofs, 4 samples in one chunk
+        solver = estimator.build_solver(cfg)
+        assert solver._levels is tfrac._ModalLevels
+        monkeypatch.setattr(np.linalg, "eigh", negated_at(2))
+        with pytest.raises(SolverError, match=r"4 of 4 .*\(sample 0: non-finite solution values"):
+            estimator.estimate(cfg)
+        monkeypatch.setattr(np.linalg, "eigh", negated_at(1))
+        with pytest.raises(SolverError, match="non-finite solution values"):
+            solver.solve(self.points[0])
 
     def test_thread_count_does_not_change_bits(self, monkeypatch):
         monkeypatch.setattr(estimator, "_CHUNK_DOFS", 200)
