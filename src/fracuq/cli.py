@@ -189,17 +189,19 @@ def _echo_resolved(path: str, cfg: dict, run: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # artifact writers
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+def _csv_lines(header, columns) -> list[str]:
+    """The header line, then one line per row of the equal-length columns:
+    an integer column prints its values with ``str``, any other column with
+    ``format(v, ".17g")``, which gives back the same float64 on reading."""
+    cells = [[str(v) for v in column.tolist()] if column.dtype.kind in "iu"
+             else [format(v, ".17g") for v in column.tolist()]
+             for column in map(np.asarray, columns)]
+    return [",".join(header)] + [",".join(row) for row in zip(*cells)]
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(_csv_lines(header, columns)) + "\n")
 
 
 def write_field_dump(path: str, u: np.ndarray) -> None:
@@ -271,13 +273,13 @@ def cmd_points(args):
         files.append((partial(save_gen_vector, rule), args.genvec))
         lines.append(f"wrote generating vector {args.genvec}")
     pts = rule.points().values[:, : args.z]
-    rows = [[j] + list(p) for j, p in enumerate(pts)]
     header = ["j"] + [f"x{c + 1}" for c in range(args.z)]
+    columns = [np.arange(pts.shape[0]), *pts.T]
     if args.out:
-        files.append((_write_csv, args.out, header, rows))
+        files.append((_write_csv, args.out, header, columns))
         lines.append(f"wrote {pts.shape[0]} points to {args.out}")
     else:
-        lines += [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines += _csv_lines(header, columns)
     return files, lines
 
 
@@ -297,9 +299,9 @@ def cmd_solve(args):
     solver = build_solver(run)
     u = solver.solve(y)
     values = u @ solver.phi
-    rows = [(n, solver.tmesh.t[n], values[n]) for n in range(values.size)]
-    files.append((_write_csv, path("trajectory.csv"), ["n", "t", "value"], rows))
-    lines = [f"wrote {path('trajectory.csv')}; L(u(T)) = {_fmt(values[-1])}"]
+    files.append((_write_csv, path("trajectory.csv"), ["n", "t", "value"],
+                  [np.arange(values.size), solver.tmesh.t, values]))
+    lines = [f"wrote {path('trajectory.csv')}; L(u(T)) = {values[-1]:.17g}"]
     if args.dump_fields or cfg["output"]["dump_fields"]:
         dump = args.dump_fields or path("fields.bin")
         files.append((write_field_dump, dump, u))
@@ -310,14 +312,11 @@ def cmd_solve(args):
 def cmd_estimate(args):
     cfg, run, path, files = _prepare(args)
     series = estimate(run)
-    rows = [(n, series.t[n], series.mean[n], series.std[n],
-             series.mean[n] - 3.0 * series.std[n],
-             series.mean[n] + 3.0 * series.std[n])
-            for n in range(series.t.size)]
-    files.append((_write_csv, path("series.csv"),
-                  ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows))
+    mean, spread = series.mean, 3.0 * series.std
+    files.append((_write_csv, path("series.csv"), ["n", "t", "mean", "std", "lo3sig", "hi3sig"],
+                  [np.arange(mean.size), series.t, mean, series.std, mean - spread, mean + spread]))
     lines = [f"wrote {path('series.csv')}; N = {series.n_samples}, z = {series.z}, "
-             f"E[L(u(T))] = {_fmt(series.mean[-1])}"]
+             f"E[L(u(T))] = {mean[-1]:.17g}"]
     if cfg["output"]["gnuplot"]:
         files.append((_emit_gnuplot, path("series.gp"), f"{cfg['output']['prefix']}-series.csv"))
         lines.append(f"wrote {path('series.gp')}")
@@ -334,10 +333,9 @@ def _parse_int_list(text: str, label: str):
 def cmd_table(args):
     _, run, path, files = _prepare(args)
     rows = convergence_table(run, _parse_int_list(args.N, "N"), args.Nref)
-    files.append((_write_csv, path("table.csv"),
-                  ["N", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"],
-                  [(r.n_samples, r.value_T, r.err_T, r.rate_T, r.err_L2J, r.rate_L2J)
-                   for r in rows]))
+    fields = ["n_samples", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"]
+    files.append((_write_csv, path("table.csv"), ["N", *fields[1:]],
+                  [np.array([getattr(r, name) for r in rows]) for name in fields]))
     return files, [f"wrote {path('table.csv')}"] + [
         f"N={r.n_samples:6d}  value(T)={r.value_T:.10f}  err(T)={r.err_T:.3e}"
         f"  rate={r.rate_T:5.3f}  errL2J={r.err_L2J:.3e}  rate={r.rate_L2J:5.3f}"
@@ -347,8 +345,7 @@ def cmd_table(args):
 def cmd_truncation(args):
     _, run, path, files = _prepare(args)
     study = truncation_study(run, _parse_int_list(args.z, "z"), args.zref)
-    files.append((_write_csv, path("truncation.csv"), ["z", "err_T"],
-                  list(zip(study.z, study.err_T))))
+    files.append((_write_csv, path("truncation.csv"), ["z", "err_T"], [study.z, study.err_T]))
     return files, [f"wrote {path('truncation.csv')}; fitted slope = {study.slope:.3f} "
                    f"(reference z = {study.z_ref})"]
 
@@ -356,16 +353,14 @@ def cmd_truncation(args):
 def cmd_refine(args):
     _, run, path, files = _prepare(args)
     study = spacetime_refinement_study(run, levels=args.levels)
-    rows = []
-    for i, err in enumerate(study.errors):
-        ratio = study.ratios[i - 1] if i >= 1 else math.nan
-        order = study.orders[i - 1] if i >= 1 else math.nan
-        rows.append((i, study.n_div[i], study.n_steps[i], err, ratio, order))
+    # the first level has no coarser one to take a ratio or an order against
+    columns = [np.arange(study.errors.size), np.array(study.n_div), np.array(study.n_steps),
+               study.errors, np.append(math.nan, study.ratios), np.append(math.nan, study.orders)]
     files.append((_write_csv, path("refine.csv"),
-                  ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], rows))
+                  ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], columns))
     return files, [f"wrote {path('refine.csv')}"] + [
-        f"level {row[0]}: n_div={row[1]:4d} n_steps={row[2]:5d} "
-        f"err={row[3]:.4e} ratio={row[4]:.3f}" for row in rows]
+        f"level {level}: n_div={n_div:4d} n_steps={n_steps:5d} err={err:.4e} ratio={ratio:.3f}"
+        for level, n_div, n_steps, err, ratio, _ in zip(*(c.tolist() for c in columns))]
 
 
 def cmd_check(args):

@@ -417,9 +417,9 @@ def _group_powers(p: GFPoly) -> np.ndarray:
 _CBC_DIRECT_ORDER = 255
 
 
-def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
-                  p: GFPoly | None = None) -> list[GFPoly]:
-    """Greedy component-by-component generating vector for `dim` columns.
+def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[GFPoly]:
+    """Greedy component-by-component generating vector for `dim` columns,
+    on the default modulus.
 
     Each column's polynomial is chosen (deterministically, smallest integer
     encoding on ties) to minimise the figure of merit given the columns
@@ -434,9 +434,8 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas,
     """
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
-    check_rule(b, m, beta, p)
-    if p is None:
-        p = default_modulus(b, m)
+    check_rule(b, m, beta)
+    p = default_modulus(b, m)
     powers = _group_powers(p)
     order = len(powers)
     # the logs of the residues in increasing code: row r of the circulant

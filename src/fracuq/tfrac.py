@@ -194,15 +194,17 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float) -> ExpS
     """Approximate w_{1-a}(t) by sum_i w_i exp(-s_i t), uniformly relative on
     [t_min, t_max].
 
-    Trapezoidal discretisation of t^(-a) = sin(pi a)/pi * int e^(a x)
-    exp(-t e^x) dx after s = e^x.  The step shrinks by a tenth and the
+    Trapezoidal rule for t^(-a) = sin(pi a)/pi * int s^(a-1) exp(-t s) ds
+    after s = exp(x - e^(-x) - ln t_max): the left tail exp(-a e^(-x))
+    decays double-exponentially, so the term count grows only like ln(1/a),
+    and a node whose s underflows to 0 stays, as a constant term, so the
+    count does not depend on t_max.  The step shrinks by a tenth and the
     window widens by a quarter on each side until a geometric check grid
-    meets eps/2: the error falls by about an order of magnitude per 0.05 of
-    step near h = 0.5, so halving the step would land far below target
-    with twice the terms.
+    meets eps/2: the error falls by about a decade per 0.05 of step near
+    h = 0.5, so halving the step would land far below target.
     """
     check_alpha(alpha)
-    if eps <= 0 or not 0 < t_min < t_max:
+    if not 0 < eps < 1 or not 0 < t_min < t_max:
         raise ConfigurationError("invalid exponential-sum parameters")
     # Gamma(a) Gamma(1-a) = pi / sin(pi a) turns the Laplace-integral
     # representation of t^(-a) into the kernel w_{1-a} with this prefactor
@@ -211,17 +213,19 @@ def exp_sum_kernel(alpha: float, t_min: float, t_max: float, eps: float) -> ExpS
     n_check = max(48, int(24 * math.log10(t_max / t_min)) + 2)
     tc = np.geomspace(t_min, t_max, n_check)
     target = tc ** (-alpha) / gamma_fn(1.0 - alpha)
+    log_t_max = math.log(t_max)
     h = 1.0
     pad = 1.0
     while True:
-        x_lo = (math.log(eps * alpha / 8.0) - math.log(t_max) * alpha) / alpha - pad
-        x_hi = math.log((math.log(8.0 / eps) + 40.0) / t_min) + pad
+        x_lo = -math.log(math.log(8.0 / (eps * alpha)) / alpha) - pad
+        x_hi = math.log(math.log(8.0 / eps) + 40.0) + log_t_max - math.log(t_min) + pad
         x = np.arange(x_lo, x_hi + h, h)
         if x.size > _MAX_EXP_TERMS:
             raise ToleranceError(
                 f"exponential sum needs more than {_MAX_EXP_TERMS} terms for eps={eps}")
-        nodes = np.exp(x)
-        weights = pref * h * nodes ** alpha
+        log_s = x - np.exp(-x) - log_t_max
+        nodes = np.exp(log_s)
+        weights = pref * h * np.exp(alpha * log_s) * (1.0 + np.exp(-x))
         approx = np.exp(-np.outer(tc, nodes)) @ weights
         rel = float(np.max(np.abs(approx - target) / target))
         if rel <= 0.5 * eps:

@@ -344,7 +344,7 @@ def test_criterion_08_cbc_oracle():
         gammas = [1.0, 0.4, 0.16]
         beta = 3
         p = default_modulus(b, m)
-        gen = cbc_construct(b, m, 3, beta, gammas, p)
+        gen = cbc_construct(b, m, 3, beta, gammas)
         prefix = []
         for c in range(3):
             best = min(figure_of_merit(b, m, beta, p,

@@ -10,7 +10,7 @@ import pytest
 
 import fracuq
 from fracuq import estimator
-from fracuq.cli import build_run_config, load_config, main, write_field_dump
+from fracuq.cli import _write_csv, build_run_config, load_config, main, write_field_dump
 from fracuq.errors import ConfigurationError, UsageError
 from fracuq.fem import load_mesh
 from fracuq.tfrac import fast_history_kernel, graded_mesh
@@ -107,6 +107,61 @@ class TestFieldDump:
         assert not path.exists()
 
 
+def per_value_csv(header, rows) -> str:
+    """A table as it was written value by value: an int by str, anything else by .17g."""
+    def cell(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+    return ",".join(header) + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+class TestCsvColumns:
+    """The column formatter writes what the per-value rule wrote."""
+
+    def written(self, tmp_path, header, columns) -> str:
+        path = tmp_path / "t.csv"
+        _write_csv(str(path), header, columns)
+        return path.read_text()
+
+    def test_integer_and_float_columns(self, tmp_path):
+        floats = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, 2.0 ** -1023,
+                           0.1 + 0.2, 1.2345678901234567e-7, np.nan, 1.0, 2.0 ** 60])
+        ints = np.array([0, -3, 2 ** 62, 7, 1, 10 ** 17, -1, 2, 3, 4, 5])
+        text = self.written(tmp_path, ["i", "x"], [ints, floats])
+        assert text == per_value_csv(["i", "x"], [(int(i), x) for i, x in zip(ints, floats)])
+        assert text.split("\n")[1:8] == ["0,0", "-3,-0", "4611686018427387904,inf",
+                                         "7,-inf", "1,4.9406564584124654e-324",
+                                         "100000000000000000,1.1125369292536007e-308",
+                                         "-1,0.30000000000000004"]
+
+    def test_table_with_nan_first_rates(self, tmp_path):
+        # the first row of a convergence table has no coarser N to take a rate against
+        n = np.array([4, 8, 16])
+        err = np.array([0.1, 0.03, 0.008])
+        rate = np.append(np.nan, np.log(err[:-1] / err[1:]) / np.log(2.0))
+        text = self.written(tmp_path, ["N", "err", "rate"], [n, err, rate])
+        assert text == per_value_csv(["N", "err", "rate"], list(zip(n.tolist(), err, rate)))
+        assert text.split("\n")[1] == "4,0.10000000000000001,nan"
+
+    def test_command_files_follow_the_per_value_rule(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        run = build_run_config(load_config(cfg))
+        assert main(["estimate", "--config", cfg]) == 0
+        s = estimator.estimate(run)
+        rows = [(n, s.t[n], s.mean[n], s.std[n], s.mean[n] - 3.0 * s.std[n],
+                 s.mean[n] + 3.0 * s.std[n]) for n in range(s.t.size)]
+        assert (tmp_path / "out" / "t-series.csv").read_text() == per_value_csv(
+            ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows)
+        assert main(["refine", "--config", cfg, "--levels", "3"]) == 0
+        study = estimator.spacetime_refinement_study(run, levels=3)
+        rows = [(i, study.n_div[i], study.n_steps[i], err,
+                 study.ratios[i - 1] if i else np.nan, study.orders[i - 1] if i else np.nan)
+                for i, err in enumerate(study.errors)]
+        assert (tmp_path / "out" / "t-refine.csv").read_text() == per_value_csv(
+            ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], rows)
+
+
 class TestMeshCommand:
     def test_writes_loadable_mesh(self, tmp_path, capsys):
         out = str(tmp_path / "mesh.txt")
@@ -133,6 +188,13 @@ class TestPointsCommand:
         lines = first.strip().split("\n")
         assert lines[0] == "j,x1,x2,x3"
         assert len(lines) == 9
+
+    def test_stdout_equals_the_out_file(self, tmp_path, capsys):
+        gv, out = str(tmp_path / "gen.txt"), tmp_path / "pts.csv"
+        assert main(["points", "--m", "3", "--z", "2", "--genvec", gv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["points", "--m", "3", "--z", "2", "--genvec", gv]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_genvec_mismatch(self, tmp_path, capsys):
         gv = str(tmp_path / "gen.txt")
@@ -455,10 +517,18 @@ class TestErrorPaths:
         self.assert_one_error_line(capsys, "E_CONFIG")
 
     @pytest.mark.parametrize("command", ["check", "estimate"])
-    def test_check_refuses_the_exponential_sum_a_run_refuses(self, tmp_path, capsys, command):
-        # the sum's window grows like 1/alpha: at alpha = 0.02 it needs over 4000 terms
+    def test_small_alpha_takes_a_small_exponential_sum(self, tmp_path, capsys, command):
+        # the sum's size does not grow like 1/alpha: alpha = 0.02 runs on the fast path
         cfg = write_config(tmp_path, model={"alpha": 0.02}, time={"n_steps": 50},
                            estimator={"fast_history": True})
+        assert main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_check_refuses_the_exponential_sum_a_run_refuses(self, tmp_path, capsys, command):
+        # eps = 1e-15 lies below what float64 sums reach: past 4000 terms, the budget
+        cfg = write_config(tmp_path, model={"alpha": 0.02}, time={"n_steps": 50},
+                           estimator={"fast_history": True, "fast_eps": 1e-15})
         assert main([command, "--config", cfg]) == 1
         self.assert_one_error_line(capsys, "E_TOL")
 

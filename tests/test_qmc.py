@@ -268,7 +268,7 @@ class TestCBC:
         b, m, beta = 2, 4, 2
         gammas = [1.0, 0.25, 0.0625, 0.015625]
         p = default_modulus(b, m)
-        gen = cbc_construct(b, m, 4, beta, gammas, p)
+        gen = cbc_construct(b, m, 4, beta, gammas)
         merits = [figure_of_merit(b, m, beta, p, list(gen[: c + 1]), gammas)
                   for c in range(4)]
         psi0 = kernel_values(b, m, beta)[0]

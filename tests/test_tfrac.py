@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.sparse.linalg as spla
-from scipy.special import gamma as gamma_fn
+from scipy.special import exprel, gamma as gamma_fn
 
 from fracuq import estimator, tfrac
 from fracuq.errors import ConfigurationError, SolverError, ToleranceError
@@ -232,8 +232,8 @@ class TestExpSumKernel:
 
     def test_few_terms_near_target(self):
         # the step is refined finely enough to stop near eps/2, not far below
-        # it with twice the terms (a halved step gave 315 and 360 terms)
-        for n_steps, terms in ((400, 160), (6400, 183)):
+        # it with about twice the terms
+        for n_steps, terms in ((400, 89), (6400, 115)):
             t_min = float(graded_mesh(1.0, n_steps, 4.0).dt.min())
             k = exp_sum_kernel(0.5, t_min, 1.0, 1e-8)
             assert k.nodes.size == terms
@@ -247,6 +247,9 @@ class TestExpSumKernel:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             exp_sum_kernel(0.5, 1.0, 0.5, 1e-8)
+        # the window's left end takes ln(ln(8/(eps alpha))): eps lies in (0, 1)
+        with pytest.raises(ConfigurationError):
+            exp_sum_kernel(0.5, 1e-3, 1.0, 1.0)
 
 
 class TestL2JNorm:
@@ -506,15 +509,13 @@ class TestHistorySums:
         kernel = exp_sum_kernel(0.5, float(dt.min()), 1.0, 1e-8)
         s, kw = kernel.nodes, kernel.weights
 
-        def em1_over(x):
-            return -np.expm1(-x) / x
-
         def weight(n, j):
             # the adjacent term exactly; the older ones through the kernel's
             # exponential sum, integrated over I_n x I_j
             if j == n - 1:
                 return self.W[n, j]
-            return np.sum(kw * em1_over(s * dt[n - 1]) * em1_over(s * dt[j - 1])
+            # exprel(-x) = -expm1(-x)/x is 1 at a node s = 0, a constant term of the sum
+            return np.sum(kw * exprel(-s * dt[n - 1]) * exprel(-s * dt[j - 1])
                           * np.exp(-s * (t[n - 1] - t[j])))
 
         self.check(history, weight)
