@@ -332,14 +332,13 @@ def _parse_int_list(text: str, label: str):
 
 def cmd_table(args):
     _, run, path, files = _prepare(args)
-    rows = convergence_table(run, _parse_int_list(args.N, "N"), args.Nref)
-    fields = ["n_samples", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"]
-    files.append((_write_csv, path("table.csv"), ["N", *fields[1:]],
-                  [np.array([getattr(r, name) for r in rows]) for name in fields]))
+    # the table's fields are the CSV's columns, in order
+    table = vars(convergence_table(run, _parse_int_list(args.N, "N"), args.Nref))
+    files.append((_write_csv, path("table.csv"), list(table), list(table.values())))
     return files, [f"wrote {path('table.csv')}"] + [
-        f"N={r.n_samples:6d}  value(T)={r.value_T:.10f}  err(T)={r.err_T:.3e}"
-        f"  rate={r.rate_T:5.3f}  errL2J={r.err_L2J:.3e}  rate={r.rate_L2J:5.3f}"
-        for r in rows]
+        f"N={n:6d}  value(T)={value:.10f}  err(T)={err_T:.3e}"
+        f"  rate={rate_T:5.3f}  errL2J={err_J:.3e}  rate={rate_J:5.3f}"
+        for n, value, err_T, rate_T, err_J, rate_J in zip(*(c.tolist() for c in table.values()))]
 
 
 def cmd_truncation(args):
@@ -353,9 +352,8 @@ def cmd_truncation(args):
 def cmd_refine(args):
     _, run, path, files = _prepare(args)
     study = spacetime_refinement_study(run, levels=args.levels)
-    # the first level has no coarser one to take a ratio or an order against
-    columns = [np.arange(study.errors.size), np.array(study.n_div), np.array(study.n_steps),
-               study.errors, np.append(math.nan, study.ratios), np.append(math.nan, study.orders)]
+    columns = [np.arange(study.errors.size), study.n_div, study.n_steps,
+               study.errors, study.ratios, study.orders]
     files.append((_write_csv, path("refine.csv"),
                   ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], columns))
     return files, [f"wrote {path('refine.csv')}"] + [

@@ -28,7 +28,7 @@ from .tfrac import (GradedTimeMesh, TrajectorySolver, check_alpha, check_time_gr
 __all__ = [
     "RunConfig",
     "ExpectedValueSeries",
-    "ConvergenceRow",
+    "ConvergenceTable",
     "TruncationStudy",
     "RefinementStudy",
     "example_initial_gradient",
@@ -156,13 +156,16 @@ class ExpectedValueSeries:
 
 
 @dataclass
-class ConvergenceRow:
-    n_samples: int
-    value_T: float
-    err_T: float
-    rate_T: float
-    err_L2J: float
-    rate_L2J: float
+class ConvergenceTable:
+    """One entry per sample count N, in increasing N; the rates against the
+    next smaller N are NaN at the first."""
+
+    N: np.ndarray
+    value_T: np.ndarray
+    err_T: np.ndarray
+    rate_T: np.ndarray
+    err_L2J: np.ndarray
+    rate_L2J: np.ndarray
 
 
 @dataclass
@@ -175,10 +178,13 @@ class TruncationStudy:
 
 @dataclass
 class RefinementStudy:
-    n_div: list
-    n_steps: list
-    errors: np.ndarray      # L2(J, Omega) error per coarse level vs finest
-    ratios: np.ndarray      # consecutive error ratios
+    """One entry per coarse level; level 0 has no coarser level, so its
+    ratio and order are NaN."""
+
+    n_div: np.ndarray
+    n_steps: np.ndarray
+    errors: np.ndarray      # L2(J, Omega) error vs the finest level
+    ratios: np.ndarray      # the next coarser level's error over this one's
     orders: np.ndarray      # log2 of the ratios
 
 
@@ -312,7 +318,7 @@ def _distinct(values: list, name: str) -> list:
     return values
 
 
-def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[ConvergenceRow]:
+def convergence_table(config: RunConfig, N_list, N_ref: int) -> ConvergenceTable:
     """Errors and observed rates of the N-point estimates against an
     N_ref-point reference sharing the same mesh, time grid and truncation."""
     N_list = _distinct([int(n) for n in N_list], "sample count N")
@@ -335,22 +341,14 @@ def convergence_table(config: RunConfig, N_list, N_ref: int) -> list[Convergence
     series = {n: _reduce_series(values[a:b])[0]
               for n, a, b in zip(sizes, bounds[:-1], bounds[1:])}
     ref = series[N_ref]
-    rows = []
-    prev = None
-    for n in sorted(N_list):
-        mean = series[n]
-        err_T = abs(mean[-1] - ref[-1])
-        err_J = l2J_norm(mean - ref, tmesh)
-        if prev is None:
-            rate_T = rate_J = math.nan
-        else:
-            factor = n / prev.n_samples
-            rate_T = _rate(prev.err_T, err_T, factor)
-            rate_J = _rate(prev.err_L2J, err_J, factor)
-        prev = ConvergenceRow(n_samples=n, value_T=float(mean[-1]), err_T=err_T,
-                              rate_T=rate_T, err_L2J=err_J, rate_L2J=rate_J)
-        rows.append(prev)
-    return rows
+    N = np.array(sorted(N_list))
+    means = np.array([series[n] for n in N])
+    err_T = np.abs(means[:, -1] - ref[-1])
+    err_J = np.array([l2J_norm(mean - ref, tmesh) for mean in means])
+    rate_T, rate_J = (np.array([math.nan, *map(_rate, err[:-1], err[1:], N[1:] / N[:-1])])
+                      for err in (err_T, err_J))
+    return ConvergenceTable(N=N, value_T=means[:, -1], err_T=err_T, rate_T=rate_T,
+                            err_L2J=err_J, rate_L2J=rate_J)
 
 
 def truncation_study(config: RunConfig, z_list, z_ref: int) -> TruncationStudy:
@@ -430,8 +428,8 @@ def spacetime_refinement_study(config: RunConfig, levels: int = 3,
         on_fine = _interp_levels(fine_tmesh.t, tmesh_i.t, in_space)
         errors.append(l2J_norm(u_ref - on_fine, fine_tmesh, mass=mass_fine))
     errors = np.array(errors)
-    ratios = errors[:-1] / errors[1:] if errors.size > 1 else np.zeros(0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        orders = np.log2(ratios) if ratios.size else np.zeros(0)
-    return RefinementStudy(n_div=n_divs[:-1], n_steps=n_steps[:-1],
+        ratios = np.append(math.nan, errors[:-1] / errors[1:])
+        orders = np.log2(ratios)
+    return RefinementStudy(n_div=np.array(n_divs[:-1]), n_steps=np.array(n_steps[:-1]),
                            errors=errors, ratios=ratios, orders=orders)

@@ -180,8 +180,9 @@ def build_sine_table_field(kappa0_const: float, coeffs,
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ConfigurationError("coeffs must be rows of (k, l, amplitude)")
-    if not np.all((rows[:, :2] >= 1) & (rows[:, :2] % 1 == 0)):
-        raise ConfigurationError("mode numbers k, l must be whole numbers >= 1")
+    # above 2^53 a float64 may hold a rounded mode number, above 2^63 one int64 cannot hold
+    if not np.all((rows[:, :2] >= 1) & (rows[:, :2] <= 2.0 ** 53) & (rows[:, :2] % 1 == 0)):
+        raise ConfigurationError("mode numbers k, l must be whole numbers >= 1 and <= 2^53")
     k = rows[:, 0].astype(np.int64)
     l = rows[:, 1].astype(np.int64)
     amp = rows[:, 2].copy()

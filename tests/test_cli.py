@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,11 +156,28 @@ class TestCsvColumns:
             ["n", "t", "mean", "std", "lo3sig", "hi3sig"], rows)
         assert main(["refine", "--config", cfg, "--levels", "3"]) == 0
         study = estimator.spacetime_refinement_study(run, levels=3)
-        rows = [(i, study.n_div[i], study.n_steps[i], err,
-                 study.ratios[i - 1] if i else np.nan, study.orders[i - 1] if i else np.nan)
+        rows = [(i, study.n_div[i], study.n_steps[i], err, study.ratios[i], study.orders[i])
                 for i, err in enumerate(study.errors)]
         assert (tmp_path / "out" / "t-refine.csv").read_text() == per_value_csv(
             ["level", "n_div", "n_steps", "err_L2J", "ratio", "order"], rows)
+        capsys.readouterr()
+        assert main(["table", "--config", cfg, "--N", "4,8", "--Nref", "16"]) == 0
+        table = estimator.convergence_table(run, [4, 8], 16)
+        n = table.N.tolist()
+
+        def rate(err, i):
+            # against the next smaller N, as each row once took it from the row before
+            if i == 0 or not (err[i - 1] > 0.0 and err[i] > 0.0):
+                return math.nan
+            return math.log(err[i - 1] / err[i]) / math.log(n[i] / n[i - 1])
+        rows = [(n[i], float(table.value_T[i]), table.err_T[i], rate(table.err_T, i),
+                 table.err_L2J[i], rate(table.err_L2J, i)) for i in range(len(n))]
+        path = tmp_path / "out" / "t-table.csv"
+        assert path.read_text() == per_value_csv(
+            ["N", "value_T", "err_T", "rate_T", "err_L2J", "rate_L2J"], rows)
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path}"] + [
+            f"N={r[0]:6d}  value(T)={r[1]:.10f}  err(T)={r[2]:.3e}"
+            f"  rate={r[3]:5.3f}  errL2J={r[4]:.3e}  rate={r[5]:5.3f}" for r in rows]
 
 
 class TestMeshCommand:
@@ -515,6 +533,19 @@ class TestErrorPaths:
             argv += ["--set", item]
         assert main(argv) == 1
         self.assert_one_error_line(capsys, "E_CONFIG")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [1e300, 9.3e18])
+    @pytest.mark.parametrize("command", ["check", "estimate"])
+    def test_mode_number_past_2_53_refused(self, tmp_path, capsys, command, k):
+        # past 2^53 a float64 may hold a rounded mode number; 9.3e18 > 2^63
+        # wrapped in the int64 cast and gave a series of another field
+        cfg = write_config(tmp_path, field={"type": "sine-table", "kappa0_const": 0.5,
+                                            "coeffs": [[k, 1, 0.1]]})
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error[E_CONFIG]: mode numbers")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["check", "estimate"])
     def test_small_alpha_takes_a_small_exponential_sum(self, tmp_path, capsys, command):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,39 +388,39 @@ class TestEstimate:
 class TestConvergenceTable:
     def test_structure_and_monotone_reference(self):
         cfg = small_config(field=build_example_field(3), m=2, n_steps=6)
-        rows = convergence_table(cfg, [4, 8], 32)
-        assert [r.n_samples for r in rows] == [4, 8]
-        assert math.isnan(rows[0].rate_T)
-        assert rows[0].err_T > rows[1].err_T > 0
-        assert rows[1].rate_T > 0
+        table = convergence_table(cfg, [4, 8], 32)
+        assert table.N.tolist() == [4, 8]
+        assert math.isnan(table.rate_T[0])
+        assert table.err_T[0] > table.err_T[1] > 0
+        assert table.rate_T[1] > 0
 
     def test_desk_table_builds_three_rules(self, cbc_calls):
         # N = 8, 16 and the reference 32: one CBC search per N, in
         # increasing N, where its points are drawn
         cfg = small_config(field=build_example_field(3), m=5, n_steps=3, n_div=4)
-        rows = convergence_table(cfg, [8, 16], 32)
-        assert [r.n_samples for r in rows] == [8, 16]
+        table = convergence_table(cfg, [8, 16], 32)
+        assert table.N.tolist() == [8, 16]
         assert cbc_calls == [3, 4, 5]
 
     def test_single_point_and_deterministic_field(self, cbc_calls):
         # N = 1 is the single-point rule, and z = 0 needs no rule at all
         cfg = small_config(m=2, n_steps=3, n_div=4)
-        rows = convergence_table(cfg, [1, 2], 4)
-        assert [r.n_samples for r in rows] == [1, 2]
+        table = convergence_table(cfg, [1, 2], 4)
+        assert table.N.tolist() == [1, 2]
         assert cbc_calls == [1, 2]
         det = small_config(field=build_sine_table_field(0.25, [(1, 1, 0.1)]), z=0,
                            n_steps=3, n_div=4)
-        rows = convergence_table(det, [2], 4)
-        assert rows[0].err_T == 0.0 and rows[0].err_L2J == 0.0
+        table = convergence_table(det, [2], 4)
+        assert table.err_T[0] == 0.0 and table.err_L2J[0] == 0.0
         assert cbc_calls == [1, 2]
 
     def test_zero_errors_have_no_rate(self):
         # at z = 0 every sample is the mean field, so each error is exactly 0
         # and no rate can be taken: every rate is NaN, not the log of 0 / 0
         det = small_config(z=0, n_steps=3, n_div=4)
-        rows = convergence_table(det, [1, 2], 4)
-        assert all(r.err_T == 0.0 and r.err_L2J == 0.0 for r in rows)
-        assert all(math.isnan(r.rate_T) and math.isnan(r.rate_L2J) for r in rows)
+        table = convergence_table(det, [1, 2], 4)
+        assert np.all(table.err_T == 0.0) and np.all(table.err_L2J == 0.0)
+        assert np.all(np.isnan(table.rate_T)) and np.all(np.isnan(table.rate_L2J))
 
     def test_nref_validation(self):
         cfg = small_config()
@@ -507,12 +508,22 @@ class TestRefinementStudy:
         study = spacetime_refinement_study(cfg, levels=2)
         assert np.allclose(study.errors, 0.0)
 
+    def test_zero_errors_take_no_ratio_and_warn_nothing(self):
+        # three levels divide 0 by 0 once: the ratio and order are NaN, silently
+        cfg = small_config(f=0.0, grad_g=zero_grad, n_div=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = spacetime_refinement_study(cfg, levels=3)
+        assert study.errors.tolist() == [0.0, 0.0]
+        assert np.all(np.isnan(study.ratios)) and np.all(np.isnan(study.orders))
+        assert study.n_div.tolist() == [4, 8] and study.ratios.size == 2
+
     def test_second_order_decay(self):
         cfg = small_config(field=build_example_field(2), n_div=6, n_steps=6,
                            gamma=4.0)
         study = spacetime_refinement_study(cfg, levels=3)
         assert study.errors[0] > study.errors[1] > 0
-        assert 3.2 <= study.ratios[0] <= 4.8
+        assert 3.2 <= study.ratios[1] <= 4.8
 
     def test_fast_history_is_kept(self, monkeypatch):
         # every level is built from the config, so fast_history steps

@@ -227,3 +227,8 @@ class TestSineTableField:
             build_sine_table_field(1.0, [(1.0, 2.0)])
         with pytest.raises(ConfigurationError, match="whole numbers"):
             build_sine_table_field(1.0, [(1.5, 1, 0.1)])
+        # 2^53 is the last mode number float64 holds with all its neighbours
+        assert build_sine_table_field(1.0, [(2.0 ** 53, 1, 0.1)]).k.tolist() == [2 ** 53]
+        for row in [(2.0 ** 53 + 2, 1, 0.1), (1, 1e300, 0.1), (9.3e18, 1, 0.1)]:
+            with pytest.raises(ConfigurationError, match="whole numbers"):
+                build_sine_table_field(1.0, [row])
