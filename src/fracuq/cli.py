@@ -148,20 +148,12 @@ def _build_field(fcfg):
     return field, (len(field) if fcfg["z"] is None else fcfg["z"])
 
 
-def resolve_threads(cfg, cli_threads=None) -> int:
-    threads = cfg["estimator"]["threads"] if cli_threads is None else cli_threads
-    if threads is not None:
-        return threads
-    env = os.environ.get("FRACUQ_THREADS")
-    try:
-        return int(env) if env else 1
-    except ValueError as exc:
-        raise ConfigurationError(f"FRACUQ_THREADS = {env!r} is not a valid int") from exc
-
-
 def build_run_config(cfg: dict, threads=None) -> RunConfig:
+    """The run that a config sets; `threads` (--threads), else estimator.threads, else 1."""
     field, z = _build_field(cfg["field"])
     model, steps, qmc, est = cfg["model"], cfg["time"], cfg["qmc"], cfg["estimator"]
+    if threads is None:
+        threads = 1 if est["threads"] is None else est["threads"]
     mesh_path, genvec = cfg["space"]["mesh_path"], qmc["genvec"]
     return RunConfig(
         alpha=model["alpha"], T=model["T"],
@@ -172,7 +164,7 @@ def build_run_config(cfg: dict, threads=None) -> RunConfig:
         b=qmc["b"], m=qmc["m"], beta=qmc["beta"],
         rule=None if genvec is None else load_gen_vector(genvec), shift=qmc["shift"],
         fast_history=est["fast_history"], fast_eps=est["fast_eps"],
-        threads=resolve_threads(cfg, threads))
+        threads=threads)
 
 
 def _echo_resolved(path: str, cfg: dict, run: RunConfig) -> None:

@@ -7,14 +7,17 @@ digit interlacing to obtain a higher-order rule.  A component-by-component
 figure of merit; externally published vectors can be loaded from a text
 file instead.
 
-Residues mod P are integer digit rows, lowest degree first, and all of the
-arithmetic of GF(b)[x]/P is built from one vectorised step, multiplication
-by x mod P.  All coordinates are carried as integer mantissas (exact
-multiples of b^-digits) and only converted to floats on demand.
+A polynomial over GF(b) is held as its code, the integer whose base-b
+digits, lowest first, are its coefficients; b is stored once, on the rule.
+Residues mod P are rows of those digits, and all of the arithmetic of
+GF(b)[x]/P is built from one vectorised step, multiplication by x mod P.
+All coordinates are carried as integer mantissas (exact multiples of
+b^-digits) and only converted to floats on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +27,6 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
-    "GFPoly",
     "check_rule",
     "PointSet",
     "InterlacedLatticeRule",
@@ -58,44 +60,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GFPoly:
-    """Polynomial over GF(b), coefficients lowest degree first, stored
-    reduced mod b and without trailing zeros."""
-
-    coeffs: tuple[int, ...]
-    b: int
-
-    def __post_init__(self):
-        if self.b < 2:
-            raise ConfigurationError("base b must be >= 2")
-        c = [int(v) % self.b for v in self.coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @classmethod
-    def from_int(cls, value: int, b: int) -> "GFPoly":
-        """Decode a polynomial from the base-b digits of an integer."""
-        c = []
-        while value:
-            c.append(value % b)
-            value //= b
-        return cls(tuple(c), b)
-
-    def to_int(self) -> int:
-        return sum(c * self.b ** k for k, c in enumerate(self.coeffs))
-
-
 def _digits(x, b: int, n: int) -> np.ndarray:
     """The n lowest base-b digits of the integers x, lowest first: shape (..., n)."""
     digits = np.asarray(x, dtype=np.int64)[..., None] // b ** np.arange(n, dtype=np.int64)
@@ -104,18 +68,26 @@ def _digits(x, b: int, n: int) -> np.ndarray:
 
 
 def _from_digits(digits: np.ndarray, b: int) -> np.ndarray:
-    """The integers whose base-b digits, lowest first, lie along the last axis."""
-    return digits @ b ** np.arange(digits.shape[-1], dtype=np.int64)
+    """The integers whose base-b digits, lowest first, lie along the last axis;
+    exact Python ints for an object array of digits."""
+    return digits @ b ** np.arange(digits.shape[-1], dtype=digits.dtype)
 
 
-def _monic(p: GFPoly) -> tuple[np.ndarray, int]:
+def _modulus_digits(p: int, b: int, m: int) -> np.ndarray:
+    """The m + 1 coefficients of the modulus of code p, lowest first.  The
+    code can pass 2^63, but p % b and p // b < b^m <= 2^53 fit an int64."""
+    return np.concatenate([[p % b], _digits(p // b, b, m)])
+
+
+def _monic(p: int, b: int, m: int) -> tuple[np.ndarray, int]:
     """The m low coefficients of P scaled to be monic, and the scale 1/lead(P).
 
     Residues mod P are digit rows of length m, lowest degree first; reducing
     mod P or mod the monic P gives the same rows.
     """
-    inv = pow(p.coeffs[-1], -1, p.b)
-    return np.array(p.coeffs[:-1], dtype=np.int64) * inv % p.b, inv
+    coeffs = _modulus_digits(p, b, m)
+    inv = pow(int(coeffs[-1]), -1, b)
+    return coeffs[:-1] * inv % b, inv
 
 
 def _x_powers(rows: np.ndarray, low: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -143,11 +115,11 @@ def _mul_mod(rows: np.ndarray, a: np.ndarray, low: np.ndarray, b: int) -> np.nda
     return rows @ _x_powers(a, low, b, low.size) % b
 
 
-def _laurent_digits(rows: np.ndarray, p: GFPoly, n: int) -> np.ndarray:
+def _laurent_digits(rows: np.ndarray, p: int, b: int, n: int) -> np.ndarray:
     """Coefficients t_1..t_n of r / P in powers of 1/x, shape (..., n), for
     residue rows r: t_k is the top digit of (r / lead(P)) x^(k-1) mod P."""
-    low, inv = _monic(p)
-    return _x_powers(rows * inv % p.b, low, p.b, n)[..., -1]
+    low, inv = _monic(p, b, rows.shape[-1])
+    return _x_powers(rows * inv % b, low, b, n)[..., -1]
 
 
 def _full_rank(a: np.ndarray, b: int) -> bool:
@@ -163,18 +135,19 @@ def _full_rank(a: np.ndarray, b: int) -> bool:
     return True
 
 
-def is_irreducible(p: GFPoly) -> bool:
-    """Rabin's test over GF(b): x^(b^m) = x mod P, and x^(b^(m/q)) - x is a
-    unit mod P for every prime q dividing m.
+def is_irreducible(p: int, b: int) -> bool:
+    """Whether the polynomial P of code p is irreducible over GF(b), by
+    Rabin's test: x^(b^m) = x mod P, and x^(b^(m/q)) - x is a unit mod P for
+    every prime q dividing m = deg P.
 
     Raising to the power b is GF(b)-linear, so x^(b^t) is the row of x times
     the t-th power of the Frobenius matrix, whose row k is x^(kb) mod P.  A
     residue is a unit when its multiplication matrix has full rank mod b.
     """
-    m, b = p.degree, p.b
-    if m <= 0:
+    m = next(k for k in itertools.count() if p < b ** (k + 1))    # deg P; 0 for p < b
+    if m == 0:
         return False
-    low, _ = _monic(p)
+    low, _ = _monic(p, b, m)
     xk = _x_powers(_digits(1, b, m), low, b, (m - 1) * b + 2)
     frobenius = xk[: (m - 1) * b + 1: b]
     h = [xk[1]]                                     # h[t] = x^(b^t) mod P
@@ -186,9 +159,6 @@ def is_irreducible(p: GFPoly) -> bool:
                for q in _prime_factors(m))
 
 
-_MODULUS_CACHE: dict[tuple[int, int], GFPoly] = {}
-
-
 # Pinned production moduli (integer encoding).  Any irreducible works; these
 # were selected from the sieve by benchmarking the constructed rules, because
 # at moderate N the deterministic QMC error of individual rules fluctuates
@@ -196,28 +166,25 @@ _MODULUS_CACHE: dict[tuple[int, int], GFPoly] = {}
 _DEFAULT_MODULI = {(2, 4): 19, (2, 5): 37, (2, 6): 103, (2, 7): 143}
 
 
-def default_modulus(b: int, m: int) -> GFPoly:
-    """Monic irreducible of degree m over GF(b), b prime.
+@functools.cache
+def default_modulus(b: int, m: int) -> int:
+    """Code of a monic irreducible of degree m over GF(b), b prime.
 
     Uses a fixed table for the common binary degrees, otherwise the smallest
-    candidate by integer encoding (GF(b) has irreducibles of every degree).
+    irreducible code (GF(b) has irreducibles of every degree).
     """
-    key = (b, m)
-    if key not in _MODULUS_CACHE:
-        if m < 1:
-            raise ConfigurationError("modulus degree m must be >= 1")
-        if key in _DEFAULT_MODULI:
-            _MODULUS_CACHE[key] = GFPoly.from_int(_DEFAULT_MODULI[key], b)
-        else:
-            candidates = (GFPoly.from_int(c, b) for c in range(b ** m, 2 * b ** m))
-            _MODULUS_CACHE[key] = next(p for p in candidates if is_irreducible(p))
-    return _MODULUS_CACHE[key]
+    if m < 1:
+        raise ConfigurationError("modulus degree m must be >= 1")
+    if (b, m) in _DEFAULT_MODULI:
+        return _DEFAULT_MODULI[b, m]
+    return next(p for p in range(b ** m, 2 * b ** m) if is_irreducible(p, b))
 
 
-def check_rule(b: int, m: int, beta: int, p: GFPoly | None = None, gen=()) -> None:
+def check_rule(b: int, m: int, beta: int, p: int | None = None, gen=()) -> None:
     """The one check of a rule: refuse m < 0 or beta < 1, beta*m base-b
     digits beyond a float64 mantissa, a b that is not prime, and where given
-    a modulus p not irreducible of degree m over GF(b) or a bad generator."""
+    a modulus code p not irreducible of degree m over GF(b) or a generator
+    code outside [1, b^m)."""
     if m < 0 or beta < 1:
         raise ConfigurationError(f"a rule needs m >= 0 and beta >= 1, not m = {m}, beta = {beta}")
     if b >= 2 and beta * m * math.log2(b) > 53:
@@ -225,17 +192,13 @@ def check_rule(b: int, m: int, beta: int, p: GFPoly | None = None, gen=()) -> No
     if b < 2 or _prime_factors(b) != [b]:
         raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
     if p is not None:
-        if p.b != b or p.degree != m:
+        if not b ** m <= p < b ** (m + 1):
             raise ValidationError(f"modulus must have degree m={m} over GF({b})")
-        if not is_irreducible(p):
+        if not is_irreducible(p, b):
             raise ValidationError("modulus polynomial is reducible")
     for i, g in enumerate(gen):
-        if g.b != b:
-            raise ValidationError(f"g_{i + 1} is over the wrong base")
-        if g.is_zero:
-            raise ValidationError(f"g_{i + 1} is the zero polynomial")
-        if g.degree >= m:
-            raise ValidationError(f"deg(g_{i + 1}) = {g.degree} >= m = {m}")
+        if not 1 <= g < b ** m:
+            raise ValidationError(f"g_{i + 1} = {g} is not a nonzero polynomial of degree < m = {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +225,16 @@ class PointSet:
         return self.mantissas / float(self.b) ** self.digits
 
 
-def classical_points(b: int, m: int, dim: int, p: GFPoly, gen: list[GFPoly]) -> PointSet:
-    """Classical polynomial lattice point set with b^m points in `dim` columns."""
+def classical_points(b: int, m: int, dim: int, p: int, gen) -> PointSet:
+    """Classical polynomial lattice point set with b^m points in `dim` columns,
+    from the codes of the modulus p and of the generators."""
     if dim != len(gen):
         raise ConfigurationError(f"dim={dim} but {len(gen)} generating polynomials given")
     check_rule(b, m, 1, p, gen)
-    return _classical_points(p, gen)
+    return _classical_points(b, m, p, gen)
 
 
-def _classical_points(p: GFPoly, gen) -> PointSet:
+def _classical_points(b: int, m: int, p: int, gen) -> PointSet:
     """:func:`classical_points` for a checked modulus and generators.
 
     Coordinate c of point j is v_m(j(x) g_c(x) / P(x)): the index digits of
@@ -281,10 +245,9 @@ def _classical_points(p: GFPoly, gen) -> PointSet:
     entries are integers of at most m (b - 1)^2, so the product is exact.
     No temporary is larger than the (N, dim) mantissas.
     """
-    b, m, dim = p.b, p.degree, len(gen)
-    n = b ** m
+    n, dim = b ** m, len(gen)
     jdig = _digits(np.arange(n), b, m).astype(float)       # index digits, lowest first
-    u = _laurent_digits(_digits([g.to_int() for g in gen], b, m), p,
+    u = _laurent_digits(_digits(gen, b, m), p, b,
                         2 * m - 1).astype(float)           # (dim, 2m - 1): u_1 .. u_{2m-1}
     mant = np.zeros((n, dim))
     digit = np.empty((n, dim))
@@ -387,7 +350,7 @@ def _effective_weights(dim: int, beta: int, b: int, gammas) -> np.ndarray:
     return (gam[:z, None] * decay).ravel()[:dim]
 
 
-def _group_powers(p: GFPoly) -> np.ndarray:
+def _group_powers(p: int, b: int, m: int) -> np.ndarray:
     """Digit rows of g^0 .. g^(N-2) for the generator g of the cyclic group
     (GF(b)[x]/P)^*, N = b^m.
 
@@ -396,8 +359,7 @@ def _group_powers(p: GFPoly) -> np.ndarray:
     candidate are built by doubling: every known power times the next
     power-of-two power, in one product.
     """
-    low, _ = _monic(p)
-    b, m = p.b, low.size
+    low, _ = _monic(p, b, m)
     order = b ** m - 1
     for cand in itertools.count(1):
         powers, step = _digits([1], b, m), _digits(cand, b, m)
@@ -417,9 +379,9 @@ def _group_powers(p: GFPoly) -> np.ndarray:
 _CBC_DIRECT_ORDER = 255
 
 
-def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[GFPoly]:
+def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[int]:
     """Greedy component-by-component generating vector for `dim` columns,
-    on the default modulus.
+    on the default modulus: the codes of the chosen polynomials.
 
     Each column's polynomial is chosen (deterministically, smallest integer
     encoding on ties) to minimise the figure of merit given the columns
@@ -436,13 +398,14 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[GFPoly]:
         raise ConfigurationError("dim must be >= 1")
     check_rule(b, m, beta)
     p = default_modulus(b, m)
-    powers = _group_powers(p)
+    powers = _group_powers(p, b, m)
     order = len(powers)
     # the logs of the residues in increasing code: row r of the circulant
     # scores the candidate g^by_code[r]
-    by_code = np.argsort(_from_digits(powers, b))
+    codes = _from_digits(powers, b)
+    by_code = np.argsort(codes)
     # psi at the point v_m(g^e / P) of every residue g^e
-    psi = kernel_values(b, m, beta)[_from_digits(_laurent_digits(powers, p, m)[:, ::-1], b)]
+    psi = kernel_values(b, m, beta)[_from_digits(_laurent_digits(powers, p, b, m)[:, ::-1], b)]
     psi2 = np.concatenate([psi, psi])
     w = _effective_weights(dim, beta, b, gammas).tolist()
     if order <= _CBC_DIRECT_ORDER:
@@ -461,9 +424,7 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[GFPoly]:
         a = int(by_code[(scores <= smin + 1e-12 * (1.0 + abs(smin))).argmax()])
         chosen.append(a)
         prod *= 1.0 + w[c] * psi2[a: a + order]
-    # one polynomial per distinct residue: small groups repeat residues
-    polys = {a: GFPoly(tuple(powers[a].tolist()), b) for a in set(chosen)}
-    return [polys[a] for a in chosen]
+    return codes[chosen].tolist()
 
 
 def cbc_rule(b: int, m: int, beta: int, z: int, gammas) -> "InterlacedLatticeRule":
@@ -475,14 +436,15 @@ def cbc_rule(b: int, m: int, beta: int, z: int, gammas) -> "InterlacedLatticeRul
 
 @dataclass(frozen=True)
 class InterlacedLatticeRule:
-    """Interlaced polynomial lattice rule of order beta, b^m points, z dims."""
+    """Interlaced polynomial lattice rule of order beta, b^m points, z dims:
+    the codes of the modulus p and of the beta*z generators over GF(b)."""
 
     b: int
     m: int
     beta: int
     z: int
-    p: GFPoly
-    gen: tuple[GFPoly, ...]
+    p: int
+    gen: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.gen) != self.beta * self.z:
@@ -495,7 +457,7 @@ class InterlacedLatticeRule:
         return (self.b, self.m, self.beta) == (b, m, beta) and self.z >= z
 
     def classical(self) -> PointSet:
-        return _classical_points(self.p, self.gen)
+        return _classical_points(self.b, self.m, self.p, self.gen)
 
     def points(self) -> PointSet:
         return _interlace(self.classical(), self.beta)
@@ -509,12 +471,15 @@ class InterlacedLatticeRule:
 # generating-vector files
 
 def save_gen_vector(rule: InterlacedLatticeRule, path):
+    """Write the header `b m beta z`, then one `P` line and beta*z `g` lines:
+    each polynomial's coefficients, lowest degree first, without trailing zeros."""
+    b, m = rule.b, rule.m
+    polys = [("P", _modulus_digits(rule.p, b, m))] + [("g", g) for g in _digits(rule.gen, b, m)]
     with open(path, "w") as fh:
         fh.write("# interlaced polynomial lattice rule\n")
-        fh.write(f"{rule.b} {rule.m} {rule.beta} {rule.z}\n")
-        fh.write("P " + " ".join(str(c) for c in rule.p.coeffs) + "\n")
-        for g in rule.gen:
-            fh.write("g " + " ".join(str(c) for c in g.coeffs) + "\n")
+        fh.write(f"{b} {m} {rule.beta} {rule.z}\n")
+        for tag, digits in polys:
+            fh.write(" ".join([tag, *map(str, np.trim_zeros(digits, "b").tolist())]) + "\n")
 
 
 def load_gen_vector(path) -> InterlacedLatticeRule:
@@ -536,21 +501,23 @@ def load_gen_vector(path) -> InterlacedLatticeRule:
         raise ValidationError(
             f"{path}: expected {1 + 1 + beta * z} content lines, found {len(lines)}")
 
-    def poly(ln, txt, tag, what):
+    check_rule(b, m, beta)    # b >= 2 before any coefficient is reduced mod b
+
+    def code(ln, txt, tag, what):
         tok = txt.split()
         if tok[0] != tag:
             raise ValidationError(f"{path}:{ln}: expected {what} line starting with {tag!r}")
         try:
-            coeffs = tuple(int(v) for v in tok[1:])
+            coeffs = np.array([int(v) % b for v in tok[1:]], dtype=object)
         except ValueError as exc:
             raise ValidationError(f"{path}:{ln}: non-integer coefficient in {txt!r}") from exc
-        return GFPoly(coeffs, b)
+        return _from_digits(coeffs, b)      # a Python int, however long the line
 
-    p = poly(*lines[1], "P", "modulus")
+    p = code(*lines[1], "P", "modulus")
     gen = []
     for ln, gtxt in lines[2:]:
-        g = poly(ln, gtxt, "g", "generator")
-        if g.degree >= m:
-            raise ValidationError(f"{path}:{ln}: deg(g) = {g.degree} >= m = {m}")
+        g = code(ln, gtxt, "g", "generator")
+        if g >= b ** m:
+            raise ValidationError(f"{path}:{ln}: deg(g) >= m = {m}")
         gen.append(g)
     return InterlacedLatticeRule(b=b, m=m, beta=beta, z=z, p=p, gen=tuple(gen))

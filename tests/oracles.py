@@ -188,7 +188,7 @@ def classical_points_by_column(b, m, dim, p, gen) -> np.ndarray:
     weights = b ** np.arange(m - 1, -1, -1, dtype=np.int64)
     mant = np.empty((n, dim), dtype=np.int64)
     for c, g in enumerate(gen):
-        u = _laurent_digits(_digits(g.to_int(), b, m), p, 2 * m - 1)
+        u = _laurent_digits(_digits(g, b, m), p, b, 2 * m - 1)
         hankel = np.array([[u[t + r] for r in range(m)] for t in range(m)], dtype=np.int64)
         mant[:, c] = weights @ ((hankel @ jdig) % b)
     return mant

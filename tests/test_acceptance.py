@@ -26,8 +26,7 @@ from fracuq.estimator import (RunConfig, estimate, example_initial_gradient,
 from fracuq.fem import (StiffnessAssembler, assemble_mass, load_vector,
                         triangulate_unit_square)
 from fracuq.field import build_example_field
-from fracuq.qmc import (GFPoly, PointSet, cbc_construct, classical_points,
-                        default_modulus, interlace)
+from fracuq.qmc import PointSet, cbc_construct, classical_points, default_modulus, interlace
 from fracuq.tfrac import (TrajectorySolver, graded_mesh, l2J_norm,
                           weight_matrix)
 from oracles import figure_of_merit, g_uniform, history_weights, ritz_projection
@@ -320,7 +319,7 @@ def test_criterion_07_point_set_properties():
         n = 2 ** m
         p = default_modulus(2, m)
         for g_int in range(1, n):
-            ps = classical_points(2, m, 1, p, [GFPoly.from_int(g_int, 2)])
+            ps = classical_points(2, m, 1, p, [g_int])
             grid_ok &= sorted(ps.values[:, 0]) == [k / n for k in range(n)]
     inject_ok = True
     for beta, m in itertools.product((2, 3), (1, 2, 3)):
@@ -347,8 +346,7 @@ def test_criterion_08_cbc_oracle():
         gen = cbc_construct(b, m, 3, beta, gammas)
         prefix = []
         for c in range(3):
-            best = min(figure_of_merit(b, m, beta, p,
-                                       prefix + [GFPoly.from_int(v, b)], gammas)
+            best = min(figure_of_merit(b, m, beta, p, prefix + [v], gammas)
                        for v in range(1, b ** m))
             got = figure_of_merit(b, m, beta, p, prefix + [gen[c]], gammas)
             worst = max(worst, abs(got - best) / best)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 import math
 import os
@@ -214,6 +215,29 @@ class TestPointsCommand:
         assert main(["points", "--m", "3", "--z", "2", "--genvec", gv]) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    # the rule file and the sha256 of the points CSV of `points --b B --m 3
+    # --beta 2 --z 3`; the lines `g 1` and `g 0 1` are shorter than m
+    PINNED_POINTS = {
+        2: ("2 3 2 3\nP 1 1 0 1\ng 1\ng 0 0 1\ng 1 1 1\ng 0 1\ng 1 1 1\ng 1 1 1\n",
+            "0844867196f3441b82690e3a93a951497ef77686443dbe7e3cf52a6d7a7c0676"),
+        3: ("3 3 2 3\nP 1 2 0 1\ng 1\ng 0 0 1\ng 1 1 1\ng 1 2 1\ng 1 2 1\ng 0 1\n",
+            "0a14bb9162081ee36b62f649cb3a85c38bf2630a73dd91587ce90457fb4eadfc"),
+    }
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_rule_file_and_points_bytes_pinned(self, tmp_path, capsys, b):
+        rule_text, csv_sha256 = self.PINNED_POINTS[b]
+        gv, out = tmp_path / "gen.txt", tmp_path / "pts.csv"
+        argv = ["points", "--b", str(b), "--m", "3", "--beta", "2", "--z", "3",
+                "--genvec", str(gv), "--out", str(out)]
+        assert main(argv) == 0
+        assert gv.read_text() == "# interlaced polynomial lattice rule\n" + rule_text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        # the saved rule gives the same bytes again
+        out.unlink()
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+
     def test_genvec_mismatch(self, tmp_path, capsys):
         gv = str(tmp_path / "gen.txt")
         main(["points", "--m", "3", "--beta", "2", "--z", "3", "--genvec", gv])
@@ -400,7 +424,7 @@ class TestRuleBuilding:
 
 
 class TestThreads:
-    """--threads beats estimator.threads, which beats FRACUQ_THREADS."""
+    """--threads beats estimator.threads, which beats the default of 1."""
 
     @staticmethod
     def echoed(tmp_path, argv=(), **sections):
@@ -409,25 +433,11 @@ class TestThreads:
         echo = tmp_path / "out" / "t-resolved-config.json"
         return json.loads(echo.read_text())["estimator"]["threads"]
 
-    def test_environment_when_nothing_else_is_set(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("FRACUQ_THREADS", raising=False)
+    def test_precedence(self, tmp_path, capsys):
         assert self.echoed(tmp_path) == 1
-        monkeypatch.setenv("FRACUQ_THREADS", "3")
-        assert self.echoed(tmp_path) == 3
-
-    def test_precedence(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FRACUQ_THREADS", "3")
         assert self.echoed(tmp_path, estimator={"threads": 5}) == 5
         assert self.echoed(tmp_path, ["--threads", "2"], estimator={"threads": 5}) == 2
         assert self.echoed(tmp_path, ["--threads", "2"]) == 2
-
-    def test_bad_environment_value_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FRACUQ_THREADS", "abc")
-        cfg = write_config(tmp_path)
-        assert main(["check", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.count("error[") == 1 and err.count("\n") == 1
-        assert err.startswith("error[E_CONFIG]: FRACUQ_THREADS = 'abc'")
 
 
 class TestCheckCommand:
@@ -684,6 +694,22 @@ class TestErrorPaths:
         assert main(["points", "--b", "4", "--m", "2", "--beta", "1", "--z", "1",
                      "--genvec", str(gv)]) == 1
         self.assert_one_error_line(capsys, "E_CONFIG")
+
+    # a base below 2, checked before any coefficient is reduced mod b; and
+    # moduli over GF(65537), whose code reaches 2^48 and, with the leading
+    # coefficient 65536, passes 2^63
+    @pytest.mark.parametrize("text, code", [
+        ("0 2 1 1\nP 1 1 1\ng 1\n", "E_CONFIG"),
+        ("65537 3 1 1\nP 1 1 0 1\ng 1\n", "E_VALIDATE"),
+        ("65537 3 1 1\nP 0 1 0 65536\ng 1\n", "E_VALIDATE"),
+    ], ids=["b0", "b65537", "b65537-past-2^63"])
+    def test_rule_file_base_refused_in_one_line(self, tmp_path, capsys, text, code):
+        gv = tmp_path / "gen.txt"
+        gv.write_text(text)
+        b, m = text.split()[:2]
+        assert main(["points", "--b", b, "--m", m, "--beta", "1", "--z", "1",
+                     "--genvec", str(gv)]) == 1
+        self.assert_one_error_line(capsys, code)
 
     def test_base_one_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -201,13 +201,13 @@ class TestSamplePoints:
         # the table's default modulus is taken as it is; the rule's
         # construction is the one test, not the CBC search or the points
         from fracuq import qmc
-        monkeypatch.setattr(qmc, "_MODULUS_CACHE", {})
+        qmc.default_modulus.cache_clear()
         tested = []
         test = qmc.is_irreducible
 
-        def spy(p):
+        def spy(p, b):
             tested.append(p)
-            return test(p)
+            return test(p, b)
 
         monkeypatch.setattr(qmc, "is_irreducible", spy)
         cfg = small_config(m=4)

@@ -173,7 +173,7 @@ STR_KEYS = [("field", "type"), ("space", "mesh_path"), ("qmc", "genvec"), ("qmc"
             ("output", "dir"), ("output", "prefix")]
 NUMERIC_KEYS = INT_KEYS + FLOAT_KEYS
 # null asks for a default (the grading 2/alpha, the full truncation, the
-# thread count of FRACUQ_THREADS) or is unused by the example field, so it
+# thread count of 1) or is unused by the example field, so it
 # is no corruption there
 NULLABLE_KEYS = {("time", "gamma"), ("field", "z"), ("estimator", "threads"),
                  ("field", "kappa0_const")}

@@ -9,7 +9,7 @@ import pytest
 
 from fracuq import qmc
 from fracuq.errors import ConfigurationError, ValidationError
-from fracuq.qmc import (GFPoly, InterlacedLatticeRule, cbc_construct, cbc_rule,
+from fracuq.qmc import (InterlacedLatticeRule, cbc_construct, cbc_rule,
                         classical_points, default_modulus, digital_shift_half,
                         interlace, kernel_values, load_gen_vector,
                         save_gen_vector, shift_to_centered)
@@ -17,16 +17,24 @@ from fracuq.qmc import _digits, _from_digits, _monic, _mul_mod, is_irreducible
 from oracles import classical_points_by_column, figure_of_merit, poly_mod
 
 
+def coeffs(v, b):
+    """The coefficients of the polynomial of code v over GF(b), lowest first,
+    without trailing zeros."""
+    return np.trim_zeros(_digits(v, b, 8), "b").tolist()
+
+
 class TestGFPoly:
+    """Polynomials over GF(b) held as integer codes: base-b digits, lowest first."""
+
     def test_int_round_trip(self):
         for b in (2, 3, 5):
-            for v in range(40):
-                assert GFPoly.from_int(v, b).to_int() == v
+            v = np.arange(40)
+            assert _from_digits(_digits(v, b, 8), b).tolist() == v.tolist()
 
     def test_mul_mod_consistency(self):
         # the residue product a c mod p over GF(2) agrees with carry-less bit math
         a, c = _digits([0b1011, 0b110], 2, 4)
-        low, _ = _monic(GFPoly.from_int(0b10011, 2))  # x^4 + x + 1
+        low, _ = _monic(0b10011, 2, 4)  # x^4 + x + 1
         prod = int(_from_digits(_mul_mod(a, c, low, 2), 2))
 
         def clmul(x, y):
@@ -45,24 +53,21 @@ class TestGFPoly:
 
         assert prod == mod2(clmul(0b1011, 0b110), 0b10011)
 
-    def test_degree_and_zero(self):
-        assert GFPoly((), 2).is_zero
-        assert GFPoly((), 2).degree == -1
-        assert GFPoly((1, 0, 1), 2).degree == 2
-
-    def test_coefficients_reduced(self):
-        assert GFPoly((5, 3), 2).coeffs == (1, 1)
+    def test_coefficients_reduced(self, tmp_path):
+        # a rule file's coefficients are read mod b: g = 5 + 3x over GF(2) is 1 + x
+        path = tmp_path / "rule.txt"
+        path.write_text("2 2 1 1\nP 1 1 1\ng 5 3\n")
+        assert load_gen_vector(path).gen == (3,)
 
 
 class TestIrreducibility:
-    def brute(self, p):
+    def brute(self, p, b):
         # trial division by every lower-degree polynomial
-        m = p.degree
+        m = len(coeffs(p, b)) - 1
         if m <= 0:
             return False
-        for d in range(p.b, p.b ** m):
-            q = GFPoly.from_int(d, p.b)
-            if 1 <= q.degree < m and not poly_mod(p.coeffs, q.coeffs, p.b):
+        for d in range(b, b ** m):            # the codes of degree 1 .. m - 1
+            if not poly_mod(coeffs(p, b), coeffs(d, b), b):
                 return False
         return True
 
@@ -71,28 +76,25 @@ class TestIrreducibility:
         # degree 4 and 6 reach Rabin's gcd condition for m / q >= 2
         max_degree = {2: 6, 3: 3, 5: 3}[b]
         for v in range(b, b ** (max_degree + 1)):
-            p = GFPoly.from_int(v, b)
-            if p.coeffs[-1] != 0:
-                assert is_irreducible(p) == self.brute(p), v
+            assert is_irreducible(v, b) == self.brute(v, b), v
 
     def test_default_modulus_is_irreducible(self):
         for m in range(1, 12):
             p = default_modulus(2, m)
-            assert p.degree == m
-            assert is_irreducible(p)
+            assert 2 ** m <= p < 2 ** (m + 1)
+            assert is_irreducible(p, 2)
 
 
 class TestClassicalPoints:
     def test_point_zero_is_origin(self):
         p = default_modulus(2, 3)
-        g = [GFPoly((1,), 2), GFPoly((0, 1), 2)]
-        ps = classical_points(2, 3, 2, p, g)
+        ps = classical_points(2, 3, 2, p, [1, 2])      # g = 1, x
         assert np.all(ps.values[0] == 0.0)
 
     def test_two_point_rule_half(self):
         # b=2, m=1, P=x+1, g=(1): long division gives 1/(x+1) = x^-1 + ...,
         # so v_1 keeps the single digit 1 -> coordinate 1/2
-        ps = classical_points(2, 1, 1, GFPoly((1, 1), 2), [GFPoly((1,), 2)])
+        ps = classical_points(2, 1, 1, 3, [1])
         assert ps.values[1, 0] == 0.5
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -100,12 +102,12 @@ class TestClassicalPoints:
         n = 2 ** m
         p = default_modulus(2, m)
         for g_int in range(1, n):
-            ps = classical_points(2, m, 1, p, [GFPoly.from_int(g_int, 2)])
+            ps = classical_points(2, m, 1, p, [g_int])
             assert sorted(ps.values[:, 0]) == [k / n for k in range(n)]
 
     def test_coordinates_exact_multiples(self):
         p = default_modulus(2, 5)
-        ps = classical_points(2, 5, 1, p, [GFPoly.from_int(7, 2)])
+        ps = classical_points(2, 5, 1, p, [7])
         assert ps.digits == 5
         assert np.all(ps.mantissas >= 0) and np.all(ps.mantissas < 32)
 
@@ -114,7 +116,7 @@ class TestClassicalPoints:
     def test_bitwise_equal_to_column_by_column(self, b, m):
         rng = np.random.default_rng(b * 100 + m)
         dim = 5 if b ** m > 1000 else 24
-        gen = [GFPoly.from_int(int(v), b) for v in rng.integers(1, b ** m, dim)]
+        gen = rng.integers(1, b ** m, dim).tolist()
         p = default_modulus(b, m)
         got = classical_points(b, m, dim, p, gen).mantissas
         want = classical_points_by_column(b, m, dim, p, gen)
@@ -123,18 +125,18 @@ class TestClassicalPoints:
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValidationError):
-            classical_points(2, 2, 1, GFPoly((0, 0, 1), 2), [GFPoly((1,), 2)])
+            classical_points(2, 2, 1, 4, [1])        # P = x^2
 
     def test_degree_mismatch_rejected(self):
         p = default_modulus(2, 2)
         with pytest.raises(ValidationError):
-            classical_points(2, 2, 1, p, [GFPoly((1, 1, 1), 2)])
+            classical_points(2, 2, 1, p, [7])        # g = 1 + x + x^2
 
 
 class TestInterlace:
     def test_beta_one_identity(self):
         p = default_modulus(2, 3)
-        ps = classical_points(2, 3, 2, p, [GFPoly((1,), 2), GFPoly((0, 1), 2)])
+        ps = classical_points(2, 3, 2, p, [1, 2])
         out = interlace(ps, 1)
         assert np.array_equal(out.mantissas, ps.mantissas)
 
@@ -217,7 +219,7 @@ class TestCBC:
         p = default_modulus(b, m)
         scores = {}
         for g_int in range(1, b ** m):
-            cand = prefix + [GFPoly.from_int(g_int, b)]
+            cand = prefix + [g_int]
             scores[g_int] = figure_of_merit(b, m, beta, p, cand, gammas)
         return scores
 
@@ -237,14 +239,14 @@ class TestCBC:
             prefix.append(gen[c])
 
     def test_generating_vectors_pinned(self):
-        # integer encodings of the CBC vectors of the default moduli, recorded
-        # from the GFPoly-arithmetic construction; every rule must keep them
+        # integer codes of the CBC vectors of the default moduli, recorded
+        # from a construction by polynomial arithmetic; every rule must keep them
         pinned = json.loads((Path(__file__).parent / "pinned_genvecs.json").read_text())
         gammas = 1.0 / np.arange(1, 13, dtype=float) ** 2
         for key, want in pinned.items():
             b, m, beta = map(int, key.split(","))
             rule = cbc_rule(b, m, beta, 12, gammas)
-            assert [g.to_int() for g in rule.gen] == want, key
+            assert list(rule.gen) == want, key
 
     def test_effective_weights_match_column_loop(self):
         # the per-column loop with Python's float ** int is the reference;
@@ -340,8 +342,8 @@ class TestGuards:
     """Refusals of bad rules, each reached through public input."""
 
     def test_constant_is_not_irreducible(self, tmp_path):
-        assert not is_irreducible(GFPoly((1,), 2))
-        assert not is_irreducible(GFPoly((), 3))
+        assert not is_irreducible(1, 2)
+        assert not is_irreducible(0, 3)
         # a rule file of degree 0 has a constant modulus
         path = tmp_path / "rule.txt"
         path.write_text("2 0 1 0\nP 1\n")
@@ -352,13 +354,9 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="m must be >= 1"):
             default_modulus(3, 0)
 
-    def test_generator_over_the_wrong_base(self):
-        with pytest.raises(ValidationError, match="wrong base"):
-            classical_points(2, 2, 1, default_modulus(2, 2), [GFPoly((1,), 3)])
-
     def test_classical_points_dim_must_match_generators(self):
         with pytest.raises(ConfigurationError, match="2 generating polynomials"):
-            classical_points(2, 2, 3, default_modulus(2, 2), [GFPoly((1,), 2)] * 2)
+            classical_points(2, 2, 3, default_modulus(2, 2), [1] * 2)
 
     def test_cbc_needs_a_weight_per_coordinate(self):
         # dim 5 at beta 2 spans 3 coordinates
@@ -413,4 +411,4 @@ class TestGenVectorFiles:
         with pytest.raises(ValidationError):
             InterlacedLatticeRule(b=2, m=2, beta=2, z=1,
                                   p=default_modulus(2, 2),
-                                  gen=(GFPoly((1,), 2),))
+                                  gen=(1,))
