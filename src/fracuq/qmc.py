@@ -60,6 +60,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _check_base(b: int) -> None:
+    """Refuse a base b that is not prime: GF(b) is then no field."""
+    if b < 2 or _prime_factors(b) != [b]:
+        raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
+
+
 def _digits(x, b: int, n: int) -> np.ndarray:
     """The n lowest base-b digits of the integers x, lowest first: shape (..., n)."""
     digits = np.asarray(x, dtype=np.int64)[..., None] // b ** np.arange(n, dtype=np.int64)
@@ -144,6 +150,7 @@ def is_irreducible(p: int, b: int) -> bool:
     the t-th power of the Frobenius matrix, whose row k is x^(kb) mod P.  A
     residue is a unit when its multiplication matrix has full rank mod b.
     """
+    _check_base(b)
     m = next(k for k in itertools.count() if p < b ** (k + 1))    # deg P; 0 for p < b
     if m == 0:
         return False
@@ -175,6 +182,7 @@ def default_modulus(b: int, m: int) -> int:
     """
     if m < 1:
         raise ConfigurationError("modulus degree m must be >= 1")
+    _check_base(b)
     if (b, m) in _DEFAULT_MODULI:
         return _DEFAULT_MODULI[b, m]
     return next(p for p in range(b ** m, 2 * b ** m) if is_irreducible(p, b))
@@ -189,8 +197,7 @@ def check_rule(b: int, m: int, beta: int, p: int | None = None, gen=()) -> None:
         raise ConfigurationError(f"a rule needs m >= 0 and beta >= 1, not m = {m}, beta = {beta}")
     if b >= 2 and beta * m * math.log2(b) > 53:
         raise ConfigurationError(f"beta*m = {beta * m} base-{b} digits exceeds the float64 mantissa")
-    if b < 2 or _prime_factors(b) != [b]:
-        raise ConfigurationError(f"base b = {b} is not prime, so GF(b) is not a field")
+    _check_base(b)
     if p is not None:
         if not b ** m <= p < b ** (m + 1):
             raise ValidationError(f"modulus must have degree m={m} over GF({b})")
@@ -397,6 +404,9 @@ def cbc_construct(b: int, m: int, dim: int, beta: int, gammas) -> list[int]:
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
     check_rule(b, m, beta)
+    if b ** m > 2 ** 32:    # b^m - 1 rows of m int64 digits: 1 TiB at 2^32 binary points
+        raise ConfigurationError(f"b = {b}, m = {m}: a CBC rule of b^m = {b ** m} points, past "
+                                 "2^32, needs tables of b^m - 1 rows that fit in no memory")
     p = default_modulus(b, m)
     powers = _group_powers(p, b, m)
     order = len(powers)

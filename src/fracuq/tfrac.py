@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cython_lapack, solve_triangular
 from scipy.linalg.blas import dger as _dger
 from scipy.special import exprel, gamma as gamma_fn
@@ -245,20 +244,6 @@ def fast_history_kernel(tmesh: GradedTimeMesh, alpha: float, eps: float) -> ExpS
 # ---------------------------------------------------------------------------
 # trajectory solver
 
-def _block_diag(indptr, indices, data) -> sp.csc_matrix:
-    """Block-diagonal CSC matrix of k blocks sharing one d x d pattern.
-
-    data has shape (k, nnz), row j the data of block j; unknowns are
-    ordered block by block.
-    """
-    k, nnz = data.shape
-    d = indptr.size - 1
-    starts = nnz * np.arange(k)[:, None]
-    ptr = np.append((indptr[:-1] + starts).ravel(), k * nnz)
-    idx = (indices + d * np.arange(k)[:, None]).ravel()
-    return sp.csc_matrix((data.ravel(), idx, ptr), shape=(k * d, k * d))
-
-
 def _capsule_address(name: str) -> int:
     """Address of the LAPACK routine ``name`` in scipy's Cython LAPACK table."""
     capsule = cython_lapack.__pyx_capi__[name]
@@ -379,22 +364,23 @@ class _BandLevels:
     """Level solves of one chunk in LAPACK band storage: each level writes
     w_nn M + D/2 for its k blocks and makes one ``dpbsv`` for all of them.
 
-    The stepper drives it, as it drives :class:`_ModalLevels`, through six
+    The stepper drives it, as it drives :class:`_ModalLevels`, through five
     calls on flat (k d,) coefficient vectors: ``initial`` solves D U^0 = r,
     ``residual`` gives F^n - D U^{n-1} in the object's own buffer x,
-    ``solve`` turns that x, less the history, into V^n in place, ``mass``
-    gives M V^n for the history and ``functional`` the values L(U).
-    ``nodal`` maps stored coefficients back to the band numbering.  A
-    factorization that fails (a matrix that is not positive definite)
-    makes the whole chunk NaN.
+    ``solve`` turns that x, less the history, into V^n in place and returns
+    M V^n for the history, ``functional`` gives the values L(U) and
+    ``nodal`` maps stored coefficients back to the band numbering.  D U is
+    carried, never multiplied out: it starts as r, and each level adds
+    D V^n = 2 (x - w_nn M V^n) from its own equation, so a level makes one
+    sparse product, M V^n, beside its ``dpbsv``.  A factorization that
+    fails (a matrix that is not positive definite) makes the whole chunk
+    NaN.
     """
 
     def __init__(self, solver: "TrajectorySolver", d_data: np.ndarray):
-        asm = solver.assembler
         self.solver = solver
         k = d_data.shape[0]
         self.shape = (k, solver.mass.shape[0])
-        self.D = _block_diag(asm.indptr, asm.indices, d_data)
         # the k blocks of D(y) stacked in lower band storage, (k, d, kd + 1)
         self.band = np.zeros(self.shape + (solver._kd + 1,))
         self.band.reshape(k, -1)[:, solver._band_slot] = d_data[:, solver._lower]
@@ -410,22 +396,25 @@ class _BandLevels:
             self.x.fill(np.nan)
 
     def initial(self, rhs: np.ndarray) -> np.ndarray:
-        self.x[:] = rhs.ravel()
+        self.du = rhs.ravel().copy()
+        self.x[:] = self.du
         self._solve()
         return self.x.copy()
 
-    def residual(self, n: int, u: np.ndarray) -> np.ndarray:
-        np.subtract(self.solver.loads[n - 1], (self.D @ u).reshape(self.shape),
+    def residual(self, n: int) -> np.ndarray:
+        np.subtract(self.solver.loads[n - 1], self.du.reshape(self.shape),
                     out=self.x.reshape(self.shape))
         return self.x
 
-    def solve(self, n: int, x: np.ndarray) -> None:
-        np.multiply(self.solver._mass_band, self.solver._w_diag[n - 1], out=self.band)
+    def solve(self, n: int, x: np.ndarray) -> np.ndarray:
+        w = self.solver._w_diag[n - 1]
+        self.du += 2.0 * x
+        np.multiply(self.solver._mass_band, w, out=self.band)
         self.band += self.half_d
         self._solve()
-
-    def mass(self, x: np.ndarray) -> np.ndarray:
-        return (self.solver.mass @ x.reshape(self.shape).T).T.ravel()
+        mx = (self.solver.mass @ x.reshape(self.shape).T).T.ravel()
+        self.du -= 2.0 * w * mx
+        return mx
 
     def functional(self, u: np.ndarray) -> np.ndarray:
         return u.reshape(self.shape) @ self.solver._phi
@@ -439,17 +428,17 @@ class _ModalLevels:
 
     With D V = M V diag(lam) and V^T M V = I, found from M = L L^T and the
     symmetric eigenproblem of L^-1 D L^-T, coefficients c with U = V c turn
-    D U into lam c, M U into c and every level matrix into the diagonal
-    w_nn + lam / 2.  A level is then a few elementwise operations on k d
-    numbers, against a band write, a ``dpbsv`` and two sparse products on
-    the band path; the set-up costs one dense d x d eigendecomposition per
-    sample.  Same calls as :class:`_BandLevels`.  A chunk with an
-    eigenvalue that is not positive is NaN as a whole, as a failed band
-    factorization is.
+    M U into c and every level matrix into the diagonal w_nn + lam / 2.  A
+    level is then a few elementwise operations on k d numbers, against a
+    band write, a ``dpbsv`` and a sparse product on the band path; the
+    set-up costs one dense d x d eigendecomposition per sample.  Same calls
+    as :class:`_BandLevels`; D U is carried from V^T r too, and each level
+    adds D V^n = lam c^n, the level equation's 2 (x - w_nn c^n) taken where
+    D is diagonal.  A chunk with an eigenvalue that is not positive is NaN
+    as a whole, as a failed band factorization is.
     """
 
     def __init__(self, solver: "TrajectorySolver", d_data: np.ndarray):
-        asm = solver.assembler
         self.solver = solver
         k, d = self.shape = (d_data.shape[0], solver.mass.shape[0])
         lam = np.empty(self.shape)
@@ -460,7 +449,7 @@ class _ModalLevels:
         # arrays, never k of each
         D = np.zeros((d, d))
         for i in range(k):
-            D[asm.indices, solver._pattern_col] = d_data[i]
+            D[solver.assembler.indices, solver._pattern_col] = d_data[i]
             lam[i], Q = np.linalg.eigh(L_inv @ D @ L_inv.T)
             np.matmul(L_inv.T, Q, out=V[i])
         if not np.all(lam > 0.0):
@@ -476,20 +465,19 @@ class _ModalLevels:
         self.x = np.empty(k * d)
 
     def initial(self, rhs: np.ndarray) -> np.ndarray:
-        return np.matmul(rhs[:, None, :], self.V).ravel() / self.lam
+        self.du = np.matmul(rhs[:, None, :], self.V).ravel()
+        return self.du / self.lam
 
-    def residual(self, n: int, u: np.ndarray) -> np.ndarray:
+    def residual(self, n: int) -> np.ndarray:
         load = self._load
         if load is None:
             load = (self.solver.loads[n - 1] @ self.V).ravel()
-        np.multiply(self.lam, u, out=self.x)
-        np.subtract(load, self.x, out=self.x)
+        np.subtract(load, self.du, out=self.x)
         return self.x
 
-    def solve(self, n: int, x: np.ndarray) -> None:
+    def solve(self, n: int, x: np.ndarray) -> np.ndarray:
         x /= self.half_lam + self.solver._w_diag[n - 1]
-
-    def mass(self, x: np.ndarray) -> np.ndarray:
+        self.du += self.lam * x
         return x
 
     def functional(self, u: np.ndarray) -> np.ndarray:
@@ -605,14 +593,14 @@ class TrajectorySolver:
             us[0] = u
         history = self._history(k * d)
         for n in range(1, nt + 1):
-            x = levels.residual(n, u)
+            x = levels.residual(n)
             history.subtract(n, x)
-            levels.solve(n, x)
+            mx = levels.solve(n, x)
             u += x
             stepped[:, n] = levels.functional(u)
             if keep_u:
                 us[n] = u
-            history.record(n, levels.mass(x))
+            history.record(n, mx)
         values[ok] = stepped
         if keep_u:
             kept[:, ok] = levels.nodal(us.reshape(nt + 1, k, d))

@@ -21,7 +21,10 @@ division by the schoolbook polynomial remainder is the oracle of the
 irreducibility test, which the package runs on digit rows.
 The generator of the uniform-mesh weights is the oracle of criterion 6,
 and the weight row of one level and the values of an exponential sum are
-the plain forms of what the stepper reads from its weight tables.
+the plain forms of what the stepper reads from its weight tables.  The
+reference trajectory solves every level by a sparse LU and multiplies
+D(y) by U^{n-1} at every level, where the package carries D U from each
+level's equation.
 """
 
 import struct
@@ -32,11 +35,12 @@ import scipy.sparse.linalg as spla
 
 from fracuq.cli import DUMP_MAGIC
 from fracuq.errors import ConfigurationError
-from fracuq.fem import StiffnessAssembler, _element_geometry
+from fracuq.estimator import example_initial_gradient
+from fracuq.fem import StiffnessAssembler, _element_geometry, assemble_mass, load_vector
 from fracuq.field import _sine_rows
 from fracuq.qmc import (_digits, _effective_weights, _laurent_digits, check_rule,
                         classical_points, kernel_values)
-from fracuq.tfrac import GradedTimeMesh, _diagonal_weight, _pair_weights
+from fracuq.tfrac import GradedTimeMesh, _diagonal_weight, _pair_weights, weight_matrix
 
 
 def example_initial(x1, x2):
@@ -94,6 +98,28 @@ def ritz_projection(mesh, field, y, grad_g, assembler=None) -> np.ndarray:
         assembler = StiffnessAssembler(mesh, field, grad_g)
     D = assembler.matrix(y)
     return spla.spsolve(D.tocsc(), assembler.ritz_rhs(y))
+
+
+def reference_trajectory(mesh, field, tmesh: GradedTimeMesh, alpha: float, y) -> np.ndarray:
+    """Coefficients U^n of one sample at every level, shape (n_steps + 1,
+    n_dofs), stepped as the scheme is written: U^0 is the Ritz projection,
+    and each level solves (w_nn M + D/2) V^n = F^n - D U^{n-1} - sum_{j<n}
+    w_nj M V^j by a sparse LU, D U^{n-1} an explicit sparse product, for
+    f = 1 and the example initial data."""
+    M = assemble_mass(mesh)
+    asm = StiffnessAssembler(mesh, field, example_initial_gradient)
+    D = asm.matrix(y)
+    W = weight_matrix(tmesh, alpha)
+    loads = load_vector(mesh, 1.0, tmesh.t[:-1], tmesh.t[1:])
+    us = np.empty((tmesh.n_steps + 1, mesh.n_dofs))
+    us[0] = ritz_projection(mesh, field, y, example_initial_gradient, assembler=asm)
+    mv = np.empty((tmesh.n_steps, mesh.n_dofs))
+    for n in range(1, tmesh.n_steps + 1):
+        rhs = loads[n - 1] - D @ us[n - 1] - W[n, 1:n] @ mv[: n - 1]
+        v = spla.spsolve((W[n, n] * M + 0.5 * D).tocsc(), rhs)
+        us[n] = us[n - 1] + v
+        mv[n - 1] = M @ v
+    return us
 
 
 def basis_values(field, x1, x2) -> np.ndarray:

@@ -724,6 +724,19 @@ class TestErrorPaths:
         self.assert_one_error_line(capsys, "E_CONFIG")
         assert not gv.exists()
 
+    def test_cbc_rule_past_2_32_points_refused_before_modulus_search(self, tmp_path):
+        # 65537^3 points: the default-modulus search over GF(65537) would test
+        # 65,537 reducible cubics at about 0.4 s each, for tables that could
+        # never be allocated.  A child with a timeout turns a hang into a failure.
+        gv = tmp_path / "new.txt"
+        proc = subprocess.run([sys.executable, "-m", "fracuq.cli", "points", "--b", "65537",
+                               "--m", "3", "--beta", "1", "--z", "1", "--genvec", str(gv)],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error[E_CONFIG]") and "b = 65537, m = 3" in lines[0]
+        assert not gv.exists()
+
     def test_non_numeric_mesh_token_exit_1(self, tmp_path, capsys):
         mesh = tmp_path / "mesh.txt"
         mesh.write_text("3\n0 0 1\n1 0 one\n0 1 1\n1\n0 1 2\n")

@@ -2,11 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracuq
 from fracuq import qmc
 from fracuq.errors import ConfigurationError, ValidationError
 from fracuq.qmc import (InterlacedLatticeRule, cbc_construct, cbc_rule,
@@ -349,6 +353,24 @@ class TestGuards:
         path.write_text("2 0 1 0\nP 1\n")
         with pytest.raises(ValidationError, match="reducible"):
             load_gen_vector(path)
+
+    @pytest.mark.parametrize("call", ["default_modulus(1, 2)", "default_modulus(0, 3)",
+                                      "default_modulus(-2, 2)", "is_irreducible(5, 1)",
+                                      "is_irreducible(5, 0)"])
+    def test_base_below_two_refused(self, call):
+        # below base 2 the search for the degree never ended: the call runs in a
+        # child with a timeout, so a hang fails this test and does not stall the suite
+        child = ("import sys\n"
+                 "from fracuq.errors import ConfigurationError\n"
+                 "from fracuq.qmc import default_modulus, is_irreducible\n"
+                 f"try:\n    {call}\n"
+                 "except ConfigurationError as exc:\n    sys.exit(f'refused: {exc}')\n")
+        paths = [os.path.dirname(os.path.dirname(fracuq.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("refused: base b = ") and "is not prime" in proc.stderr
 
     def test_default_modulus_needs_degree_one(self):
         with pytest.raises(ConfigurationError, match="m must be >= 1"):

@@ -22,7 +22,8 @@ from fracuq.fem import (StiffnessAssembler, assemble_mass, band_ordered,
 from fracuq.field import build_example_field, build_sine_table_field
 from fracuq.tfrac import (GradedTimeMesh, TrajectorySolver, _pair_weights, exp_sum_kernel,
                           graded_mesh, l2J_norm, weight_matrix)
-from oracles import exp_sum_values, g_uniform, history_weights, ritz_projection
+from oracles import (exp_sum_values, g_uniform, history_weights, reference_trajectory,
+                     ritz_projection)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -371,30 +372,6 @@ class TestTrajectorySolver:
         assert series[-1] > 0
 
 
-def reference_series(mesh, field, tmesh, alpha, y):
-    """The scheme written out for one sample: assemble S_n and spsolve it at
-    every level, with the history sum taken term by term."""
-    M = assemble_mass(mesh)
-    asm = StiffnessAssembler(mesh, field, example_initial_gradient)
-    D = asm.matrix(y)
-    W = weight_matrix(tmesh, alpha)
-    phi = phi_integrals(mesh)
-    t = tmesh.t
-    u = ritz_projection(mesh, field, y, example_initial_gradient, assembler=asm)
-    series = [phi @ u]
-    mv = []
-    for n in range(1, tmesh.n_steps + 1):
-        hist = np.zeros_like(u)
-        for j in range(1, n):
-            hist += W[n, j] * mv[j - 1]
-        rhs = load_vector(mesh, 1.0, t[n - 1], t[n]) - D @ u - hist
-        v = spla.spsolve((W[n, n] * M + 0.5 * D).tocsc(), rhs)
-        u = u + v
-        mv.append(M @ v)
-        series.append(phi @ u)
-    return np.array(series)
-
-
 class TestChunkedStepping:
     def setup_method(self):
         self.field = build_example_field(3)
@@ -409,7 +386,8 @@ class TestChunkedStepping:
 
     def test_single_sample_matches_reference(self):
         y = self.points[0]
-        ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+        ref = (reference_trajectory(self.mesh, self.field, self.tmesh, 0.5, y)
+               @ phi_integrals(self.mesh))
         solver = self.solver()
         assert np.max(np.abs(solver.functional_series(y) - ref)) <= 1e-12
         u = solver.solve(y)
@@ -421,7 +399,8 @@ class TestChunkedStepping:
         assert _chunks(5, 25) == [(0, 2), (2, 5)]
         got = _functional_samples(self.solver(), self.points, threads=1)
         for y, row in zip(self.points, got):
-            ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+            ref = (reference_trajectory(self.mesh, self.field, self.tmesh, 0.5, y)
+                   @ phi_integrals(self.mesh))
             assert np.max(np.abs(row - ref)) <= 1e-12
 
     def test_level_blocks_match_reference(self):
@@ -430,7 +409,8 @@ class TestChunkedStepping:
         solver = TrajectorySolver(self.mesh, self.field, tmesh, 0.5, 1.0,
                                   example_initial_gradient)
         ys = self.points[:3]
-        refs = [reference_series(self.mesh, self.field, tmesh, 0.5, y) for y in ys]
+        phi = phi_integrals(self.mesh)
+        refs = [reference_trajectory(self.mesh, self.field, tmesh, 0.5, y) @ phi for y in ys]
         assert np.max(np.abs(solver.functional_series(ys) - refs)) <= 1e-12
         assert np.max(np.abs(solver.solve(ys[0]) @ solver.phi - refs[0])) <= 1e-12
 
@@ -456,7 +436,8 @@ class TestChunkedStepping:
 
     def test_direct_path_makes_no_sparse_lu(self, monkeypatch):
         y = self.points[1]
-        ref = reference_series(self.mesh, self.field, self.tmesh, 0.5, y)
+        ref = (reference_trajectory(self.mesh, self.field, self.tmesh, 0.5, y)
+               @ phi_integrals(self.mesh))
 
         def refuse(*args, **kwargs):
             raise AssertionError("sparse LU on the direct path")
@@ -655,6 +636,21 @@ class TestModalLevels:
             solvers.append(solver)
         ref = solvers[0].functional_series(self.points)
         assert np.max(np.abs(solvers[1].functional_series(self.points) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("levels", ["_BandLevels", "_ModalLevels"])
+    def test_carried_stiffness_product_matches_reference(self, levels):
+        # each level solver carries D U from the level equation; the reference
+        # multiplies D(y) by U^{n-1} at every one of 2,000 levels
+        field, mesh = build_example_field(6), triangulate_unit_square(6)
+        tmesh = graded_mesh(1.0, 2000, 4.0)
+        points = np.random.default_rng(52).uniform(-0.5, 0.5, size=(8, len(field)))
+        solver = TrajectorySolver(mesh, field, tmesh, 0.5, 1.0, example_initial_gradient)
+        solver._levels = getattr(tfrac, levels)
+        _, u = solver._march(points, keep_u=True)
+        for i, y in enumerate(points):
+            ref = reference_trajectory(mesh, field, tmesh, 0.5, y)
+            err = np.max(np.abs(u[:, i][:, solver._dof] - ref), axis=1)
+            assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=1)), (i, np.max(err))
 
     @pytest.mark.parametrize("levels", ["_BandLevels", "_ModalLevels"])
     def test_mesh_without_interior_dofs(self, levels):
